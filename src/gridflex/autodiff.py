@@ -8,6 +8,9 @@ in the test suite.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
+from contextlib import contextmanager
+
 import numpy as np
 
 from .errors import ShapeError
@@ -40,9 +43,13 @@ class Tensor:
         return self.data.shape
 
     def _accumulate(self, g: np.ndarray) -> None:
+        # The first write copies: backward closures hand the same upstream
+        # array to several parents, and a later `+=` must not reach the others.
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            self.grad = np.empty_like(self.data)
+            self.grad[...] = g
+        else:
+            self.grad += g
 
     # -- graph construction helpers ------------------------------------------
 
@@ -306,6 +313,24 @@ class Tensor:
         for node in reversed(topo):
             if node._backward is not None:
                 node._backward(node.grad)
+
+
+@contextmanager
+def no_grad(tensors: Iterable[Tensor]):
+    """Build no backward graph through `tensors` inside the block.
+
+    Clears their `requires_grad` flags and puts them back on exit, also when
+    the block raises. For forward passes whose result is never differentiated.
+    """
+    tensors = list(tensors)
+    saved = [t.requires_grad for t in tensors]
+    for t in tensors:
+        t.requires_grad = False
+    try:
+        yield
+    finally:
+        for t, flag in zip(tensors, saved):
+            t.requires_grad = flag
 
 
 def parameter(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) -> Tensor:

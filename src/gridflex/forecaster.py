@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import Tensor, parameter
+from .autodiff import Tensor, no_grad, parameter
 from .community import Community, normalize_features
 from .errors import DomainError, InvalidSpecError, NumericalError, ShapeError
 
@@ -136,30 +136,84 @@ def build_model(
 
 
 def gru_forward(params: EncoderParams, sequence: Tensor | np.ndarray) -> Tensor:
-    """GRU over one or many series.
+    """GRU over one or many series, as one autodiff node.
 
     Accepts (s, input_dim) for a single series or (n, s, input_dim) for a
     batch; returns hidden states with shape matching the input convention
     ((s, M) or (n, s, M)). Zero initial hidden state.
+
+    The input projections of all steps are one matmul before the time loop,
+    and the update and reset gates share one (M, 2M) recurrent matmul per
+    step (Appleyard et al. 2016, arXiv:1604.01946). Backpropagation through
+    time is a hand-written numpy loop over the gate activations kept here.
     """
     x = Tensor._lift(sequence)
+    width = params.w_update.shape[0]
     single = x.data.ndim == 2
-    if single:
-        x = x.reshape(1, *x.shape)
-    if x.data.ndim != 3 or x.data.shape[2] != params.w_update.shape[0]:
-        raise ShapeError(f"expected (n, s, {params.w_update.shape[0]}) input, got {x.shape}")
-    n, s, _ = x.data.shape
-    h = Tensor(np.zeros((n, params.hidden_size)))
-    states = []
-    for t in range(s):
-        x_t = x[:, t, :]
-        z = (x_t @ params.w_update + h @ params.u_update + params.b_update).sigmoid()
-        r = (x_t @ params.w_reset + h @ params.u_reset + params.b_reset).sigmoid()
-        cand = (x_t @ params.w_cand + (r * h) @ params.u_cand + params.b_cand).tanh()
-        h = z * h + (1.0 - z) * cand
-        states.append(h)
-    out = Tensor.stack(states, axis=1)
-    return out[0] if single else out
+    xs = x.data[None] if single else x.data
+    if xs.ndim != 3 or xs.shape[2] != width:
+        raise ShapeError(f"expected (n, s, {width}) input, got {x.shape}")
+    n, s, _ = xs.shape
+    m = params.hidden_size
+    gate_params = (params.w_update, params.w_reset, params.w_cand,
+                   params.u_update, params.u_reset, params.u_cand,
+                   params.b_update, params.b_reset, params.b_cand)
+    w_x = np.concatenate([p.data for p in gate_params[:3]], axis=1)  # (d, 3M)
+    u_zr = np.concatenate([p.data for p in gate_params[3:5]], axis=1)  # (M, 2M)
+    u_c = params.u_cand.data
+    x_steps = xs.transpose(1, 0, 2)  # (s, n, d)
+    proj = x_steps @ w_x + np.concatenate([p.data for p in gate_params[6:]])  # (s, n, 3M)
+
+    zr = np.empty((s, n, 2 * m))  # update gate z, then reset gate r
+    cand = np.empty((s, n, m))
+    rh = np.empty((s, n, m))  # r * h_{t-1}, the input of the candidate's matmul
+    h = np.zeros((s + 1, n, m))  # h[t] is the state before step t
+    for t in range(s):  # in place: each step writes only into the arrays above
+        gates, c, h_prev, h_next = zr[t], cand[t], h[t], h[t + 1]
+        np.matmul(h_prev, u_zr, out=gates)
+        gates += proj[t, :, : 2 * m]
+        np.negative(gates, out=gates)  # sigmoid
+        np.exp(gates, out=gates)
+        gates += 1.0
+        np.reciprocal(gates, out=gates)
+        np.multiply(gates[:, m:], h_prev, out=rh[t])
+        np.matmul(rh[t], u_c, out=c)
+        c += proj[t, :, 2 * m :]
+        np.tanh(c, out=c)
+        np.subtract(h_prev, c, out=h_next)  # h = z * h_prev + (1 - z) * c
+        h_next *= gates[:, :m]
+        h_next += c
+
+    def backward(g):
+        g_steps = (g[None] if single else g).transpose(1, 0, 2)  # (s, n, M)
+        d_proj = np.empty((s, n, 3 * m))  # gradient w.r.t. the gate pre-activations
+        dh = np.zeros((n, m))
+        for t in range(s - 1, -1, -1):
+            dh += g_steps[t]
+            z, r = zr[t, :, :m], zr[t, :, m:]
+            d_cand = d_proj[t, :, 2 * m :]
+            np.multiply(dh * (1.0 - z), 1.0 - cand[t] * cand[t], out=d_cand)
+            d_rh = d_cand @ u_c.T
+            d_proj[t, :, :m] = dh * (h[t] - cand[t]) * z * (1.0 - z)
+            d_proj[t, :, m : 2 * m] = d_rh * h[t] * r * (1.0 - r)
+            dh = dh * z + d_rh * r + d_proj[t, :, : 2 * m] @ u_zr.T
+        flat = d_proj.reshape(s * n, 3 * m)
+        d_w_x = x_steps.reshape(s * n, -1).T @ flat
+        d_u_zr = h[:-1].reshape(s * n, m).T @ flat[:, : 2 * m]
+        d_u_c = rh.reshape(s * n, m).T @ flat[:, 2 * m :]
+        d_b = flat.sum(axis=0)
+        grads = (d_w_x[:, :m], d_w_x[:, m : 2 * m], d_w_x[:, 2 * m :],
+                 d_u_zr[:, :m], d_u_zr[:, m:], d_u_c,
+                 d_b[:m], d_b[m : 2 * m], d_b[2 * m :])
+        for p, grad in zip(gate_params, grads):
+            if p.requires_grad:
+                p._accumulate(grad)
+        if x.requires_grad:
+            d_x = (d_proj @ w_x.T).transpose(1, 0, 2)
+            x._accumulate(d_x[0] if single else d_x)
+
+    states = h[1:].transpose(1, 0, 2)
+    return x._make(states[0] if single else states, (x, *gate_params), backward)
 
 
 def self_attention(params: EncoderParams, hidden: Tensor) -> Tensor:
@@ -312,16 +366,17 @@ class TrainResult:
     train_mse: list[float] = field(default_factory=list)
     val_mse: list[float] = field(default_factory=list)
     initial_val_mse: float = float("nan")
-    similarity: np.ndarray | None = None  # final full-pass attention matrix
+    similarity: np.ndarray | None = None  # attention matrix of the last training sample
     max_row_sum_dev: float = 0.0  # worst |row sum - 1| seen across training
     similarity_range: tuple[float, float] = (0.0, 1.0)  # entry min/max seen
 
 
 def _eval_mse(model: PatternModel, data: SampleSet) -> float:
     total = 0.0
-    for i in range(data.windows.shape[0]):
-        loss, _ = mse_loss(model, data.windows[i], data.targets[i], data.socio)
-        total += float(loss.data)
+    with no_grad(p for _, p in model.parameters()):
+        for i in range(data.windows.shape[0]):
+            loss, _ = mse_loss(model, data.windows[i], data.targets[i], data.socio)
+            total += float(loss.data)
     return total / data.windows.shape[0]
 
 
@@ -375,7 +430,8 @@ def train(model: PatternModel, data: SampleSet, hyper: Hyper | None = None) -> T
 
 def similarity_matrix(model: PatternModel, data: SampleSet) -> np.ndarray:
     """Attention matrix from a full-population forward pass on the last sample."""
-    _, similarity = forward(model, data.windows[-1], data.socio)
+    with no_grad(p for _, p in model.parameters()):
+        _, similarity = forward(model, data.windows[-1], data.socio)
     return similarity.data
 
 
@@ -402,21 +458,22 @@ def grad_check(model: PatternModel, windows: np.ndarray, targets: np.ndarray,
     if any(not np.all(np.isfinite(a)) for a in analytic):
         raise NumericalError("non-finite analytic gradient")
     worst = 0.0
-    for p, g_a in zip(params, analytic):
-        flat = p.data.reshape(-1)
-        g_n = np.zeros_like(flat)
-        for j in range(flat.size):
-            orig = flat[j]
-            flat[j] = orig + epsilon
-            up, _ = mse_loss(model, windows, targets, socio)
-            flat[j] = orig - epsilon
-            down, _ = mse_loss(model, windows, targets, socio)
-            flat[j] = orig
-            g_n[j] = (float(up.data) - float(down.data)) / (2 * epsilon)
-        num = float(np.linalg.norm(g_a.reshape(-1) - g_n))
-        denom = max(float(np.linalg.norm(g_a)) + float(np.linalg.norm(g_n)),
-                    GRAD_CHECK_FLOOR)
-        worst = max(worst, num / denom)
+    with no_grad(params):  # the central differences need losses only
+        for p, g_a in zip(params, analytic):
+            flat = p.data.reshape(-1)
+            g_n = np.zeros_like(flat)
+            for j in range(flat.size):
+                orig = flat[j]
+                flat[j] = orig + epsilon
+                up, _ = mse_loss(model, windows, targets, socio)
+                flat[j] = orig - epsilon
+                down, _ = mse_loss(model, windows, targets, socio)
+                flat[j] = orig
+                g_n[j] = (float(up.data) - float(down.data)) / (2 * epsilon)
+            num = float(np.linalg.norm(g_a.reshape(-1) - g_n))
+            denom = max(float(np.linalg.norm(g_a)) + float(np.linalg.norm(g_n)),
+                        GRAD_CHECK_FLOOR)
+            worst = max(worst, num / denom)
     return worst
 
 

@@ -8,7 +8,7 @@ implementations.
 import numpy as np
 import pytest
 
-from gridflex.autodiff import Tensor, parameter
+from gridflex.autodiff import Tensor, no_grad, parameter
 from gridflex.errors import ShapeError
 
 RNG = np.random.default_rng(42)
@@ -244,6 +244,44 @@ class TestGraph:
     def test_non_finite_rejected(self):
         with pytest.raises(ShapeError):
             Tensor(np.array([1.0, np.inf]))
+
+    def test_parents_get_unaliased_grads(self):
+        # __add__ hands one upstream array to both parents.
+        a = Tensor(np.ones(3), requires_grad=True)
+        b = Tensor(np.ones(3), requires_grad=True)
+        (a + b).sum().backward()
+        assert not np.shares_memory(a.grad, b.grad)
+        a.grad += 1.0
+        np.testing.assert_array_equal(b.grad, np.ones(3))
+        # x * x accumulates twice into x; x + x also leaves the output's grad alone.
+        x = Tensor(np.array([1.5, -2.0]), requires_grad=True)
+        (x * x).sum().backward()
+        np.testing.assert_allclose(x.grad, [3.0, -4.0], atol=1e-15)
+        x.grad = None
+        y = x + x
+        y.sum().backward()
+        np.testing.assert_array_equal(x.grad, [2.0, 2.0])
+        np.testing.assert_array_equal(y.grad, [1.0, 1.0])
+
+    def test_broadcast_first_write_keeps_shape(self):
+        t = Tensor(np.zeros((2, 3)), requires_grad=True)
+        t._accumulate(np.arange(3.0))
+        assert t.grad.shape == (2, 3)
+        np.testing.assert_array_equal(t.grad, [[0.0, 1.0, 2.0]] * 2)
+        s = Tensor(np.zeros((2, 1)), requires_grad=True)
+        s._accumulate(np.float64(0.5))
+        np.testing.assert_array_equal(s.grad, [[0.5], [0.5]])
+
+    def test_no_grad_restores_flags_when_the_block_raises(self):
+        a = Tensor(np.ones(2), requires_grad=True)
+        b = Tensor(np.ones(2))
+        with pytest.raises(RuntimeError):
+            with no_grad([a, b]):
+                assert not a.requires_grad
+                out = a * 2.0
+                raise RuntimeError("inside")
+        assert a.requires_grad and not b.requires_grad
+        assert not out.requires_grad and out._backward is None
 
     def test_constant_parents_skipped(self):
         const = Tensor(np.ones(3))

@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gridflex import forecaster
 from gridflex.autodiff import Tensor
 from gridflex.community import LoadSeries
-from gridflex.errors import DomainError, InvalidSpecError, ShapeError
+from gridflex.errors import DomainError, InvalidSpecError, NumericalError, ShapeError
 from gridflex.forecaster import (
     EncoderParams,
     Hyper,
@@ -44,6 +47,46 @@ def tiny_encoder(rng: np.random.Generator, m: int = 3) -> EncoderParams:
 
 def sigmoid(x):
     return 1.0 / (1.0 + np.exp(-x))
+
+
+def reference_gru_forward(params: EncoderParams, sequence) -> Tensor:
+    """Step-by-step GRU built from Tensor ops: the reference for the fused op."""
+    x = Tensor._lift(sequence)
+    single = x.data.ndim == 2
+    if single:
+        x = x.reshape(1, *x.shape)
+    n, s, _ = x.data.shape
+    h = Tensor(np.zeros((n, params.hidden_size)))
+    states = []
+    for t in range(s):
+        x_t = x[:, t, :]
+        z = (x_t @ params.w_update + h @ params.u_update + params.b_update).sigmoid()
+        r = (x_t @ params.w_reset + h @ params.u_reset + params.b_reset).sigmoid()
+        cand = (x_t @ params.w_cand + (r * h) @ params.u_cand + params.b_cand).tanh()
+        h = z * h + (1.0 - z) * cand
+        states.append(h)
+    out = Tensor.stack(states, axis=1)
+    return out[0] if single else out
+
+
+def gru_params(enc: EncoderParams) -> list[Tensor]:
+    return [enc.w_update, enc.u_update, enc.b_update, enc.w_reset, enc.u_reset,
+            enc.b_reset, enc.w_cand, enc.u_cand, enc.b_cand]
+
+
+def gru_grads(gru, enc: EncoderParams, x_data: np.ndarray, upstream: np.ndarray):
+    """Output and the gradients of sum(output * upstream) w.r.t. the nine GRU
+    parameters and the input."""
+    for p in gru_params(enc):
+        p.grad = None
+    x = Tensor(x_data.copy(), requires_grad=True)
+    out = gru(enc, x)
+    (out * upstream).sum().backward()
+    return out.data, [p.grad for p in gru_params(enc)] + [x.grad]
+
+
+def relative_error(a: np.ndarray, b: np.ndarray) -> float:
+    return float(np.linalg.norm(a - b) / max(np.linalg.norm(b), 1e-300))
 
 
 class TestGru:
@@ -92,6 +135,54 @@ class TestGru:
         enc = tiny_encoder(np.random.default_rng(5))
         with pytest.raises(ShapeError):
             gru_forward(enc, np.zeros((4, 2)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 6), s=st.integers(1, 10), m=st.integers(1, 6),
+           batched=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_fused_matches_step_by_step_reference(self, n, s, m, batched, seed):
+        rng = np.random.default_rng(seed)
+        enc = tiny_encoder(rng, m)
+        shape = (n, s, 1) if batched else (s, 1)
+        x_data = rng.normal(size=shape)
+        upstream = rng.normal(size=shape[:-1] + (m,))
+        out, grads = gru_grads(gru_forward, enc, x_data, upstream)
+        ref_out, ref_grads = gru_grads(reference_gru_forward, enc, x_data, upstream)
+        assert out.shape == ref_out.shape
+        np.testing.assert_allclose(out, ref_out, rtol=0, atol=1e-12)
+        for grad, ref in zip(grads, ref_grads):
+            assert grad.shape == ref.shape
+            assert relative_error(grad, ref) <= 1e-10
+
+    def test_fused_gradients_match_finite_differences(self):
+        rng = np.random.default_rng(12)
+        enc = tiny_encoder(rng, m=3)
+        x_data = rng.normal(size=(2, 5, 1))
+        upstream = rng.normal(size=(2, 5, 3))
+        _, grads = gru_grads(gru_forward, enc, x_data, upstream)
+        eps = 1e-6
+
+        def loss(x):
+            return float((gru_forward(enc, x).data * upstream).sum())
+
+        for target, analytic in zip([p.data for p in gru_params(enc)] + [x_data], grads):
+            flat = target.reshape(-1)
+            numeric = np.zeros_like(flat)
+            for j in range(flat.size):
+                orig = flat[j]
+                flat[j] = orig + eps
+                up = loss(x_data)
+                flat[j] = orig - eps
+                down = loss(x_data)
+                flat[j] = orig
+                numeric[j] = (up - down) / (2 * eps)
+            err = np.linalg.norm(analytic.reshape(-1) - numeric) / max(
+                np.linalg.norm(analytic) + np.linalg.norm(numeric), 1e-6)
+            assert err < 1e-7
+
+    def test_fused_op_builds_one_node(self):
+        enc = tiny_encoder(np.random.default_rng(13))
+        out = gru_forward(enc, np.ones((3, 4, 1)))
+        assert set(map(id, out._parents)) == set(map(id, gru_params(enc)))
 
 
 class TestSelfAttention:
@@ -297,6 +388,49 @@ class TestTraining:
         lo, hi = result.similarity_range
         assert 0.0 <= lo <= hi <= 1.0
         np.testing.assert_allclose(result.similarity.sum(axis=1), 1.0, atol=1e-9)
+
+    def test_evaluation_builds_no_graph(self, monkeypatch):
+        model, data = self._setup(seed=4)
+        params = [p for _, p in model.parameters()]
+        _, val_set, _ = split_dataset(data, Hyper().split_ratios)
+        expected_mse = float(np.mean([
+            float(mse_loss(model, val_set.windows[i], val_set.targets[i],
+                           data.socio)[0].data)
+            for i in range(val_set.windows.shape[0])]))
+        _, expected_similarity = forward(model, data.windows[-1], data.socio)
+        for p in params:
+            p.grad = None
+        outputs = []
+        real_forward = forecaster.forward
+
+        def recording_forward(*args):
+            predictions, similarity = real_forward(*args)
+            outputs.extend([predictions, similarity])
+            return predictions, similarity
+
+        monkeypatch.setattr(forecaster, "forward", recording_forward)
+        assert forecaster._eval_mse(model, val_set) == pytest.approx(expected_mse, rel=1e-12)
+        np.testing.assert_array_equal(similarity_matrix(model, data),
+                                      expected_similarity.data)
+        assert outputs and all(not t.requires_grad and t._backward is None
+                               for t in outputs)
+        assert all(p.grad is None and p.requires_grad for p in params)
+
+    def test_evaluation_restores_requires_grad_when_forward_raises(self, monkeypatch):
+        model, data = self._setup(seed=5)
+        params = [p for _, p in model.parameters()]
+        seen = []
+
+        def failing_forward(*args):
+            seen.append([p.requires_grad for p in params])
+            raise NumericalError("forward failed")
+
+        monkeypatch.setattr(forecaster, "forward", failing_forward)
+        for evaluate in (forecaster._eval_mse, similarity_matrix):
+            with pytest.raises(NumericalError):
+                evaluate(model, data)
+        assert seen == [[False] * len(params)] * 2
+        assert all(p.requires_grad and p.grad is None for p in params)
 
     def test_forward_validates_window_shape(self):
         model, data = self._setup()
