@@ -18,6 +18,7 @@ from .community import (
     load_community,
     save_community,
 )
+from .errors import ReferentialIntegrityError, ValidationError
 from .forecaster import (
     Hyper,
     build_model,
@@ -50,12 +51,19 @@ def _write_similarity(path: Path, ids: tuple[str, ...], matrix: np.ndarray) -> N
             writer.writerow([repr(float(v)) for v in row])
 
 
-def _read_similarity(path: Path) -> tuple[tuple[str, ...], np.ndarray]:
+def _read_similarity(path: Path, ids: tuple[str, ...]) -> np.ndarray:
+    """The similarity CSV's matrix, its rows and columns put in the order of `ids`."""
     with path.open(newline="") as f:
         reader = csv.reader(f)
-        ids = tuple(next(reader))
-        matrix = np.array([[float(v) for v in row] for row in reader])
-    return ids, matrix
+        header = next(reader)
+        rows = [[float(v) for v in row] for row in reader]
+    column = {hid: j for j, hid in enumerate(header)}
+    if len(column) != len(header) or column.keys() != set(ids):
+        raise ReferentialIntegrityError(f"{path.name}: header ids do not match the community's")
+    if len(rows) != len(header) or any(len(row) != len(header) for row in rows):
+        raise ValidationError(f"{path.name}: matrix is not {len(header)} x {len(header)}")
+    order = [column[hid] for hid in ids]
+    return np.array(rows)[np.ix_(order, order)]
 
 
 def _load_or_generate(args) -> Community:
@@ -124,7 +132,8 @@ def cmd_select(args) -> int:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     community = _load_or_generate(args)
-    ids, similarity = _read_similarity(args.similarity_csv)
+    similarity = _read_similarity(args.similarity_csv,
+                                  tuple(h.id for h in community.households))
     config = ScenarioConfig(cycle_days=args.days, rng_seed=args.seed,
                             default_incentive=args.incentive,
                             target_reduction_pct=args.reduction)

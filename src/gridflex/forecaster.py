@@ -28,6 +28,15 @@ class Hyper:
     split_ratios: tuple[float, float, float] = (0.7, 0.2, 0.1)
 
 
+def rmsprop_step(param: np.ndarray, grad: np.ndarray, cache: np.ndarray, hyper: Hyper):
+    """One RMSProp update of `param` and its `cache`, in place."""
+    if not np.all(np.isfinite(grad)):
+        raise NumericalError("non-finite gradient during training")
+    cache *= hyper.rmsprop_decay
+    cache += (1 - hyper.rmsprop_decay) * grad * grad
+    param -= hyper.learning_rate * grad / (np.sqrt(cache) + hyper.rmsprop_eps)
+
+
 @dataclass
 class EncoderParams:
     """GRU gates plus single-head self-attention projections."""
@@ -416,11 +425,7 @@ def train(model: PatternModel, data: SampleSet, hyper: Hyper | None = None) -> T
                 )
             for p, g, c in zip(params, grads, cache):
                 g /= len(idx)
-                if not np.all(np.isfinite(g)):
-                    raise NumericalError("non-finite gradient during training")
-                c *= hyper.rmsprop_decay
-                c += (1 - hyper.rmsprop_decay) * g * g
-                p.data -= hyper.learning_rate * g / (np.sqrt(c) + hyper.rmsprop_eps)
+                rmsprop_step(p.data, g, c, hyper)
         result.train_mse.append(epoch_loss / k)
         result.val_mse.append(_eval_mse(model, val_set))
     if hyper.epochs == 0:

@@ -12,7 +12,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .community import Community, ScenarioConfig, emergency_schedule, generate_community
+from .community import (Community, ScenarioConfig, emergency_schedule,
+                        generate_community, sample_elasticity)
 from .errors import InvalidSpecError
 from .forecaster import Hyper, build_model, make_dataset, similarity_matrix, train
 from .metrics import (
@@ -21,7 +22,7 @@ from .metrics import (
     responsiveness_cost,
     total_demand_reduction,
 )
-from .selector import run_selection
+from .selector import inject_noise, run_selection
 from .tariff import accept_offer, make_offer, rate_hike
 
 
@@ -86,8 +87,6 @@ def _fmt(x: float) -> str:
 def resample_elasticities(
     community: Community, seed: int, mean: float = -0.25, std: float = 0.1
 ) -> Community:
-    from .community import sample_elasticity
-
     rng = np.random.default_rng(seed)
     households = tuple(
         replace(h, elasticity=sample_elasticity(rng, mean, std))
@@ -133,8 +132,6 @@ class PlantedSpec:
 def planted_community(spec: PlantedSpec, seed: int) -> Community:
     """Synthetic community whose households alternate between two elasticity
     regimes within each neighborhood."""
-    from .community import sample_elasticity
-
     cs = spec.community
     base = generate_community(
         cs.counties, cs.neighborhoods_per_county, cs.households_per_neighborhood,
@@ -219,7 +216,7 @@ def run_scenario(
     # Offer pool: predicted acceptors ranked by classifier accept-probability,
     # capped at the configured participation fraction. Ties break on id.
     cap = int(round(config.participation_fraction * len(ids)))
-    scores = _classifier_scores(selection, similarity, config.rng_seed, hyper)
+    scores = dict(zip(ids, selection.scores))
     candidates = sorted(
         (hid for hid, pred in zip(ids, selection.predicted) if pred),
         key=lambda hid: (-scores[hid], hid),
@@ -282,20 +279,6 @@ def run_scenario(
         "community": community,
     }
     return report, details
-
-
-def _classifier_scores(selection, similarity: np.ndarray, seed: int,
-                       hyper: Hyper | None = None) -> dict[str, float]:
-    """Classifier accept-probability per household (for the participation cap)."""
-    from .errors import DegenerateSupervisionError
-    from .selector import SelectionGraph, classify
-
-    graph = SelectionGraph(selection.household_ids, similarity)
-    try:
-        _, probs = classify(graph, dict(selection.true_labels), hyper=hyper, seed=seed)
-    except DegenerateSupervisionError:
-        probs = np.ones(len(selection.household_ids))
-    return {hid: float(p) for hid, p in zip(selection.household_ids, probs)}
 
 
 # -- sweeps --------------------------------------------------------------------
@@ -378,7 +361,7 @@ def _framework_quarter(community: Community, scenario: ScenarioConfig,
             truth, tuple(h.id for h in community.households), seed
         )
         selection = run_selection(community, similarity, truth, seed=seed)
-        score = _classifier_scores(selection, similarity, seed)
+        score = dict(zip(selection.household_ids, selection.scores))
         ranked = sorted(
             community.households, key=lambda h: (-score[h.id], h.id)
         )
@@ -460,7 +443,7 @@ def sweep_rate_hike(
             truth, tuple(h.id for h in community.households), seed
         )
         selection = run_selection(community, similarity, truth, seed=seed)
-        score = _classifier_scores(selection, similarity, seed)
+        score = dict(zip(selection.household_ids, selection.scores))
         ranked = sorted(selection.household_ids, key=lambda hid: (-score[hid], hid))
         for participation_pct in spec.values:
             count = int(round(participation_pct / 100.0 * len(community)))
@@ -510,8 +493,6 @@ def noise_experiment(
         clean = label_similarity(
             truth, ids, seed, planted.in_weight, planted.out_weight, planted.jitter
         )
-        from .selector import inject_noise
-
         for level in spec.values:
             noisy = inject_noise(clean, level, seed=seed + 20_000)
             result = run_selection(community, noisy, truth, seed=seed)

@@ -2,8 +2,8 @@
 
 Spectral clustering of the (symmetrized) attention matrix splits households
 into two anonymous groups; a stratified 5%-per-neighborhood-per-cluster query
-reveals true accept/reject labels; a semi-supervised GCN with one-hot node
-features labels everyone else.
+reveals true accept/reject labels; a featureless semi-supervised GCN labels
+everyone else.
 """
 
 from __future__ import annotations
@@ -14,16 +14,17 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import Tensor
+from .autodiff import parameter
 from .community import Community
 from .errors import (
     DegenerateClusteringError,
     DegenerateSupervisionError,
     DomainError,
+    InvalidSpecError,
     NumericalError,
     UndefinedMetricError,
 )
-from .forecaster import Hyper, gcn_layer
+from .forecaster import Hyper, rmsprop_step
 
 ROW_SUM_TOL = 1e-6
 
@@ -32,7 +33,7 @@ def check_similarity(a: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DomainError(f"similarity matrix must be square, got {a.shape}")
-    if np.any(a < -1e-12) or np.any(a > 1 + 1e-12):
+    if not np.all((a >= -1e-12) & (a <= 1 + 1e-12)):  # NaN fails too
         raise DomainError("similarity entries must lie in [0, 1]")
     if np.any(np.abs(a.sum(axis=1) - 1) > ROW_SUM_TOL):
         raise DomainError("similarity rows must sum to 1")
@@ -58,6 +59,7 @@ class SelectionResult:
     true_labels: dict[str, bool]  # only for queried households
     predicted: np.ndarray  # bool per household
     accuracy_pct: float  # over non-queried households
+    scores: np.ndarray  # accept probability per household; ones if supervision is degenerate
 
 
 def symmetrize(a: np.ndarray) -> np.ndarray:
@@ -159,61 +161,62 @@ def pick_queries(community: Community, clusters: dict[str, int],
 def classify(graph: SelectionGraph, labeled: dict[str, bool],
              hyper: Hyper | None = None, seed: int = 0,
              gcn_hidden: int = 32) -> tuple[np.ndarray, np.ndarray]:
-    """Semi-supervised two-layer GCN node classification with one-hot features.
+    """Semi-supervised two-layer GCN node classification without node features.
 
-    Returns (predicted bool labels, accept probabilities). Labeled nodes keep
-    their given labels in the output.
-    """
+    With identity features (Kipf & Welling 2017) layer 1 is relu(Â W1), so no
+    identity is built. Returns (predicted bool labels, accept probabilities of
+    the last epoch's forward pass); labeled nodes keep their given labels."""
     hyper = hyper or Hyper()
-    labels = set(labeled.values())
-    if labels != {True, False}:
+    if hyper.epochs < 1:
+        raise InvalidSpecError(f"classifier needs >= 1 epoch, got {hyper.epochs}")
+    if set(labeled.values()) != {True, False}:
         raise DegenerateSupervisionError("need at least one labeled example per class")
     n = len(graph.household_ids)
     idx = {hid: i for i, hid in enumerate(graph.household_ids)}
     labeled_idx = np.array(sorted(idx[h] for h in labeled))
-    y = np.zeros(n, dtype=int)
-    for hid, accept in labeled.items():
-        y[idx[hid]] = int(accept)
+    accept = np.array([labeled[graph.household_ids[i]] for i in labeled_idx])
+    targets = np.stack([~accept, accept], axis=1).astype(float)
 
+    # Â = D^-1/2 (A_sym + I) D^-1/2, once per call.
     adj = symmetrize(graph.edge_weights)
-    features = np.eye(n)
-    rng = np.random.default_rng(seed)
-    from .autodiff import parameter
-
-    w1 = parameter(rng, (n, gcn_hidden), n)
-    w2 = parameter(rng, (gcn_hidden, 2), gcn_hidden)
-    params = [w1, w2]
-    cache = [np.zeros_like(p.data) for p in params]
-
-    deg = adj.sum(axis=1) + 1.0
-    inv_sqrt = 1.0 / np.sqrt(deg)
+    inv_sqrt = 1.0 / np.sqrt(adj.sum(axis=1) + 1.0)
     norm = (adj + np.eye(n)) * inv_sqrt[:, None] * inv_sqrt[None, :]
 
-    onehot_targets = np.zeros((labeled_idx.size, 2))
-    onehot_targets[np.arange(labeled_idx.size), y[labeled_idx]] = 1.0
-
-    probs_data = None
+    rng = np.random.default_rng(seed)
+    weights = [parameter(rng, (n, gcn_hidden), n).data,
+               parameter(rng, (gcn_hidden, 2), gcn_hidden).data]
+    caches = [np.zeros_like(w) for w in weights]
     for _epoch in range(hyper.epochs):
-        for p in params:
-            p.grad = None
-        h1 = gcn_layer(features, adj, w1)
-        logits = Tensor(norm) @ h1 @ w2
-        probs = logits.softmax(axis=1)
-        picked = probs[labeled_idx, :]
-        loss = -(Tensor(onehot_targets) * (picked + 1e-12).log()).sum() * (
-            1.0 / labeled_idx.size
-        )
-        loss.backward()
-        for p, c in zip(params, cache):
-            g = p.grad if p.grad is not None else np.zeros_like(p.data)
-            c *= hyper.rmsprop_decay
-            c += (1 - hyper.rmsprop_decay) * g * g
-            p.data -= hyper.learning_rate * g / (np.sqrt(c) + hyper.rmsprop_eps)
-        probs_data = probs.data
-    predicted = probs_data.argmax(axis=1).astype(bool)
-    for hid, accept in labeled.items():
-        predicted[idx[hid]] = accept
-    return predicted, probs_data[:, 1]
+        _loss, probs, grads = _gcn_epoch(norm, *weights, labeled_idx, targets)
+        for w, g, c in zip(weights, grads, caches):
+            rmsprop_step(w, g, c, hyper)
+    predicted = probs.argmax(axis=1).astype(bool)
+    predicted[labeled_idx] = accept
+    return predicted, probs[:, 1]
+
+
+def _gcn_epoch(norm: np.ndarray, w1: np.ndarray, w2: np.ndarray,
+               labeled_idx: np.ndarray, targets: np.ndarray):
+    """One forward and backward pass of the classifier: (mean cross-entropy
+    over the labeled rows, (n, 2) class probabilities, [dloss/dw1, dloss/dw2]).
+    Only layer 1 multiplies `norm` by an (n, h) array; the rest take (n, 2)."""
+    pre = norm @ w1
+    h1 = np.maximum(pre, 0.0)
+    logits = norm @ (h1 @ w2)
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    probs = e / e.sum(axis=1, keepdims=True)
+    picked = probs[labeled_idx]
+    shifted = picked + 1e-12
+    scale = 1.0 / labeled_idx.size
+    loss = -(targets * np.log(shifted)).sum() * scale
+    # Softmax backward; only the labeled rows carry a gradient.
+    g = -scale * targets / shifted
+    d_logits = np.zeros_like(probs)
+    d_logits[labeled_idx] = picked * (g - (g * picked).sum(axis=1, keepdims=True))
+    d_z = norm.T @ d_logits
+    d_w2 = h1.T @ d_z
+    d_w1 = norm.T @ ((d_z @ w2.T) * (pre > 0))
+    return loss, probs, [d_w1, d_w2]
 
 
 def inject_noise(a: np.ndarray, level_pct: float, seed: int = 0) -> np.ndarray:
@@ -254,11 +257,11 @@ def run_selection(community: Community, similarity: np.ndarray,
     labeled = {hid: truth[hid] for hid in queried}
     graph = SelectionGraph(ids, similarity)
     try:
-        predicted_arr, _scores = classify(graph, labeled, hyper=hyper, seed=seed)
+        predicted_arr, scores = classify(graph, labeled, hyper=hyper, seed=seed)
     except DegenerateSupervisionError:
         # All queried households answered alike: predict that label everywhere.
-        only = next(iter(labeled.values()))
-        predicted_arr = np.full(len(ids), only, dtype=bool)
+        predicted_arr = np.full(len(ids), next(iter(labeled.values())), dtype=bool)
+        scores = np.ones(len(ids))
     predicted = {hid: bool(p) for hid, p in zip(ids, predicted_arr)}
     accuracy = evaluate_accuracy(predicted, truth, queried)
     return SelectionResult(
@@ -268,6 +271,7 @@ def run_selection(community: Community, similarity: np.ndarray,
         true_labels=labeled,
         predicted=predicted_arr,
         accuracy_pct=accuracy,
+        scores=scores,
     )
 
 

@@ -23,6 +23,7 @@ from gridflex.forecaster import (
     load_checkpoint,
     make_dataset,
     mse_loss,
+    rmsprop_step,
     save_checkpoint,
     self_attention,
     similarity_matrix,
@@ -333,6 +334,23 @@ class TestDataset:
         data = make_dataset(c, window=24, stride=24)  # 1 sample
         with pytest.raises(InvalidSpecError):
             split_dataset(data, (0.7, 0.2, 0.1))
+
+
+class TestRmspropStep:
+    def test_one_step_by_hand(self):
+        hyper = Hyper(learning_rate=0.1, rmsprop_decay=0.5, rmsprop_eps=0.0)
+        param, cache = np.array([1.0, 1.0]), np.array([4.0, 0.0])
+        rmsprop_step(param, np.array([2.0, -1.0]), cache, hyper)
+        # cache = 0.5 * cache + 0.5 * g^2; param -= 0.1 * g / sqrt(cache)
+        np.testing.assert_allclose(cache, [4.0, 0.5])
+        np.testing.assert_allclose(param, [0.9, 1.0 + 0.1 / np.sqrt(0.5)])
+
+    def test_non_finite_gradient_leaves_state_untouched(self):
+        param, cache = np.ones(2), np.ones(2)
+        with pytest.raises(NumericalError):
+            rmsprop_step(param, np.array([np.nan, 0.0]), cache, Hyper())
+        np.testing.assert_array_equal(param, np.ones(2))
+        np.testing.assert_array_equal(cache, np.ones(2))
 
 
 class TestTraining:

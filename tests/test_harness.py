@@ -8,9 +8,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from gridflex.cli import main
-from gridflex.community import ScenarioConfig
-from gridflex.errors import InvalidSpecError
+from gridflex import harness, selector
+from gridflex.cli import _write_similarity, main
+from gridflex.community import ScenarioConfig, generate_community
+from gridflex.errors import InvalidSpecError, ReferentialIntegrityError
+from gridflex.forecaster import Hyper
 from gridflex.harness import (
     CommunitySpec,
     PlantedSpec,
@@ -163,8 +165,6 @@ class TestSweepIdentities:
 
 @pytest.fixture(scope="module")
 def scenario_result():
-    from gridflex.forecaster import Hyper
-
     return run_scenario(
         SMALL_SCENARIO, SMALL,
         hyper=Hyper(epochs=2, batch_size=4, split_ratios=(0.7, 0.2, 0.1)),
@@ -204,6 +204,34 @@ class TestRunScenario:
     def test_similarity_is_valid(self, scenario_result):
         _, details = scenario_result
         check_similarity(details["similarity"])
+
+
+class TestOneClassifierPerSelection:
+    """Each selection trains the classifier once, whatever reads its scores."""
+
+    @pytest.mark.parametrize("run", [
+        lambda: run_scenario(SMALL_SCENARIO, SMALL, hyper=Hyper(epochs=1, batch_size=4),
+                             hidden_size=4, head_count=2, stride=12),
+        lambda: sweep_reduction(SweepSpec("reduction_pct", (5.0, 10.0)),
+                                SMALL_SCENARIO, SMALL),
+        lambda: sweep_rate_hike(SweepSpec("participation_pct", (10.0, 20.0)),
+                                SMALL_SCENARIO, SMALL),
+    ], ids=["run_scenario", "sweep_reduction", "sweep_rate_hike"])
+    def test_classify_runs_once_per_selection(self, monkeypatch, run):
+        calls = {"select": 0, "classify": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(harness, "run_selection",
+                            counted("select", harness.run_selection))
+        monkeypatch.setattr(selector, "classify", counted("classify", selector.classify))
+        run()
+        assert calls["select"] == 1
+        assert calls["classify"] == 1
 
 
 class TestCsvOutput:
@@ -246,6 +274,33 @@ class TestCli:
         with (select_dir / "selection.csv").open(newline="") as f:
             rows = list(csv.DictReader(f))
         assert len(rows) == 8
+
+    def _select(self, tmp_path, name, ids, matrix):
+        path = tmp_path / f"{name}.csv"
+        _write_similarity(path, ids, matrix)
+        out = tmp_path / name
+        assert main(["select", "--counties", "1", "--households", "8", "--days", "6",
+                     "--incentive", "3", "--similarity-csv", str(path),
+                     "--out-dir", str(out)]) == 0
+        return (out / "selection.csv").read_bytes()
+
+    def _similarity(self):
+        ids = tuple(h.id for h in generate_community(1, 1, 8, seed=0, days=6).households)
+        base = np.random.default_rng(0).uniform(0.1, 1.0, (8, 8))
+        base[:3, :3] += 4.0
+        base[3:, 3:] += 4.0
+        return ids, base / base.sum(axis=1, keepdims=True)
+
+    def test_select_reorders_similarity_by_id(self, tmp_path):
+        ids, matrix = self._similarity()
+        original = self._select(tmp_path, "original", ids, matrix)
+        reversed_ = self._select(tmp_path, "reversed", ids[::-1], matrix[::-1, ::-1])
+        assert reversed_ == original
+
+    def test_select_rejects_unknown_similarity_id(self, tmp_path):
+        ids, matrix = self._similarity()
+        with pytest.raises(ReferentialIntegrityError):
+            self._select(tmp_path, "unknown", ("zzz",) + ids[1:], matrix)
 
     def test_sweep(self, tmp_path):
         spec = {

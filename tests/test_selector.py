@@ -6,16 +6,21 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gridflex.autodiff import Tensor, parameter
 from gridflex.errors import (
     DegenerateClusteringError,
     DegenerateSupervisionError,
     DomainError,
+    InvalidSpecError,
     UndefinedMetricError,
 )
-from gridflex.forecaster import Hyper
+from gridflex.forecaster import Hyper, gcn_layer
 from gridflex.selector import (
     SelectionGraph,
+    _gcn_epoch,
     check_similarity,
     classify,
     evaluate_accuracy,
@@ -43,6 +48,43 @@ def two_block_similarity(sizes, rng, in_w=1.0, out_w=0.05):
     return row_normalize(base), labels
 
 
+def reference_classify(graph: SelectionGraph, labeled: dict[str, bool],
+                       hyper: Hyper, seed: int = 0, gcn_hidden: int = 32):
+    """The classifier as Tensor ops on one-hot features: the reference for the
+    fused `classify`."""
+    n = len(graph.household_ids)
+    idx = {hid: i for i, hid in enumerate(graph.household_ids)}
+    labeled_idx = np.array(sorted(idx[h] for h in labeled))
+    y = np.zeros(n, dtype=int)
+    for hid, accept in labeled.items():
+        y[idx[hid]] = int(accept)
+    adj = symmetrize(graph.edge_weights)
+    rng = np.random.default_rng(seed)
+    params = [parameter(rng, (n, gcn_hidden), n),
+              parameter(rng, (gcn_hidden, 2), gcn_hidden)]
+    cache = [np.zeros_like(p.data) for p in params]
+    inv_sqrt = 1.0 / np.sqrt(adj.sum(axis=1) + 1.0)
+    norm = (adj + np.eye(n)) * inv_sqrt[:, None] * inv_sqrt[None, :]
+    targets = np.zeros((labeled_idx.size, 2))
+    targets[np.arange(labeled_idx.size), y[labeled_idx]] = 1.0
+    for _epoch in range(hyper.epochs):
+        for p in params:
+            p.grad = None
+        h1 = gcn_layer(np.eye(n), adj, params[0])
+        probs = (Tensor(norm) @ h1 @ params[1]).softmax(axis=1)
+        loss = -(Tensor(targets) * (probs[labeled_idx, :] + 1e-12).log()).sum() * (
+            1.0 / labeled_idx.size)
+        loss.backward()
+        for p, c in zip(params, cache):
+            g = p.grad if p.grad is not None else np.zeros_like(p.data)
+            c *= hyper.rmsprop_decay
+            c += (1 - hyper.rmsprop_decay) * g * g
+            p.data -= hyper.learning_rate * g / (np.sqrt(c) + hyper.rmsprop_eps)
+    predicted = probs.data.argmax(axis=1).astype(bool)
+    predicted[labeled_idx] = y[labeled_idx].astype(bool)
+    return predicted, probs.data[:, 1]
+
+
 class TestCheckSimilarity:
     def test_accepts_row_stochastic(self):
         a = row_normalize(np.random.default_rng(0).uniform(0.1, 1, (4, 4)))
@@ -60,6 +102,12 @@ class TestCheckSimilarity:
 
     def test_rejects_negative_entries(self):
         a = np.array([[1.5, -0.5], [0.5, 0.5]])
+        with pytest.raises(DomainError):
+            check_similarity(a)
+
+    def test_rejects_non_finite_entries(self):
+        a = np.full((3, 3), 1 / 3)
+        a[0, 0] = np.nan
         with pytest.raises(DomainError):
             check_similarity(a)
 
@@ -229,6 +277,56 @@ class TestClassify:
         with pytest.raises(DegenerateSupervisionError):
             classify(SelectionGraph(ids, a), {"a": True, "b": True})
 
+    def test_zero_epochs_rejected(self):
+        a = row_normalize(np.ones((4, 4)))
+        graph = SelectionGraph(("a", "b", "c", "d"), a)
+        with pytest.raises(InvalidSpecError):
+            classify(graph, {"a": True, "b": False}, Hyper(epochs=0))
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(2, 12), hidden=st.integers(1, 8), epochs=st.integers(1, 30),
+           learning_rate=st.sampled_from((3e-4, 1e-2)), seed=st.integers(0, 2**32 - 1))
+    def test_fused_matches_autodiff_reference(self, n, hidden, epochs, learning_rate,
+                                              seed):
+        rng = np.random.default_rng(seed)
+        ids = tuple(f"h{i}" for i in range(n))
+        graph = SelectionGraph(ids, row_normalize(rng.uniform(0.0, 1.0, (n, n)) + 1e-3))
+        chosen = rng.choice(n, size=int(rng.integers(2, n + 1)), replace=False)
+        answers = [True, False] + list(rng.random(chosen.size - 2) < 0.5)
+        labeled = {ids[i]: bool(a) for i, a in zip(chosen, answers)}
+        hyper = Hyper(epochs=epochs, learning_rate=learning_rate)
+        predicted, probs = classify(graph, labeled, hyper, seed=seed, gcn_hidden=hidden)
+        ref_predicted, ref_probs = reference_classify(graph, labeled, hyper, seed=seed,
+                                                      gcn_hidden=hidden)
+        np.testing.assert_allclose(probs, ref_probs, rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(predicted, ref_predicted)
+
+    def test_epoch_gradients_match_finite_differences(self):
+        rng = np.random.default_rng(11)
+        n, hidden = 7, 3
+        adj = symmetrize(row_normalize(rng.uniform(0.1, 1.0, (n, n))))
+        inv_sqrt = 1.0 / np.sqrt(adj.sum(axis=1) + 1.0)
+        norm = (adj + np.eye(n)) * inv_sqrt[:, None] * inv_sqrt[None, :]
+        weights = [rng.normal(size=(n, hidden)), rng.normal(size=(hidden, 2))]
+        labeled_idx = np.array([0, 2, 5])
+        targets = np.array([[0.0, 1.0], [1.0, 0.0], [0.0, 1.0]])
+        _, _, grads = _gcn_epoch(norm, *weights, labeled_idx, targets)
+        eps = 1e-6
+        for w, analytic in zip(weights, grads):
+            flat = w.reshape(-1)
+            numeric = np.zeros_like(flat)
+            for j in range(flat.size):
+                orig = flat[j]
+                flat[j] = orig + eps
+                up = _gcn_epoch(norm, *weights, labeled_idx, targets)[0]
+                flat[j] = orig - eps
+                down = _gcn_epoch(norm, *weights, labeled_idx, targets)[0]
+                flat[j] = orig
+                numeric[j] = (up - down) / (2 * eps)
+            err = np.linalg.norm(analytic.reshape(-1) - numeric) / max(
+                np.linalg.norm(analytic) + np.linalg.norm(numeric), 1e-6)
+            assert err < 1e-7
+
 
 class TestInjectNoise:
     def test_zero_level_is_copy(self):
@@ -292,6 +390,23 @@ class TestRunSelection:
         for hid in result.queried:
             i = result.household_ids.index(hid)
             assert bool(result.predicted[i]) == truth[hid]
+
+    def test_scores_are_the_classifier_probabilities(self):
+        community, similarity, truth = self._fixture(seed=2)
+        hyper = Hyper(epochs=30)
+        result = run_selection(community, similarity, truth, seed=2, fraction=0.1,
+                               hyper=hyper)
+        graph = SelectionGraph(result.household_ids, similarity)
+        _, probs = classify(graph, result.true_labels, hyper, seed=2)
+        np.testing.assert_array_equal(result.scores, probs)
+
+    def test_degenerate_supervision_scores_all_ones(self):
+        community, similarity, truth = self._fixture(seed=3)
+        all_accept = dict.fromkeys(truth, True)
+        result = run_selection(community, similarity, all_accept, seed=3,
+                               hyper=Hyper(epochs=5))
+        np.testing.assert_array_equal(result.scores, np.ones(len(community)))
+        assert result.predicted.all()
 
     def test_export_roundtrip(self, tmp_path):
         community, similarity, truth = self._fixture(seed=1)
