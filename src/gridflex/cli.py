@@ -5,7 +5,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-from dataclasses import asdict
+from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -18,12 +18,11 @@ from .community import (
     load_community,
     save_community,
 )
-from .errors import ReferentialIntegrityError, ValidationError
+from .errors import InvalidSpecError, ReferentialIntegrityError, ValidationError
 from .forecaster import (
     Hyper,
     build_model,
     make_dataset,
-    save_checkpoint,
     similarity_matrix,
     train,
 )
@@ -75,13 +74,46 @@ def _load_or_generate(args) -> Community:
     )
 
 
-def _add_community_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--households-csv", type=Path, default=None)
-    p.add_argument("--loads-csv", type=Path, default=None)
+def _add_size_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--counties", type=int, default=5)
     p.add_argument("--neighborhoods", type=int, default=1)
     p.add_argument("--households", type=int, default=50)
     p.add_argument("--days", type=int, default=30)
+
+
+def _add_community_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--households-csv", type=Path, default=None)
+    p.add_argument("--loads-csv", type=Path, default=None)
+    _add_size_args(p)
+
+
+@dataclass(frozen=True)
+class _RunOptions:
+    """The keys of a `run` config outside its sections."""
+
+    hidden_size: int = 32
+    head_count: int = 4
+    stride: int = 24
+    shortfall_kwh_per_day: float = 0.0
+
+
+def _from_json(cls, raw, where: str, sections: tuple[str, ...] = (), **given):
+    """`cls` from the JSON object `raw`, its lists made tuples. The caller sets
+    the fields in `given` and reads the nested objects under `sections` itself.
+    Any other key that `cls` does not take, or a required one that `raw` lacks,
+    raises InvalidSpecError naming it."""
+    if not isinstance(raw, dict):
+        raise InvalidSpecError(f"{where}: expected a JSON object")
+    known = {f.name for f in fields(cls)} - given.keys()
+    for key in raw:
+        if key not in known and key not in sections:
+            raise InvalidSpecError(f"{where}: unexpected key {key!r}")
+    for f in fields(cls):
+        if (f.name not in raw and f.name not in given
+                and f.default is MISSING and f.default_factory is MISSING):
+            raise InvalidSpecError(f"{where}: missing key {f.name!r}")
+    return cls(**{k: tuple(v) if isinstance(v, list) else v
+                  for k, v in raw.items() if k in known}, **given)
 
 
 def cmd_generate(args) -> int:
@@ -110,7 +142,6 @@ def cmd_train(args) -> int:
     model = build_model(np.random.default_rng(args.seed), hidden_size=args.hidden,
                         head_count=args.heads, socio_width=data.socio.shape[1])
     result = train(model, data, hyper)
-    save_checkpoint(model, out / "checkpoint.npz", seed=args.seed, hyper=hyper)
     similarity = similarity_matrix(model, data)
     ids = tuple(h.id for h in community.households)
     _write_similarity(out / "similarity.csv", ids, similarity)
@@ -154,16 +185,13 @@ def cmd_run(args) -> int:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     raw = json.loads(Path(args.config).read_text())
-    scenario = ScenarioConfig(**raw.get("scenario", {}))
-    community_spec = CommunitySpec(**raw.get("community", {}))
-    hyper = Hyper(split_ratios=scenario.split_ratios, **raw.get("hyper", {}))
-    report, details = run_scenario(
-        scenario, community_spec, hyper,
-        hidden_size=raw.get("hidden_size", 32),
-        head_count=raw.get("head_count", 4),
-        stride=raw.get("stride", 24),
-        shortfall_kwh_per_day=raw.get("shortfall_kwh_per_day", 0.0),
-    )
+    options = _from_json(_RunOptions, raw, "config",
+                         sections=("scenario", "community", "hyper"))
+    scenario = _from_json(ScenarioConfig, raw.get("scenario", {}), "scenario")
+    community_spec = _from_json(CommunitySpec, raw.get("community", {}), "community")
+    hyper = _from_json(Hyper, raw.get("hyper", {}), "hyper",
+                       split_ratios=scenario.split_ratios)
+    report, details = run_scenario(scenario, community_spec, hyper, **asdict(options))
     (out / "report.json").write_text(
         json.dumps(asdict(report), indent=2, sort_keys=True) + "\n"
     )
@@ -193,14 +221,9 @@ def cmd_sweep(args) -> int:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     raw = json.loads(Path(args.spec).read_text())
-    spec = SweepSpec(
-        variable=raw["variable"], values=tuple(raw["values"]),
-        repetitions=raw.get("repetitions", 1),
-        outputs=raw.get("outputs", "sweep.csv"),
-        incentive_grid=tuple(raw.get("incentive_grid", ())),
-    )
-    scenario = ScenarioConfig(**raw.get("scenario", {}))
-    community_spec = CommunitySpec(**raw.get("community", {}))
+    spec = _from_json(SweepSpec, raw, "spec", sections=("scenario", "community"))
+    scenario = _from_json(ScenarioConfig, raw.get("scenario", {}), "scenario")
+    community_spec = _from_json(CommunitySpec, raw.get("community", {}), "community")
     if spec.variable == "incentive":
         rows = sweep_incentive(spec, scenario, community_spec)
     elif spec.variable == "reduction_pct":
@@ -252,10 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate", help="generate a synthetic community")
-    p.add_argument("--counties", type=int, default=5)
-    p.add_argument("--neighborhoods", type=int, default=1)
-    p.add_argument("--households", type=int, default=50)
-    p.add_argument("--days", type=int, default=30)
+    _add_size_args(p)
     p.add_argument("--baseline-rate", type=float, default=0.16)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-dir", type=Path, default=Path("out"))

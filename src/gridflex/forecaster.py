@@ -9,7 +9,6 @@ predicts the next hour of demand. Trained with MSE and RMSProp.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -239,13 +238,6 @@ def self_attention(params: EncoderParams, hidden: Tensor) -> Tensor:
     v = h @ params.attn_v
     scores = (q @ k.mT) * (1.0 / np.sqrt(m))
     return scores.softmax(axis=-1) @ v
-
-
-def household_embedding(params: EncoderParams, window: np.ndarray) -> np.ndarray:
-    """Final-step embedding of one household's load window (length s)."""
-    seq = np.asarray(window, dtype=float).reshape(-1, 1)
-    out = self_attention(params, gru_forward(params, seq))
-    return out.data[-1]
 
 
 def inter_series_attention(params: AttentionParams, embeddings: Tensor | np.ndarray):
@@ -481,38 +473,3 @@ def grad_check(model: PatternModel, windows: np.ndarray, targets: np.ndarray,
             worst = max(worst, num / denom)
     return worst
 
-
-# -- checkpointing -------------------------------------------------------------
-
-CHECKPOINT_VERSION = 1
-
-
-def save_checkpoint(model: PatternModel, path: Path | str, seed: int | None = None,
-                    hyper: Hyper | None = None) -> None:
-    arrays = {name.replace(".", "__"): p.data for name, p in model.parameters()}
-    meta = np.array([
-        CHECKPOINT_VERSION, model.window, model.socio_width,
-        model.encoder.hidden_size, model.attention.head_count,
-        -1 if seed is None else seed,
-    ], dtype=np.int64)
-    hp = hyper or Hyper()
-    np.savez(path, __meta__=meta,
-             __hyper__=np.array([hp.learning_rate, hp.epochs, hp.batch_size,
-                                 hp.rmsprop_decay, hp.rmsprop_eps]),
-             **arrays)
-
-
-def load_checkpoint(path: Path | str) -> PatternModel:
-    blob = np.load(path)
-    meta = blob["__meta__"]
-    if int(meta[0]) != CHECKPOINT_VERSION:
-        raise InvalidSpecError(f"unsupported checkpoint version {int(meta[0])}")
-    window, socio_width, hidden, heads = (int(meta[1]), int(meta[2]),
-                                          int(meta[3]), int(meta[4]))
-    gcn_hidden = blob["gcn__1"].shape[0]
-    model = build_model(np.random.default_rng(0), hidden_size=hidden,
-                        head_count=heads, gcn_hidden=gcn_hidden,
-                        socio_width=socio_width, window=window)
-    for name, p in model.parameters():
-        p.data = blob[name.replace(".", "__")]
-    return model

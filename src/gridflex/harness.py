@@ -6,24 +6,26 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+from collections.abc import Iterable, Iterator
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .community import (Community, ScenarioConfig, emergency_schedule,
+from .community import (Community, Household, ScenarioConfig, emergency_schedule,
                         generate_community, sample_elasticity)
 from .errors import InvalidSpecError
 from .forecaster import Hyper, build_model, make_dataset, similarity_matrix, train
 from .metrics import (
     ProgramReport,
+    _emergency_consumption,
     acceptance_rate,
     responsiveness_cost,
     total_demand_reduction,
 )
-from .selector import inject_noise, run_selection
-from .tariff import accept_offer, make_offer, rate_hike
+from .selector import SelectionResult, inject_noise, run_selection
+from .tariff import OfferOutcome, accept_offer, make_offer, rate_hike
 
 
 @dataclass(frozen=True)
@@ -212,57 +214,34 @@ def run_scenario(
         community, similarity, truth, seed=config.rng_seed, hyper=hyper
     )
 
-    ids = selection.household_ids
     # Offer pool: predicted acceptors ranked by classifier accept-probability,
     # capped at the configured participation fraction. Ties break on id.
-    cap = int(round(config.participation_fraction * len(ids)))
-    scores = dict(zip(ids, selection.scores))
-    candidates = sorted(
-        (hid for hid, pred in zip(ids, selection.predicted) if pred),
-        key=lambda hid: (-scores[hid], hid),
-    )[:cap]
-
-    outcomes = []
-    participants: set[str] = set()
-    incentives: dict[str, float] = {}
-    reductions: list[float] = []
-    for hid in candidates:
-        h = community.by_id(hid)
-        offer = make_offer(
-            h, config.default_incentive, config.target_reduction_pct,
-            emergency_days, config.cycle_days,
-        )
-        outcome = accept_offer(h, offer)
-        outcomes.append(outcome)
-        if outcome.accepted:
-            participants.add(hid)
-            incentives[hid] = config.default_incentive
-            daily = h.load.daily_totals()
-            reductions.append(
-                sum(daily[d] for d in emergency_days) * config.target_reduction_pct / 100.0
-            )
-
-    nonparticipants = [h for h in community.households if h.id not in participants]
-    r_extra = rate_hike(nonparticipants, list(incentives.values()), config.cycle_days)
+    cap = int(round(config.participation_fraction * len(community)))
+    predicted = dict(zip(selection.household_ids, selection.predicted))
+    by_id = {h.id: h for h in community.households}
+    pool = [by_id[hid] for hid in _ranked(selection) if predicted[hid]][:cap]
+    outcomes, participants, reductions = _settle(
+        pool, config.default_incentive, config.target_reduction_pct,
+        emergency_days, config.cycle_days,
+    )
+    incentives = [config.default_incentive] * len(participants)
+    accepted = set(participants)
+    nonparticipants = [h for h in community.households if h.id not in accepted]
+    r_extra = rate_hike(nonparticipants, incentives, config.cycle_days)
     per_day_reduction = {
-        d: sum(
-            community.by_id(hid).load.daily_totals()[d]
-            * config.target_reduction_pct / 100.0
-            for hid in participants
-        )
+        d: sum(by_id[hid].load.daily_totals()[d] * config.target_reduction_pct / 100.0
+               for hid in participants)
         for d in emergency_days
     }
     report = ProgramReport(
         acceptance_rate_pct=acceptance_rate(outcomes) if outcomes else 0.0,
         responsiveness_cost=(
-            responsiveness_cost(list(incentives.values()), reductions)
-            if reductions
-            else 0.0
+            responsiveness_cost(incentives, reductions) if reductions else 0.0
         ),
         total_reduction_pct=total_demand_reduction(
-            community, participants, config.target_reduction_pct, emergency_days
+            community, accepted, config.target_reduction_pct, emergency_days
         ),
-        incentive_total=float(sum(incentives.values())),
+        incentive_total=float(sum(incentives)),
         r_extra=r_extra,
         shortfall_met=tuple(
             bool(per_day_reduction[d] >= shortfall_kwh_per_day)
@@ -284,13 +263,12 @@ def run_scenario(
 # -- sweeps --------------------------------------------------------------------
 
 
-def sweep_incentive(
-    spec: SweepSpec,
-    scenario: ScenarioConfig,
-    community_spec: CommunitySpec = CommunitySpec(),
-) -> list[dict]:
-    """Offers to every household at each incentive on the ladder."""
-    rows = []
+def _repetitions(
+    spec: SweepSpec, scenario: ScenarioConfig, community_spec: CommunitySpec
+) -> Iterator[tuple[int, Community, tuple[int, ...]]]:
+    """Each repetition's (seed, community, emergency days): the base community
+    is generated once, and each seed resamples its elasticities and draws its
+    emergency schedule."""
     base = generate_community(
         community_spec.counties, community_spec.neighborhoods_per_county,
         community_spec.households_per_neighborhood, seed=scenario.rng_seed,
@@ -301,28 +279,61 @@ def sweep_incentive(
         community = resample_elasticities(
             base, seed, scenario.elasticity_mean, scenario.elasticity_std
         )
-        rng = np.random.default_rng(seed)
-        emergency_days = emergency_schedule(scenario, rng)
+        yield seed, community, emergency_schedule(scenario, np.random.default_rng(seed))
+
+
+def _settle(
+    households: Iterable[Household], incentive: float, reduction_pct: float,
+    emergency_days: tuple[int, ...], cycle_days: int,
+) -> tuple[list[OfferOutcome], list[str], list[float]]:
+    """Offer each household the same terms: the outcomes, the acceptors' ids in
+    household order, and each acceptor's emergency-day kWh reduction."""
+    outcomes, acceptors, reductions = [], [], []
+    for h in households:
+        outcome = accept_offer(
+            h, make_offer(h, incentive, reduction_pct, emergency_days, cycle_days)
+        )
+        outcomes.append(outcome)
+        if outcome.accepted:
+            acceptors.append(h.id)
+            reductions.append(
+                _emergency_consumption(h, emergency_days) * reduction_pct / 100.0
+            )
+    return outcomes, acceptors, reductions
+
+
+def _ranked(selection: SelectionResult) -> list[str]:
+    """Household ids by descending classifier score, ties broken on id."""
+    score = dict(zip(selection.household_ids, selection.scores))
+    return sorted(selection.household_ids, key=lambda hid: (-score[hid], hid))
+
+
+def _planted_ranking(community: Community, scenario: ScenarioConfig,
+                     emergency_days: tuple[int, ...], seed: int) -> list[str]:
+    """`_ranked` order of a selection run on `label_similarity` of the oracle's
+    answers to the scenario's default offer."""
+    truth = oracle_truth(
+        community, scenario.default_incentive, scenario.target_reduction_pct,
+        emergency_days, scenario.cycle_days,
+    )
+    similarity = label_similarity(truth, tuple(h.id for h in community.households), seed)
+    return _ranked(run_selection(community, similarity, truth, seed=seed))
+
+
+def sweep_incentive(
+    spec: SweepSpec,
+    scenario: ScenarioConfig,
+    community_spec: CommunitySpec = CommunitySpec(),
+) -> list[dict]:
+    """Offers to every household at each incentive on the ladder."""
+    rows = []
+    for seed, community, emergency_days in _repetitions(spec, scenario, community_spec):
         for incentive in spec.values:
-            outcomes = []
-            incentives = []
-            reductions = []
-            acceptors: set[str] = set()
-            for h in community.households:
-                offer = make_offer(
-                    h, incentive, scenario.target_reduction_pct,
-                    emergency_days, scenario.cycle_days,
-                )
-                outcome = accept_offer(h, offer)
-                outcomes.append(outcome)
-                if outcome.accepted:
-                    acceptors.add(h.id)
-                    incentives.append(incentive)
-                    daily = h.load.daily_totals()
-                    reductions.append(
-                        sum(daily[d] for d in emergency_days)
-                        * scenario.target_reduction_pct / 100.0
-                    )
+            outcomes, acceptors, reductions = _settle(
+                community.households, incentive, scenario.target_reduction_pct,
+                emergency_days, scenario.cycle_days,
+            )
+            incentives = [incentive] * len(acceptors)
             rows.append({
                 "seed": seed,
                 "incentive": incentive,
@@ -332,7 +343,8 @@ def sweep_incentive(
                     if reductions else float("nan")
                 ),
                 "total_reduction_pct": total_demand_reduction(
-                    community, acceptors, scenario.target_reduction_pct, emergency_days
+                    community, set(acceptors), scenario.target_reduction_pct,
+                    emergency_days,
                 ),
                 "accepted": len(acceptors),
                 "offered": len(outcomes),
@@ -342,69 +354,34 @@ def sweep_incentive(
     return rows
 
 
-def _framework_quarter(community: Community, scenario: ScenarioConfig,
-                       emergency_days: tuple[int, ...], seed: int,
-                       skew_by_consumption: bool = False) -> list[str]:
-    """Top quarter of households: classifier score order, or consumption order
-    for the skewed variant."""
-    if skew_by_consumption:
-        ranked = sorted(
-            community.households,
-            key=lambda h: (-float(h.load.daily_totals().sum()), h.id),
-        )
-    else:
-        truth = oracle_truth(
-            community, scenario.default_incentive, scenario.target_reduction_pct,
-            emergency_days, scenario.cycle_days,
-        )
-        similarity = label_similarity(
-            truth, tuple(h.id for h in community.households), seed
-        )
-        selection = run_selection(community, similarity, truth, seed=seed)
-        score = dict(zip(selection.household_ids, selection.scores))
-        ranked = sorted(
-            community.households, key=lambda h: (-score[h.id], h.id)
-        )
-    count = int(round(0.25 * len(community)))
-    return [h.id for h in ranked[:count]]
-
-
 def sweep_reduction(
     spec: SweepSpec,
     scenario: ScenarioConfig,
     community_spec: CommunitySpec = CommunitySpec(),
 ) -> list[dict]:
-    """Participant-reduction ladder for the framework-selected quarter, with a
-    separate consumption-skewed selection variant."""
+    """Participant-reduction ladder for the top quarter of households by
+    classifier score ("framework") and by total consumption ("skewed")."""
     rows = []
-    base = generate_community(
-        community_spec.counties, community_spec.neighborhoods_per_county,
-        community_spec.households_per_neighborhood, seed=scenario.rng_seed,
-        days=community_spec.days, baseline_rate=community_spec.baseline_rate,
-    )
-    for rep in range(spec.repetitions):
-        seed = scenario.rng_seed + rep
-        community = resample_elasticities(
-            base, seed, scenario.elasticity_mean, scenario.elasticity_std
+    for seed, community, emergency_days in _repetitions(spec, scenario, community_spec):
+        count = int(round(0.25 * len(community)))
+        consumption = {h.id: _emergency_consumption(h, emergency_days)
+                       for h in community.households}
+        skewed = sorted(community.households,
+                        key=lambda h: (-float(h.load.daily_totals().sum()), h.id))
+        quarters = (
+            ("framework", _planted_ranking(community, scenario, emergency_days, seed)),
+            ("skewed", [h.id for h in skewed]),
         )
-        rng = np.random.default_rng(seed)
-        emergency_days = emergency_schedule(scenario, rng)
-        for variant, skew in (("framework", False), ("skewed", True)):
-            participants = set(
-                _framework_quarter(community, scenario, emergency_days, seed, skew)
-            )
+        for variant, ranking in quarters:
+            participants = ranking[:count]
             for reduction in spec.values:
-                reductions = [
-                    sum(community.by_id(hid).load.daily_totals()[d]
-                        for d in emergency_days) * reduction / 100.0
-                    for hid in participants
-                ]
+                reductions = [consumption[hid] * reduction / 100.0 for hid in participants]
                 rows.append({
                     "seed": seed,
                     "scenario": variant,
                     "participant_reduction_pct": reduction,
                     "total_reduction_pct": total_demand_reduction(
-                        community, participants, reduction, emergency_days
+                        community, set(participants), reduction, emergency_days
                     ),
                     "responsiveness_cost": responsiveness_cost(
                         [scenario.default_incentive] * len(participants), reductions
@@ -423,48 +400,28 @@ def sweep_rate_hike(
     """Grid over participation fraction (ladder) and incentive (incentive_grid)."""
     incentive_grid = spec.incentive_grid or (100.0, 150.0, 200.0)
     rows = []
-    base = generate_community(
-        community_spec.counties, community_spec.neighborhoods_per_county,
-        community_spec.households_per_neighborhood, seed=scenario.rng_seed,
-        days=community_spec.days, baseline_rate=community_spec.baseline_rate,
-    )
-    for rep in range(spec.repetitions):
-        seed = scenario.rng_seed + rep
-        community = resample_elasticities(
-            base, seed, scenario.elasticity_mean, scenario.elasticity_std
-        )
-        rng = np.random.default_rng(seed)
-        emergency_days = emergency_schedule(scenario, rng)
-        truth = oracle_truth(
-            community, scenario.default_incentive, scenario.target_reduction_pct,
-            emergency_days, scenario.cycle_days,
-        )
-        similarity = label_similarity(
-            truth, tuple(h.id for h in community.households), seed
-        )
-        selection = run_selection(community, similarity, truth, seed=seed)
-        score = dict(zip(selection.household_ids, selection.scores))
-        ranked = sorted(selection.household_ids, key=lambda hid: (-score[hid], hid))
+    for seed, community, emergency_days in _repetitions(spec, scenario, community_spec):
+        ranked = _planted_ranking(community, scenario, emergency_days, seed)
         for participation_pct in spec.values:
             count = int(round(participation_pct / 100.0 * len(community)))
             participants = set(ranked[:count])
             nonparticipants = [
                 h for h in community.households if h.id not in participants
             ]
+            nonparticipant_kwh = sum(
+                float(h.load.daily_totals()[: scenario.cycle_days].sum())
+                for h in nonparticipants
+            )
             for incentive in incentive_grid:
-                r_extra = rate_hike(
-                    nonparticipants, [incentive] * count, scenario.cycle_days
-                )
                 rows.append({
                     "seed": seed,
                     "participation_pct": participation_pct,
                     "incentive": incentive,
-                    "r_extra": r_extra,
-                    "incentive_total": incentive * count,
-                    "nonparticipant_kwh": sum(
-                        float(h.load.daily_totals()[: scenario.cycle_days].sum())
-                        for h in nonparticipants
+                    "r_extra": rate_hike(
+                        nonparticipants, [incentive] * count, scenario.cycle_days
                     ),
+                    "incentive_total": incentive * count,
+                    "nonparticipant_kwh": nonparticipant_kwh,
                 })
     return rows
 
@@ -474,8 +431,6 @@ def noise_experiment(
     planted: PlantedSpec = PlantedSpec(),
 ) -> list[dict]:
     """Selection accuracy vs similarity-matrix noise level, aggregated over seeds."""
-    if spec.repetitions < 1:
-        raise InvalidSpecError("noise study needs >= 1 repetition")
     per_level: dict[float, list[float]] = {lvl: [] for lvl in spec.values}
     for rep in range(spec.repetitions):
         seed = rep

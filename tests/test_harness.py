@@ -3,7 +3,11 @@ planted benchmark construction, manifests, and CLI determinism."""
 
 import csv
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -163,6 +167,25 @@ class TestSweepIdentities:
             assert 0.0 <= row["mean_accuracy_pct"] <= 100.0
 
 
+def test_reduction_sweep_is_free_of_hash_order():
+    """The sweep's raw floats do not depend on the order in which Python
+    iterates a set of ids, which PYTHONHASHSEED changes."""
+    code = (
+        "from gridflex.community import ScenarioConfig\n"
+        "from gridflex.harness import SweepSpec, sweep_reduction\n"
+        "spec = SweepSpec('reduction_pct', (5.0, 10.0, 15.0, 20.0, 25.0))\n"
+        "print(repr(sweep_reduction(spec, ScenarioConfig(default_incentive=3.0))))\n"
+    )
+    src = str(Path(harness.__file__).resolve().parents[1])
+    outputs = []
+    for hash_seed in ("0", "1"):
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": src}
+        run = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True)
+        outputs.append(run.stdout)
+    assert outputs[0] == outputs[1]
+
+
 @pytest.fixture(scope="module")
 def scenario_result():
     return run_scenario(
@@ -264,7 +287,6 @@ class TestCli:
                      "--days", "6", "--epochs", "2", "--hidden", "4",
                      "--heads", "2", "--stride", "12",
                      "--out-dir", str(train_dir)]) == 0
-        assert (train_dir / "checkpoint.npz").exists()
         assert (train_dir / "similarity.csv").exists()
         select_dir = tmp_path / "select"
         assert main(["select", "--counties", "1", "--households", "8",
@@ -317,6 +339,32 @@ class TestCli:
         with (tmp_path / "sweep.csv").open(newline="") as f:
             rows = list(csv.DictReader(f))
         assert len(rows) == 2
+
+    def _write(self, tmp_path, spec):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        return str(path)
+
+    def test_sweep_without_variable_names_it(self, tmp_path):
+        path = self._write(tmp_path, {"values": [1.0, 2.0]})
+        with pytest.raises(InvalidSpecError, match="'variable'"):
+            main(["sweep", "--spec", path, "--out-dir", str(tmp_path)])
+
+    def test_sweep_rejects_unknown_scenario_key(self, tmp_path):
+        path = self._write(tmp_path, {"variable": "incentive", "values": [1.0],
+                                      "scenario": {"rng_sed": 1}})
+        with pytest.raises(InvalidSpecError, match="'rng_sed'"):
+            main(["sweep", "--spec", path, "--out-dir", str(tmp_path)])
+
+    def test_run_rejects_unknown_scenario_key(self, tmp_path):
+        path = self._write(tmp_path, {"scenario": {"cycle_dayz": 8}})
+        with pytest.raises(InvalidSpecError, match="'cycle_dayz'"):
+            main(["run", "--config", path, "--out-dir", str(tmp_path)])
+
+    def test_run_rejects_unknown_top_level_key(self, tmp_path):
+        path = self._write(tmp_path, {"hidden": 4})
+        with pytest.raises(InvalidSpecError, match="'hidden'"):
+            main(["run", "--config", path, "--out-dir", str(tmp_path)])
 
     def test_run_deterministic(self, tmp_path):
         config = {
