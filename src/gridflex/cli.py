@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import typing
 from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
 
@@ -54,8 +55,15 @@ def _read_similarity(path: Path, ids: tuple[str, ...]) -> np.ndarray:
     """The similarity CSV's matrix, its rows and columns put in the order of `ids`."""
     with path.open(newline="") as f:
         reader = csv.reader(f)
-        header = next(reader)
-        rows = [[float(v) for v in row] for row in reader]
+        header = next(reader, None)
+        if header is None:
+            raise ValidationError(f"{path.name}: empty file, no header row")
+        rows = []
+        for lineno, row in enumerate(reader, start=2):
+            try:
+                rows.append([float(v) for v in row])
+            except ValueError:
+                raise ValidationError(f"{path.name} row {lineno}: non-numeric entry") from None
     column = {hid: j for j, hid in enumerate(header)}
     if len(column) != len(header) or column.keys() != set(ids):
         raise ReferentialIntegrityError(f"{path.name}: header ids do not match the community's")
@@ -97,17 +105,34 @@ class _RunOptions:
     shortfall_kwh_per_day: float = 0.0
 
 
+def _fits(value, hint) -> bool:
+    """Whether a JSON value can stand for a field annotated `hint`: an int for
+    a float, a list of numbers of the right length for a tuple of floats."""
+    if typing.get_origin(hint) is tuple:
+        args = typing.get_args(hint)
+        return (isinstance(value, list) and all(_fits(v, float) for v in value)
+                and (args[-1] is Ellipsis or len(value) == len(args)))
+    if hint is float:
+        hint = (int, float)
+    return isinstance(value, hint) and not isinstance(value, bool)
+
+
 def _from_json(cls, raw, where: str, sections: tuple[str, ...] = (), **given):
     """`cls` from the JSON object `raw`, its lists made tuples. The caller sets
     the fields in `given` and reads the nested objects under `sections` itself.
-    Any other key that `cls` does not take, or a required one that `raw` lacks,
-    raises InvalidSpecError naming it."""
+    Any other key that `cls` does not take, a required one that `raw` lacks, or
+    a value of the wrong type raises InvalidSpecError naming the key."""
     if not isinstance(raw, dict):
         raise InvalidSpecError(f"{where}: expected a JSON object")
     known = {f.name for f in fields(cls)} - given.keys()
-    for key in raw:
+    hints = typing.get_type_hints(cls)
+    for key, value in raw.items():
         if key not in known and key not in sections:
             raise InvalidSpecError(f"{where}: unexpected key {key!r}")
+        hint = hints.get(key)
+        if key in known and not _fits(value, hint):
+            expected = hint.__name__ if isinstance(hint, type) else hint
+            raise InvalidSpecError(f"{where}: {key!r} must be {expected}, got {value!r}")
     for f in fields(cls):
         if (f.name not in raw and f.name not in given
                 and f.default is MISSING and f.default_factory is MISSING):
@@ -117,24 +142,19 @@ def _from_json(cls, raw, where: str, sections: tuple[str, ...] = (), **given):
 
 
 def cmd_generate(args) -> int:
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = args.out_dir
     community = generate_community(
         args.counties, args.neighborhoods, args.households,
         seed=args.seed, days=args.days, baseline_rate=args.baseline_rate,
     )
     save_community(community, out / "households.csv", out / "loads.csv")
-    manifest = RunManifest(config=vars_serializable(args), seeds=[args.seed])
-    manifest.record(out / "households.csv")
-    manifest.record(out / "loads.csv")
-    manifest.write(out / "manifest.json")
+    _write_manifest(out, vars_serializable(args), [args.seed], "households.csv", "loads.csv")
     print(f"wrote {len(community)} households to {out}")
     return 0
 
 
 def cmd_train(args) -> int:
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = args.out_dir
     community = _load_or_generate(args)
     data = make_dataset(community, window=24, stride=args.stride)
     hyper = Hyper(epochs=args.epochs, learning_rate=args.learning_rate,
@@ -143,28 +163,23 @@ def cmd_train(args) -> int:
                         head_count=args.heads, socio_width=data.socio.shape[1])
     result = train(model, data, hyper)
     similarity = similarity_matrix(model, data)
-    ids = tuple(h.id for h in community.households)
-    _write_similarity(out / "similarity.csv", ids, similarity)
+    _write_similarity(out / "similarity.csv", tuple(community.index), similarity)
     rows_to_csv(
         [{"epoch": i, "train_mse": t, "val_mse": v}
          for i, (t, v) in enumerate(zip(result.train_mse, result.val_mse))],
         out / "loss_history.csv",
     )
-    manifest = RunManifest(config=vars_serializable(args), seeds=[args.seed])
-    for name in ("similarity.csv", "loss_history.csv"):
-        manifest.record(out / name)
-    manifest.write(out / "manifest.json")
+    _write_manifest(out, vars_serializable(args), [args.seed],
+                    "similarity.csv", "loss_history.csv")
     print(f"initial val MSE {result.initial_val_mse:.6f} -> final "
           f"{result.val_mse[-1]:.6f}")
     return 0
 
 
 def cmd_select(args) -> int:
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = args.out_dir
     community = _load_or_generate(args)
-    similarity = _read_similarity(args.similarity_csv,
-                                  tuple(h.id for h in community.households))
+    similarity = _read_similarity(args.similarity_csv, tuple(community.index))
     config = ScenarioConfig(cycle_days=args.days, rng_seed=args.seed,
                             default_incentive=args.incentive,
                             target_reduction_pct=args.reduction)
@@ -174,16 +189,13 @@ def cmd_select(args) -> int:
                          emergency_days, args.days)
     result = run_selection(community, similarity, truth, seed=args.seed)
     export_selection(result, truth, out / "selection.csv")
-    manifest = RunManifest(config=vars_serializable(args), seeds=[args.seed])
-    manifest.record(out / "selection.csv")
-    manifest.write(out / "manifest.json")
+    _write_manifest(out, vars_serializable(args), [args.seed], "selection.csv")
     print(f"selection accuracy on unqueried households: {result.accuracy_pct:.2f}%")
     return 0
 
 
 def cmd_run(args) -> int:
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = args.out_dir
     raw = json.loads(Path(args.config).read_text())
     options = _from_json(_RunOptions, raw, "config",
                          sections=("scenario", "community", "hyper"))
@@ -195,71 +207,61 @@ def cmd_run(args) -> int:
     (out / "report.json").write_text(
         json.dumps(asdict(report), indent=2, sort_keys=True) + "\n"
     )
-    rows_to_csv(
-        [{"household_id": o.offer.household_id,
-          "accepted": int(o.accepted),
-          "min_incentive": o.min_incentive,
-          "cost_baseline": o.cost_baseline,
-          "cost_program": o.cost_program}
-         for o in details["outcomes"]],
-        out / "offers.csv",
-    ) if details["outcomes"] else None
-    _write_similarity(out / "similarity.csv",
-                      tuple(h.id for h in details["community"].households),
+    _write_similarity(out / "similarity.csv", tuple(details["community"].index),
                       details["similarity"])
-    manifest = RunManifest(config=raw, seeds=[scenario.rng_seed])
-    for name in ("report.json", "similarity.csv"):
-        manifest.record(out / name)
+    outputs = ["report.json", "similarity.csv"]
     if details["outcomes"]:
-        manifest.record(out / "offers.csv")
-    manifest.write(out / "manifest.json")
+        rows_to_csv([{"household_id": o.offer.household_id, "accepted": int(o.accepted),
+                      "min_incentive": o.min_incentive, "cost_baseline": o.cost_baseline,
+                      "cost_program": o.cost_program} for o in details["outcomes"]],
+                    out / "offers.csv")
+        outputs.append("offers.csv")
+    _write_manifest(out, raw, [scenario.rng_seed], *outputs)
     print(json.dumps(asdict(report), indent=2, sort_keys=True))
     return 0
 
 
 def cmd_sweep(args) -> int:
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = args.out_dir
     raw = json.loads(Path(args.spec).read_text())
-    spec = _from_json(SweepSpec, raw, "spec", sections=("scenario", "community"))
-    scenario = _from_json(ScenarioConfig, raw.get("scenario", {}), "scenario")
-    community_spec = _from_json(CommunitySpec, raw.get("community", {}), "community")
-    if spec.variable == "incentive":
-        rows = sweep_incentive(spec, scenario, community_spec)
-    elif spec.variable == "reduction_pct":
-        rows = sweep_reduction(spec, scenario, community_spec)
-    elif spec.variable == "participation_pct":
-        rows = sweep_rate_hike(spec, scenario, community_spec)
+    # The noise study runs on its own planted population, seeded 0, 1, ...
+    noise = isinstance(raw, dict) and raw.get("variable") == "noise_level"
+    spec = _from_json(SweepSpec, raw, "spec",
+                      sections=() if noise else ("scenario", "community"))
+    if noise:
+        rows, first_seed = noise_experiment(spec), 0
     else:
-        rows = noise_experiment(spec)
-    path = out / spec.outputs
-    rows_to_csv(rows, path)
-    manifest = RunManifest(config=raw,
-                           seeds=list(range(scenario.rng_seed,
-                                            scenario.rng_seed + spec.repetitions)))
-    manifest.record(path)
-    manifest.write(out / "manifest.json")
-    print(f"wrote {len(rows)} rows to {path}")
+        scenario = _from_json(ScenarioConfig, raw.get("scenario", {}), "scenario")
+        community_spec = _from_json(CommunitySpec, raw.get("community", {}), "community")
+        sweep = {"incentive": sweep_incentive, "reduction_pct": sweep_reduction,
+                 "participation_pct": sweep_rate_hike}[spec.variable]
+        rows, first_seed = sweep(spec, scenario, community_spec), scenario.rng_seed
+    rows_to_csv(rows, out / spec.outputs)
+    _write_manifest(out, raw, range(first_seed, first_seed + spec.repetitions), spec.outputs)
+    print(f"wrote {len(rows)} rows to {out / spec.outputs}")
     return 0
 
 
 def cmd_noise(args) -> int:
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = args.out_dir
     spec = SweepSpec(variable="noise_level",
                      values=tuple(float(v) for v in args.levels.split(",")),
                      repetitions=args.seeds, outputs="noise.csv")
     rows = noise_experiment(spec, PlantedSpec())
-    path = out / spec.outputs
-    rows_to_csv(rows, path)
-    manifest = RunManifest(config=vars_serializable(args),
-                           seeds=list(range(args.seeds)))
-    manifest.record(path)
-    manifest.write(out / "manifest.json")
+    rows_to_csv(rows, out / spec.outputs)
+    _write_manifest(out, vars_serializable(args), range(args.seeds), spec.outputs)
     for row in rows:
         print(f"noise {row['noise_level_pct']:>5}% : "
               f"mean accuracy {row['mean_accuracy_pct']:.2f}%")
     return 0
+
+
+def _write_manifest(out: Path, config: dict, seeds, *outputs: str) -> None:
+    """`out/manifest.json`: the config, the seeds and each output file's digest."""
+    manifest = RunManifest(config=config, seeds=list(seeds))
+    for name in outputs:
+        manifest.record(out / name)
+    manifest.write(out / "manifest.json")
 
 
 def vars_serializable(args) -> dict:
@@ -322,6 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    args.out_dir.mkdir(parents=True, exist_ok=True)
     return args.func(args)
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
 from pathlib import Path
@@ -105,6 +106,11 @@ class Community:
     households: tuple[Household, ...]
     neighborhoods: dict[str, tuple[str, ...]]  # neighborhood id -> member household ids
     counties: dict[str, tuple[str, ...]] = field(default_factory=dict)  # county -> neighborhood ids
+    # Built once from `households`; row i is households[i].
+    daily: np.ndarray = field(init=False, repr=False, compare=False)  # kWh per day, (n, days)
+    elasticity: np.ndarray = field(init=False, repr=False, compare=False)  # (n,)
+    baseline_rate: np.ndarray = field(init=False, repr=False, compare=False)  # (n,)
+    index: dict[str, int] = field(init=False, repr=False, compare=False)  # id -> row
 
     def __post_init__(self):
         ids = [h.id for h in self.households]
@@ -124,15 +130,37 @@ class Community:
                 raise ValidationError(
                     f"household {h.id} missing from its neighborhood {h.neighborhood_id}"
                 )
+        days = {h.load.n_days for h in self.households}
+        if len(days) > 1:
+            raise ValidationError(f"households cover different numbers of days: {sorted(days)}")
+        hs = self.households
+        for name, value in (
+            ("daily", np.array([h.load.daily_totals() for h in hs]).reshape(len(hs), *days or {0})),
+            ("elasticity", np.array([h.elasticity for h in hs], dtype=float)),
+            ("baseline_rate", np.array([h.baseline_rate for h in hs], dtype=float)),
+        ):
+            value.flags.writeable = False  # shared by every reader
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "index", {hid: i for i, hid in enumerate(ids)})
 
     def __len__(self) -> int:
         return len(self.households)
 
     def by_id(self, hid: str) -> Household:
-        for h in self.households:
-            if h.id == hid:
-                return h
-        raise KeyError(hid)
+        return self.households[self.index[hid]]
+
+    def mask(self, ids: Iterable[str]) -> np.ndarray:
+        """Boolean row mask that selects the households `ids`."""
+        rows = np.zeros(len(self), dtype=bool)
+        rows[[self.index[hid] for hid in ids]] = True
+        return rows
+
+    def emergency_kwh(self, days: tuple[int, ...]) -> np.ndarray:
+        """Each household's kWh over `days`, shape (n,), added in day order."""
+        total = np.zeros(len(self))
+        for d in days:
+            total = total + self.daily[:, d]
+        return total
 
 
 @dataclass(frozen=True)

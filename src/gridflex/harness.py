@@ -6,26 +6,25 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .community import (Community, Household, ScenarioConfig, emergency_schedule,
+from .community import (Community, ScenarioConfig, emergency_schedule,
                         generate_community, sample_elasticity)
 from .errors import InvalidSpecError
 from .forecaster import Hyper, build_model, make_dataset, similarity_matrix, train
 from .metrics import (
     ProgramReport,
-    _emergency_consumption,
     acceptance_rate,
     responsiveness_cost,
     total_demand_reduction,
 )
 from .selector import SelectionResult, inject_noise, run_selection
-from .tariff import OfferOutcome, accept_offer, make_offer, rate_hike
+from .tariff import accept_offer, make_offer, price_offers, rate_hike
 
 
 @dataclass(frozen=True)
@@ -75,17 +74,6 @@ class RunManifest:
 # -- shared plumbing -----------------------------------------------------------
 
 
-def write_table(path: Path | str, header: list[str], rows: list[list]) -> None:
-    with Path(path).open("w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.10g}"
-
-
 def resample_elasticities(
     community: Community, seed: int, mean: float = -0.25, std: float = 0.1
 ) -> Community:
@@ -104,12 +92,11 @@ def oracle_truth(
     emergency_days: tuple[int, ...],
     cycle_days: int,
 ) -> dict[str, bool]:
-    """Ground-truth accept/reject per household via the cost-comparison oracle."""
-    truth = {}
-    for h in community.households:
-        offer = make_offer(h, incentive, reduction_pct, emergency_days, cycle_days)
-        truth[h.id] = accept_offer(h, offer).accepted
-    return truth
+    """Ground-truth accept/reject per household: accept iff the incentive is at
+    least the household's minimum incentive."""
+    accepted = price_offers(community.daily, community.elasticity, community.baseline_rate,
+                            incentive, reduction_pct, emergency_days, cycle_days).accepted
+    return dict(zip(community.index, accepted.tolist()))
 
 
 # -- planted-partition benchmark ----------------------------------------------
@@ -140,14 +127,10 @@ def planted_community(spec: PlantedSpec, seed: int) -> Community:
         seed=seed, days=cs.days, baseline_rate=cs.baseline_rate,
     )
     rng = np.random.default_rng(seed + 1)
-    households = []
-    for i, h in enumerate(base.households):
-        if i % 2 == 0:
-            e = sample_elasticity(rng, spec.flexible_mean, spec.flexible_std)
-        else:
-            e = sample_elasticity(rng, spec.rigid_mean, spec.rigid_std)
-        households.append(replace(h, elasticity=e))
-    return Community(tuple(households), base.neighborhoods, base.counties)
+    regimes = ((spec.flexible_mean, spec.flexible_std), (spec.rigid_mean, spec.rigid_std))
+    households = tuple(replace(h, elasticity=sample_elasticity(rng, *regimes[i % 2]))
+                       for i, h in enumerate(base.households))
+    return Community(households, base.neighborhoods, base.counties)
 
 
 def label_similarity(
@@ -218,35 +201,30 @@ def run_scenario(
     # capped at the configured participation fraction. Ties break on id.
     cap = int(round(config.participation_fraction * len(community)))
     predicted = dict(zip(selection.household_ids, selection.predicted))
-    by_id = {h.id: h for h in community.households}
-    pool = [by_id[hid] for hid in _ranked(selection) if predicted[hid]][:cap]
-    outcomes, participants, reductions = _settle(
-        pool, config.default_incentive, config.target_reduction_pct,
-        emergency_days, config.cycle_days,
-    )
+    pool = [hid for hid in _ranked(selection) if predicted[hid]][:cap]
+    outcomes = [
+        accept_offer(h, make_offer(h, config.default_incentive, config.target_reduction_pct,
+                                   emergency_days, config.cycle_days))
+        for h in map(community.by_id, pool)
+    ]
+    participants = [o.offer.household_id for o in outcomes if o.accepted]
+    rows = [community.index[hid] for hid in participants]
+    accepted = community.mask(participants)
+    reductions = (community.emergency_kwh(emergency_days)[rows]
+                  * config.target_reduction_pct / 100.0).tolist()
     incentives = [config.default_incentive] * len(participants)
-    accepted = set(participants)
-    nonparticipants = [h for h in community.households if h.id not in accepted]
-    r_extra = rate_hike(nonparticipants, incentives, config.cycle_days)
-    per_day_reduction = {
-        d: sum(by_id[hid].load.daily_totals()[d] * config.target_reduction_pct / 100.0
-               for hid in participants)
-        for d in emergency_days
-    }
+    r_extra = rate_hike(community.daily[~accepted], incentives, config.cycle_days)
+    per_day_reduction = (community.daily[rows][:, list(emergency_days)].sum(axis=0)
+                         * config.target_reduction_pct / 100.0)
     report = ProgramReport(
-        acceptance_rate_pct=acceptance_rate(outcomes) if outcomes else 0.0,
-        responsiveness_cost=(
-            responsiveness_cost(incentives, reductions) if reductions else 0.0
-        ),
+        acceptance_rate_pct=acceptance_rate([o.accepted for o in outcomes]) if outcomes else 0.0,
+        responsiveness_cost=responsiveness_cost(incentives, reductions) if reductions else 0.0,
         total_reduction_pct=total_demand_reduction(
             community, accepted, config.target_reduction_pct, emergency_days
         ),
         incentive_total=float(sum(incentives)),
         r_extra=r_extra,
-        shortfall_met=tuple(
-            bool(per_day_reduction[d] >= shortfall_kwh_per_day)
-            for d in emergency_days
-        ),
+        shortfall_met=tuple(bool(r >= shortfall_kwh_per_day) for r in per_day_reduction),
     )
     details = {
         "emergency_days": emergency_days,
@@ -282,26 +260,6 @@ def _repetitions(
         yield seed, community, emergency_schedule(scenario, np.random.default_rng(seed))
 
 
-def _settle(
-    households: Iterable[Household], incentive: float, reduction_pct: float,
-    emergency_days: tuple[int, ...], cycle_days: int,
-) -> tuple[list[OfferOutcome], list[str], list[float]]:
-    """Offer each household the same terms: the outcomes, the acceptors' ids in
-    household order, and each acceptor's emergency-day kWh reduction."""
-    outcomes, acceptors, reductions = [], [], []
-    for h in households:
-        outcome = accept_offer(
-            h, make_offer(h, incentive, reduction_pct, emergency_days, cycle_days)
-        )
-        outcomes.append(outcome)
-        if outcome.accepted:
-            acceptors.append(h.id)
-            reductions.append(
-                _emergency_consumption(h, emergency_days) * reduction_pct / 100.0
-            )
-    return outcomes, acceptors, reductions
-
-
 def _ranked(selection: SelectionResult) -> list[str]:
     """Household ids by descending classifier score, ties broken on id."""
     score = dict(zip(selection.household_ids, selection.scores))
@@ -316,7 +274,7 @@ def _planted_ranking(community: Community, scenario: ScenarioConfig,
         community, scenario.default_incentive, scenario.target_reduction_pct,
         emergency_days, scenario.cycle_days,
     )
-    similarity = label_similarity(truth, tuple(h.id for h in community.households), seed)
+    similarity = label_similarity(truth, tuple(community.index), seed)
     return _ranked(run_selection(community, similarity, truth, seed=seed))
 
 
@@ -327,27 +285,27 @@ def sweep_incentive(
 ) -> list[dict]:
     """Offers to every household at each incentive on the ladder."""
     rows = []
+    pct = scenario.target_reduction_pct
     for seed, community, emergency_days in _repetitions(spec, scenario, community_spec):
+        kwh = community.emergency_kwh(emergency_days)
         for incentive in spec.values:
-            outcomes, acceptors, reductions = _settle(
-                community.households, incentive, scenario.target_reduction_pct,
-                emergency_days, scenario.cycle_days,
-            )
-            incentives = [incentive] * len(acceptors)
+            accepted = price_offers(community.daily, community.elasticity, community.baseline_rate,
+                                    incentive, pct, emergency_days, scenario.cycle_days).accepted
+            reductions = (kwh[accepted] * pct / 100.0).tolist()
+            incentives = [incentive] * len(reductions)
             rows.append({
                 "seed": seed,
                 "incentive": incentive,
-                "acceptance_rate_pct": acceptance_rate(outcomes),
+                "acceptance_rate_pct": acceptance_rate(accepted),
                 "responsiveness_cost": (
                     responsiveness_cost(incentives, reductions)
                     if reductions else float("nan")
                 ),
                 "total_reduction_pct": total_demand_reduction(
-                    community, set(acceptors), scenario.target_reduction_pct,
-                    emergency_days,
+                    community, accepted, pct, emergency_days
                 ),
-                "accepted": len(acceptors),
-                "offered": len(outcomes),
+                "accepted": len(reductions),
+                "offered": len(community),
                 "incentive_total": float(sum(incentives)),
                 "reduction_kwh_total": float(sum(reductions)),
             })
@@ -364,24 +322,23 @@ def sweep_reduction(
     rows = []
     for seed, community, emergency_days in _repetitions(spec, scenario, community_spec):
         count = int(round(0.25 * len(community)))
-        consumption = {h.id: _emergency_consumption(h, emergency_days)
-                       for h in community.households}
-        skewed = sorted(community.households,
-                        key=lambda h: (-float(h.load.daily_totals().sum()), h.id))
+        kwh = community.emergency_kwh(emergency_days)
+        skewed = sorted(zip(-community.daily.sum(axis=1), community.index))
         quarters = (
             ("framework", _planted_ranking(community, scenario, emergency_days, seed)),
-            ("skewed", [h.id for h in skewed]),
+            ("skewed", [hid for _, hid in skewed]),
         )
         for variant, ranking in quarters:
             participants = ranking[:count]
+            chosen = kwh[[community.index[hid] for hid in participants]]
             for reduction in spec.values:
-                reductions = [consumption[hid] * reduction / 100.0 for hid in participants]
+                reductions = (chosen * reduction / 100.0).tolist()
                 rows.append({
                     "seed": seed,
                     "scenario": variant,
                     "participant_reduction_pct": reduction,
                     "total_reduction_pct": total_demand_reduction(
-                        community, set(participants), reduction, emergency_days
+                        community, community.mask(participants), reduction, emergency_days
                     ),
                     "responsiveness_cost": responsiveness_cost(
                         [scenario.default_incentive] * len(participants), reductions
@@ -402,23 +359,18 @@ def sweep_rate_hike(
     rows = []
     for seed, community, emergency_days in _repetitions(spec, scenario, community_spec):
         ranked = _planted_ranking(community, scenario, emergency_days, seed)
+        cycle_kwh = community.daily[:, : scenario.cycle_days].sum(axis=1)
         for participation_pct in spec.values:
             count = int(round(participation_pct / 100.0 * len(community)))
-            participants = set(ranked[:count])
-            nonparticipants = [
-                h for h in community.households if h.id not in participants
-            ]
-            nonparticipant_kwh = sum(
-                float(h.load.daily_totals()[: scenario.cycle_days].sum())
-                for h in nonparticipants
-            )
+            outside = ~community.mask(ranked[:count])
+            nonparticipant_kwh = sum(cycle_kwh[outside].tolist())
             for incentive in incentive_grid:
                 rows.append({
                     "seed": seed,
                     "participation_pct": participation_pct,
                     "incentive": incentive,
                     "r_extra": rate_hike(
-                        nonparticipants, [incentive] * count, scenario.cycle_days
+                        community.daily[outside], [incentive] * count, scenario.cycle_days
                     ),
                     "incentive_total": incentive * count,
                     "nonparticipant_kwh": nonparticipant_kwh,
@@ -432,22 +384,15 @@ def noise_experiment(
 ) -> list[dict]:
     """Selection accuracy vs similarity-matrix noise level, aggregated over seeds."""
     per_level: dict[float, list[float]] = {lvl: [] for lvl in spec.values}
-    for rep in range(spec.repetitions):
-        seed = rep
+    for seed in range(spec.repetitions):
         community = planted_community(planted, seed)
         rng = np.random.default_rng(seed + 10_000)
-        emergency_days = tuple(
-            sorted(int(d) for d in rng.choice(planted.community.days, size=3,
-                                              replace=False))
-        )
-        truth = oracle_truth(
-            community, planted.incentive, planted.reduction_pct,
-            emergency_days, planted.community.days,
-        )
-        ids = tuple(h.id for h in community.households)
-        clean = label_similarity(
-            truth, ids, seed, planted.in_weight, planted.out_weight, planted.jitter
-        )
+        days = planted.community.days
+        emergency_days = tuple(sorted(int(d) for d in rng.choice(days, size=3, replace=False)))
+        truth = oracle_truth(community, planted.incentive, planted.reduction_pct,
+                             emergency_days, days)
+        clean = label_similarity(truth, tuple(community.index), seed, planted.in_weight,
+                                 planted.out_weight, planted.jitter)
         for level in spec.values:
             noisy = inject_noise(clean, level, seed=seed + 20_000)
             result = run_selection(community, noisy, truth, seed=seed)
@@ -464,8 +409,11 @@ def noise_experiment(
 
 
 def rows_to_csv(rows: list[dict], path: Path | str) -> None:
+    """The rows as a CSV table under the first row's keys, floats as %.10g."""
     if not rows:
         raise InvalidSpecError("no rows to write")
-    header = list(rows[0])
-    write_table(path, header, [[_fmt(r[c]) if isinstance(r[c], float) else r[c]
-                                for c in header] for r in rows])
+    with Path(path).open("w", newline="") as f:
+        writer = csv.writer(f)
+        writer.writerow(rows[0])
+        writer.writerows([f"{r[c]:.10g}" if isinstance(r[c], float) else r[c] for c in rows[0]]
+                         for r in rows)

@@ -6,9 +6,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .community import Community, Household
+from .community import Community
 from .errors import InfeasibleAllocationError, UndefinedMetricError
-from .tariff import OfferOutcome, make_offer, min_incentive
+from .tariff import price_offers
 
 
 @dataclass(frozen=True)
@@ -21,11 +21,11 @@ class ProgramReport:
     shortfall_met: tuple[bool, ...]  # per emergency day
 
 
-def acceptance_rate(outcomes: list[OfferOutcome]) -> float:
-    """Percent of offered households that accepted."""
-    if not outcomes:
+def acceptance_rate(accepted: list[bool] | np.ndarray) -> float:
+    """Percent of offered households that accepted, from one bool per offer."""
+    if len(accepted) == 0:
         raise UndefinedMetricError("acceptance rate over zero offers")
-    return 100.0 * sum(o.accepted for o in outcomes) / len(outcomes)
+    return 100.0 * int(np.count_nonzero(accepted)) / len(accepted)
 
 
 def responsiveness_cost(incentives: list[float], reductions: list[float]) -> float:
@@ -36,27 +36,21 @@ def responsiveness_cost(incentives: list[float], reductions: list[float]) -> flo
     return float(sum(incentives)) / total_reduction
 
 
-def _emergency_consumption(h: Household, emergency_days: tuple[int, ...]) -> float:
-    daily = h.load.daily_totals()
-    return float(sum(daily[d] for d in emergency_days))
-
-
 def total_demand_reduction(
     community: Community,
-    participants: set[str],
+    participants: np.ndarray,
     reduction_pct: float,
     emergency_days: tuple[int, ...],
 ) -> float:
-    """Participants' emergency-day reduction as a percent of community
-    emergency-day consumption."""
-    total = sum(_emergency_consumption(h, emergency_days) for h in community.households)
+    """Emergency-day reduction of the households in the row mask `participants`,
+    as a percent of community emergency-day consumption."""
+    kwh = community.emergency_kwh(emergency_days)
+    # Summed left to right, household by household, not pairwise as numpy
+    # sums: the result keeps the bits of a per-household loop.
+    total = sum(kwh.tolist())
     if total <= 0:
         raise UndefinedMetricError("community has zero emergency-day consumption")
-    reduced = sum(
-        _emergency_consumption(h, emergency_days) * reduction_pct / 100.0
-        for h in community.households
-        if h.id in participants
-    )
+    reduced = sum((kwh[participants] * reduction_pct / 100.0).tolist())
     return 100.0 * reduced / total
 
 
@@ -76,33 +70,26 @@ def allocate_budget(
     days = tuple(sorted(shortfall_per_day))
     if not days or all(s <= 0 for s in shortfall_per_day.values()):
         return set(), {}
-    scale = reduction_pct / 100.0
+    ids = list(community.index)
+    reduction = community.daily[:, list(days)] * (reduction_pct / 100.0)  # (n, days)
+    cost = price_offers(
+        community.daily, community.elasticity, community.baseline_rate, 0.0,
+        reduction_pct, days, cycle_days,
+    ).min_incentive
 
-    per_hh_reduction: dict[str, np.ndarray] = {}
-    cost: dict[str, float] = {}
-    for h in community.households:
-        daily = h.load.daily_totals()
-        per_hh_reduction[h.id] = np.array([daily[d] * scale for d in days])
-        offer = make_offer(h, 0.0, reduction_pct, days, cycle_days)
-        cost[h.id] = min_incentive(h, offer)
+    worst = reduction[:, int(np.argmax([shortfall_per_day[d] for d in days]))]
+    score = np.full(len(ids), np.inf)
+    np.divide(cost, worst, out=score, where=worst > 0)
 
-    worst_day_pos = int(np.argmax([shortfall_per_day[d] for d in days]))
-
-    def score(hid: str) -> float:
-        dx = per_hh_reduction[hid][worst_day_pos]
-        if dx <= 0:
-            return float("inf")
-        return cost[hid] / dx
-
-    order = sorted(per_hh_reduction, key=lambda hid: (score(hid), hid))
+    order = sorted(range(len(ids)), key=lambda i: (score[i], ids[i]))
     need = np.array([shortfall_per_day[d] for d in days], dtype=float)
     covered = np.zeros(len(days))
-    selected: list[str] = []
-    for hid in order:
+    selected: list[int] = []
+    for i in order:
         if np.all(covered >= need - 1e-12):
             break
-        selected.append(hid)
-        covered += per_hh_reduction[hid]
+        selected.append(i)
+        covered += reduction[i]
     if not np.all(covered >= need - 1e-12):
         first_bad = days[int(np.argmax(covered < need - 1e-12))]
         raise InfeasibleAllocationError(
@@ -111,10 +98,10 @@ def allocate_budget(
         )
 
     # Minimality pass: drop (most expensive first) anyone the cover can spare.
-    for hid in sorted(selected, key=lambda hid: (-cost[hid], hid)):
-        without = covered - per_hh_reduction[hid]
+    for i in sorted(selected, key=lambda i: (-cost[i], ids[i])):
+        without = covered - reduction[i]
         if np.all(without >= need - 1e-12):
-            selected.remove(hid)
+            selected.remove(i)
             covered = without
 
-    return set(selected), {hid: cost[hid] for hid in selected}
+    return {ids[i] for i in selected}, {ids[i]: float(cost[i]) for i in selected}

@@ -3,7 +3,9 @@ the acceptance oracle, and the revenue-neutral rate hike on non-participants."""
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -56,35 +58,66 @@ class OfferOutcome:
     cost_program: float
 
 
-def price_change_pct(target_reduction_pct: float, elasticity: float) -> float:
+def price_change_pct(target_reduction_pct: float, elasticity: float | np.ndarray):
     """Percent price increase needed for a target percent demand reduction.
 
     A reduction of i% is a quantity change of -i%, so the price change is
-    (-i) / elasticity, which is positive for negative elasticity.
+    (-i) / elasticity, which is positive for negative elasticity. Takes one
+    elasticity or an array of them.
     """
-    if elasticity >= 0:
+    if np.any(np.asarray(elasticity) >= 0):
         raise DomainError(f"elasticity must be negative, got {elasticity}")
     if not 0 < target_reduction_pct < 100:
         raise DomainError("target_reduction_pct must lie in (0, 100)")
     return -target_reduction_pct / elasticity
 
 
-def emergency_rate(baseline_rate: float, target_reduction_pct: float, elasticity: float) -> float:
+def emergency_rate(baseline_rate: float | np.ndarray, target_reduction_pct: float,
+                   elasticity: float | np.ndarray):
     """Per-kWh rate on emergency days implied by the household's elasticity."""
     return baseline_rate * (1.0 + price_change_pct(target_reduction_pct, elasticity) / 100.0)
 
 
-def _cycle_daily_totals(load: LoadSeries, cycle_days: int) -> np.ndarray:
-    if load.n_days < cycle_days:
-        raise CoverageError(
-            f"load covers {load.n_days} days but the cycle has {cycle_days}"
-        )
-    return load.daily_totals()[:cycle_days]
+def _cycle(daily: np.ndarray, cycle_days: int) -> np.ndarray:
+    """The billing cycle's days of per-day kWh, one row or many."""
+    if daily.shape[-1] < cycle_days:
+        raise CoverageError(f"load covers {daily.shape[-1]} days but the cycle has {cycle_days}")
+    return daily[..., :cycle_days]
+
+
+class Pricing(NamedTuple):
+    emergency_rate: np.ndarray  # dollars / kWh, (n,)
+    min_incentive: np.ndarray  # dollars, clamped at 0, (n,)
+    accepted: np.ndarray  # the oracle's answer, bool (n,)
+
+
+def price_offers(daily: np.ndarray, elasticity: np.ndarray, baseline_rate: np.ndarray,
+                 incentive: float, reduction_pct: float, emergency_days: tuple[int, ...],
+                 cycle_days: int) -> Pricing:
+    """One offer priced for every row of `daily` (kWh per day, (n, days)).
+
+    A row's emergency rate r_e follows from its own elasticity. Its minimum
+    incentive is the program's extra charge under exact compliance, the sum
+    over emergency days of daily * (1 - i/100) * r_e - daily * r_b, clamped at 0
+    (a reduced emergency-day bill can fall below the baseline one). The oracle
+    accepts iff the incentive is at least the unclamped minimum.
+    """
+    if incentive < 0:
+        raise ValidationError("incentive must be >= 0")
+    if any(not 0 <= d < cycle_days for d in emergency_days):
+        raise ValidationError("emergency day index outside the cycle")
+    daily = _cycle(daily, cycle_days)
+    rate = emergency_rate(baseline_rate, reduction_pct, elasticity)
+    scale = 1.0 - reduction_pct / 100.0
+    raw = np.zeros(len(daily))
+    for d in emergency_days:
+        raw = raw + (daily[:, d] * scale * rate - daily[:, d] * baseline_rate)
+    return Pricing(rate, np.maximum(raw, 0.0), incentive >= raw)
 
 
 def baseline_cost(household: Household, cycle_days: int) -> float:
     """Cycle cost at the baseline rate with no program participation."""
-    daily = _cycle_daily_totals(household.load, cycle_days)
+    daily = _cycle(household.load.daily_totals(), cycle_days)
     return float(daily.sum() * household.baseline_rate)
 
 
@@ -104,13 +137,13 @@ def program_cost(household: Household, offer: Offer, reduced_load: LoadSeries) -
     """Cycle cost under the program: baseline rate off-emergency, emergency rate on
     the reduced consumption, minus the upfront incentive. Can be negative."""
     sched = offer.schedule
-    daily = _cycle_daily_totals(household.load, sched.cycle_days)
-    reduced_daily = _cycle_daily_totals(reduced_load, sched.cycle_days)
+    daily = _cycle(household.load.daily_totals(), sched.cycle_days)
+    reduced_daily = _cycle(reduced_load.daily_totals(), sched.cycle_days)
     emergency = np.zeros(sched.cycle_days, dtype=bool)
     emergency[list(sched.emergency_days)] = True
-    hours = np.arange(sched.cycle_days * 24) // 24
-    changed = np.abs(reduced_load.values[: sched.cycle_days * 24] - load_values(household, sched))
-    if np.any(changed[~emergency[hours]] != 0):
+    hours = np.arange(sched.cycle_days * 24)
+    changed = reduced_load.values[hours] != household.load.values[hours]
+    if np.any(changed & ~emergency[hours // 24]):
         raise ContractViolation("reduced load differs from the load on a non-emergency day")
     cost = (
         daily[~emergency].sum() * sched.baseline_rate
@@ -120,23 +153,21 @@ def program_cost(household: Household, offer: Offer, reduced_load: LoadSeries) -
     return float(cost)
 
 
-def load_values(household: Household, sched: TariffSchedule) -> np.ndarray:
-    return household.load.values[: sched.cycle_days * 24]
+def _price_one(household: Household, offer: Offer) -> Pricing:
+    """`price_offers` for one household, whose own rates the offer must carry."""
+    sched = offer.schedule
+    priced = price_offers(household.load.daily_totals()[None], np.array([household.elasticity]),
+                          np.array([household.baseline_rate]), offer.incentive,
+                          offer.target_reduction_pct, sched.emergency_days, sched.cycle_days)
+    if (sched.baseline_rate, sched.emergency_rate) != (household.baseline_rate,
+                                                       priced.emergency_rate[0]):
+        raise ContractViolation("the offer's rates are not the household's own")
+    return priced
 
 
 def min_incentive(household: Household, offer: Offer) -> float:
-    """Smallest incentive making participation no worse than the baseline.
-
-    Clamped at 0: the emergency-day charge under reduced consumption can fall
-    below the baseline charge, in which case no compensation is needed.
-    """
-    sched = offer.schedule
-    daily = _cycle_daily_totals(household.load, sched.cycle_days)
-    scale = 1.0 - offer.target_reduction_pct / 100.0
-    raw = 0.0
-    for d in sched.emergency_days:
-        raw += daily[d] * scale * sched.emergency_rate - daily[d] * sched.baseline_rate
-    return max(0.0, float(raw))
+    """Smallest incentive making participation no worse than the baseline."""
+    return float(_price_one(household, offer).min_incentive[0])
 
 
 def make_offer(
@@ -159,31 +190,29 @@ def make_offer(
 
 
 def accept_offer(household: Household, offer: Offer) -> OfferOutcome:
-    """Ground-truth behavior oracle: accept iff the program cost does not exceed
-    the baseline cost, assuming exact compliance with the target reduction."""
+    """The ground-truth oracle's answer for one household, with its two cycle
+    costs under exact compliance."""
     sched = offer.schedule
+    priced = _price_one(household, offer)
     reduced = apply_reduction(household.load, sched.emergency_days, offer.target_reduction_pct)
-    c_base = baseline_cost(household, sched.cycle_days)
-    c_prog = program_cost(household, offer, reduced)
     return OfferOutcome(
         offer=offer,
-        accepted=c_prog <= c_base,
-        min_incentive=min_incentive(household, offer),
-        cost_baseline=c_base,
-        cost_program=c_prog,
+        accepted=bool(priced.accepted[0]),
+        min_incentive=float(priced.min_incentive[0]),
+        cost_baseline=baseline_cost(household, sched.cycle_days),
+        cost_program=program_cost(household, offer, reduced),
     )
 
 
-def rate_hike(
-    nonparticipants: list[Household], incentives: list[float], cycle_days: int
-) -> float:
-    """Uniform per-kWh surcharge on non-participants funding the incentive pool."""
+def rate_hike(daily: np.ndarray, incentives: Sequence[float], cycle_days: int) -> float:
+    """Uniform per-kWh surcharge on the non-participants, whose kWh per day are
+    the rows of `daily`, that funds the incentive pool."""
     total_incentive = float(sum(incentives))
     if total_incentive == 0.0:
         return 0.0
-    total_kwh = sum(
-        float(_cycle_daily_totals(h.load, cycle_days).sum()) for h in nonparticipants
-    )
+    # Summed left to right, household by household, not pairwise as numpy
+    # sums: the result keeps the bits of a per-household loop.
+    total_kwh = sum(_cycle(daily, cycle_days).sum(axis=1).tolist())
     if total_kwh <= 0:
         raise DegeneratePopulationError("non-participants have zero cycle consumption")
     return total_incentive / total_kwh

@@ -150,7 +150,8 @@ def test_criterion_02_revenue_neutrality():
         nonparticipants = [random_household(rng, f"h{i}_{j}", days=30)
                            for j in range(n)]
         incentives = list(rng.uniform(10.0, 300.0, size=int(rng.integers(1, 20))))
-        r = rate_hike(nonparticipants, incentives, cycle_days=30)
+        daily = np.array([h.load.daily_totals() for h in nonparticipants])
+        r = rate_hike(daily, incentives, cycle_days=30)
         collected = sum(h.load.daily_totals()[:30].sum() * r
                         for h in nonparticipants)
         worst = max(worst, abs(collected - sum(incentives)) / sum(incentives))

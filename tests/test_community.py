@@ -89,6 +89,24 @@ class TestCommunityInvariants:
         with pytest.raises(KeyError):
             c.by_id("missing")
 
+    def test_arrays_follow_household_order(self):
+        hs = [household("b", kwh_per_day=20.0, days=4, elasticity=-0.5),
+              household("a", kwh_per_day=10.0, days=4, baseline_rate=0.2)]
+        c = community_of(hs)
+        np.testing.assert_array_equal(c.daily, [h.load.daily_totals() for h in hs])
+        np.testing.assert_array_equal(c.elasticity, [-0.5, -0.25])
+        np.testing.assert_array_equal(c.baseline_rate, [0.16, 0.2])
+        assert c.index == {"b": 0, "a": 1}
+        np.testing.assert_array_equal(c.mask(["a"]), [False, True])
+        np.testing.assert_array_equal(c.mask([]), [False, False])
+        np.testing.assert_allclose(c.emergency_kwh((0, 3)), [40.0, 20.0])
+        with pytest.raises(ValueError):
+            c.daily[0, 0] = 1.0  # shared by every reader, so read-only
+
+    def test_rejects_households_of_different_lengths(self):
+        with pytest.raises(ValidationError, match="different numbers of days"):
+            community_of([household("h0", days=3), household("h1", days=4)])
+
 
 class TestElasticitySampling:
     def test_degenerate_std_returns_mean(self):

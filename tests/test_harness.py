@@ -2,6 +2,7 @@
 planted benchmark construction, manifests, and CLI determinism."""
 
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -11,11 +12,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridflex import harness, selector
 from gridflex.cli import _write_similarity, main
-from gridflex.community import ScenarioConfig, generate_community
-from gridflex.errors import InvalidSpecError, ReferentialIntegrityError
+from gridflex.community import LoadSeries, ScenarioConfig, generate_community
+from gridflex.errors import (
+    CoverageError,
+    InvalidSpecError,
+    ReferentialIntegrityError,
+    ValidationError,
+)
 from gridflex.forecaster import Hyper
 from gridflex.harness import (
     CommunitySpec,
@@ -34,7 +42,15 @@ from gridflex.harness import (
     sweep_reduction,
 )
 from gridflex.selector import check_similarity
-from gridflex.tariff import accept_offer, make_offer
+from gridflex.tariff import (
+    accept_offer,
+    apply_reduction,
+    baseline_cost,
+    make_offer,
+    price_offers,
+    program_cost,
+)
+from tests.conftest import START, community_of, household
 
 SMALL = CommunitySpec(counties=2, neighborhoods_per_county=1,
                       households_per_neighborhood=10, days=10)
@@ -69,6 +85,51 @@ class TestOracleTruth:
         for h in community.households:
             offer = make_offer(h, 100.0, 20.0, days, 10)
             assert truth[h.id] == accept_offer(h, offer).accepted
+
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_array_pricing_matches_the_per_household_costs(self, data):
+        """`price_offers` against the reference costs of each household alone:
+        the minimum incentive is the program-minus-baseline cost gap at zero
+        incentive, and the oracle accepts iff the program costs no more."""
+        cycle = data.draw(st.integers(1, 8), "cycle")
+        days = data.draw(st.integers(cycle, cycle + 2), "days")
+        emergency = tuple(sorted(data.draw(
+            st.lists(st.integers(0, cycle - 1), unique=True, max_size=cycle), "emergency")))
+        pct = data.draw(st.floats(0.5, 99.0), "reduction_pct")
+        incentive = data.draw(st.floats(0.0, 60.0), "incentive")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), "seed"))
+        hs = [household(f"h{i}", elasticity=data.draw(st.floats(-3.0, -0.02), "e"),
+                        baseline_rate=data.draw(st.floats(0.05, 0.5), "rate"),
+                        load=LoadSeries(START, rng.uniform(0.0, 4.0, days * 24)))
+              for i in range(data.draw(st.integers(1, 6), "n"))]
+        community = community_of(hs)
+        priced = price_offers(community.daily, community.elasticity,
+                              community.baseline_rate, incentive, pct, emergency, cycle)
+        truth = oracle_truth(community, incentive, pct, emergency, cycle)
+        for i, h in enumerate(hs):
+            offer = make_offer(h, incentive, pct, emergency, cycle)
+            reduced = apply_reduction(h.load, emergency, pct)
+            c_base = baseline_cost(h, cycle)
+            gap = program_cost(h, make_offer(h, 0.0, pct, emergency, cycle), reduced) - c_base
+            assert priced.emergency_rate[i] == offer.schedule.emergency_rate
+            assert priced.min_incentive[i] == pytest.approx(max(gap, 0.0), rel=1e-9,
+                                                            abs=1e-9 * c_base)
+            if abs(incentive - gap) > 1e-9:
+                assert priced.accepted[i] == (program_cost(h, offer, reduced) <= c_base)
+            outcome = accept_offer(h, offer)
+            assert outcome.accepted == priced.accepted[i] == truth[h.id]
+            assert outcome.min_incentive == priced.min_incentive[i]
+
+    def test_short_load_raises_coverage_error(self):
+        h = household(days=5)
+        with pytest.raises(CoverageError):
+            price_offers(h.load.daily_totals()[None], np.array([h.elasticity]),
+                         np.array([h.baseline_rate]), 10.0, 10.0, (1,), 6)
+        with pytest.raises(CoverageError):
+            oracle_truth(community_of([h]), 10.0, 10.0, (1,), 6)
+        with pytest.raises(CoverageError):
+            accept_offer(h, make_offer(h, 10.0, 10.0, (1,), 6))
 
     def test_resample_preserves_structure(self):
         community = planted_community(PlantedSpec(community=SMALL), seed=0)
@@ -165,6 +226,29 @@ class TestSweepIdentities:
         for row in rows:
             assert row["seeds"] == 2
             assert 0.0 <= row["mean_accuracy_pct"] <= 100.0
+
+
+# sha256 of rows_to_csv(sweep_incentive(...)) for GOLDEN_COMMUNITY over a
+# ladder around each incentive, as the per-household pricing code wrote it.
+GOLDEN_COMMUNITY = CommunitySpec(counties=2, households_per_neighborhood=20, days=30)
+GOLDEN_DIGESTS = {
+    (0, 3.0): "c9d3402b886c97552bec0fae6b1fad2606492789256efec3ecfa7a7b76e6325e",
+    (0, 100.0): "7a0ef6d64069d7d449c65ee79ec0d3999295ee76751e12e973c22d8500fa744f",
+    (11, 3.0): "645bcf7a80b3463c262762d33c650fd42ce7e040b8a11c1a9b3349377e6799dc",
+    (11, 100.0): "e8f61fd257371e57206d42029a7fb3f5a1944bd59b7e3a77707924f7c223f200",
+}
+
+
+@pytest.mark.parametrize(("seed", "incentive"), sorted(GOLDEN_DIGESTS))
+def test_incentive_sweep_bytes_are_pinned(tmp_path, seed, incentive):
+    """Pricing is pure arithmetic (no BLAS, no classifier), so a refactor of it
+    must leave the incentive sweep's table byte for byte as it was."""
+    ladder = SweepSpec("incentive", (incentive / 4, incentive / 2, incentive, 2 * incentive),
+                       repetitions=2)
+    scenario = ScenarioConfig(rng_seed=seed, default_incentive=incentive)
+    rows_to_csv(sweep_incentive(ladder, scenario, GOLDEN_COMMUNITY), tmp_path / "sweep.csv")
+    digest = hashlib.sha256((tmp_path / "sweep.csv").read_bytes()).hexdigest()
+    assert digest == GOLDEN_DIGESTS[seed, incentive]
 
 
 def test_reduction_sweep_is_free_of_hash_order():
@@ -365,6 +449,57 @@ class TestCli:
         path = self._write(tmp_path, {"hidden": 4})
         with pytest.raises(InvalidSpecError, match="'hidden'"):
             main(["run", "--config", path, "--out-dir", str(tmp_path)])
+
+    TINY = {"counties": 1, "households_per_neighborhood": 6, "days": 10}
+    TINY_SCENARIO = {"cycle_days": 10, "emergency_day_count": 2}
+
+    @pytest.mark.parametrize(("spec", "key"), [
+        ({"variable": "incentive", "values": 5}, "'values'"),
+        ({"variable": "incentive", "values": [1.0, "a"]}, "'values'"),
+        ({"variable": "incentive", "values": [1.0], "repetitions": "2"}, "'repetitions'"),
+        ({"variable": "incentive", "values": [1.0], "repetitions": True}, "'repetitions'"),
+        ({"variable": "incentive", "values": [1.0], "community": {**TINY, "counties": "5"},
+          "scenario": TINY_SCENARIO}, "'counties'"),
+        ({"variable": "incentive", "values": [1.0], "community": TINY,
+          "scenario": {**TINY_SCENARIO, "split_ratios": [0.5, 0.5]}}, "'split_ratios'"),
+    ], ids=["values-number", "values-string-entry", "repetitions-string",
+            "repetitions-bool", "counties-string", "split-ratios-length"])
+    def test_sweep_rejects_a_value_of_the_wrong_type(self, tmp_path, spec, key):
+        path = self._write(tmp_path, spec)
+        with pytest.raises(InvalidSpecError, match=key):
+            main(["sweep", "--spec", path, "--out-dir", str(tmp_path)])
+
+    def test_sweep_takes_an_int_for_a_float(self, tmp_path):
+        path = self._write(tmp_path, {"variable": "incentive", "values": [1, 20],
+                                      "community": self.TINY, "scenario": {
+                                          **self.TINY_SCENARIO, "default_incentive": 3}})
+        assert main(["sweep", "--spec", path, "--out-dir", str(tmp_path)]) == 0
+
+    @pytest.mark.parametrize("section", ["community", "scenario"])
+    def test_noise_sweep_rejects_sections(self, tmp_path, section):
+        path = self._write(tmp_path, {"variable": "noise_level", "values": [0.0],
+                                      section: {"rng_seed": 5} if section == "scenario"
+                                      else {"counties": 1}})
+        with pytest.raises(InvalidSpecError, match=f"'{section}'"):
+            main(["sweep", "--spec", path, "--out-dir", str(tmp_path)])
+
+    def test_noise_sweep_records_the_seeds_it_ran(self, tmp_path, monkeypatch):
+        monkeypatch.setattr("gridflex.cli.noise_experiment", lambda spec: [{"seeds": 2}])
+        path = self._write(tmp_path, {"variable": "noise_level", "values": [0.0, 50.0],
+                                      "repetitions": 2})
+        assert main(["sweep", "--spec", path, "--out-dir", str(tmp_path)]) == 0
+        assert json.loads((tmp_path / "manifest.json").read_text())["seeds"] == [0, 1]
+
+    @pytest.mark.parametrize(("text", "message"), [
+        ("", "sim.csv: empty file"),
+        ("a,b\n0.5,0.5\n0.5,x\n", "sim.csv row 3"),
+    ], ids=["empty", "non-numeric"])
+    def test_select_rejects_a_malformed_similarity_csv(self, tmp_path, text, message):
+        path = tmp_path / "sim.csv"
+        path.write_text(text)
+        with pytest.raises(ValidationError, match=message):
+            main(["select", "--counties", "1", "--households", "2", "--days", "2",
+                  "--similarity-csv", str(path), "--out-dir", str(tmp_path / "out")])
 
     def test_run_deterministic(self, tmp_path):
         config = {

@@ -67,7 +67,8 @@ class TestSimpleMetrics:
         offer = make_offer(h, 100.0, 10.0, (0,), 30)
         yes = accept_offer(h, offer)
         no = accept_offer(h, make_offer(h, 0.0, 10.0, (0,), 30))
-        assert acceptance_rate([yes, yes, no, no]) == pytest.approx(50.0)
+        outcomes = [yes, yes, no, no]
+        assert acceptance_rate([o.accepted for o in outcomes]) == pytest.approx(50.0)
 
     def test_acceptance_rate_empty(self):
         with pytest.raises(UndefinedMetricError):
@@ -88,13 +89,13 @@ class TestSimpleMetrics:
             household("a", kwh_per_day=30.0),
             household("b", kwh_per_day=10.0),
         ])
-        pct = total_demand_reduction(c, {"a"}, 10.0, (2, 5))
+        pct = total_demand_reduction(c, c.mask({"a"}), 10.0, (2, 5))
         assert pct == pytest.approx(7.5)
 
     def test_total_demand_reduction_all_participants_equals_rate(self):
         c = random_community(np.random.default_rng(0), 5)
         everyone = {h.id for h in c.households}
-        assert total_demand_reduction(c, everyone, 15.0, (1, 3)) == pytest.approx(15.0)
+        assert total_demand_reduction(c, c.mask(everyone), 15.0, (1, 3)) == pytest.approx(15.0)
 
 
 class TestAllocator:

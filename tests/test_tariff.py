@@ -32,6 +32,7 @@ from gridflex.tariff import (
     make_offer,
     min_incentive,
     price_change_pct,
+    price_offers,
     program_cost,
     rate_hike,
 )
@@ -201,24 +202,49 @@ class TestAcceptOffer:
             assert outcome.accepted == (incentive > threshold)
 
 
+class TestPriceOffers:
+    def test_worked_example_on_two_rows(self, standard_household):
+        # Row 0 is the standard household; row 1 has elasticity -2, so a 10%
+        # cut needs a 5% price bump and the emergency bill falls below baseline.
+        daily = np.stack([standard_household.load.daily_totals()] * 2)
+        priced = price_offers(daily, np.array([-0.25, -2.0]), np.array([0.16, 0.16]),
+                              3.744, 10.0, EMERGENCY_DAYS, 30)
+        np.testing.assert_allclose(priced.emergency_rate, [0.224, 0.168])
+        np.testing.assert_allclose(priced.min_incentive, [3.744, 0.0], atol=1e-12)
+        assert priced.accepted.tolist() == [True, True]
+
+    @pytest.mark.parametrize(("incentive", "days"), [(-1.0, (3,)), (10.0, (30,))],
+                             ids=["negative-incentive", "day-outside-cycle"])
+    def test_rejects_bad_terms(self, standard_household, incentive, days):
+        daily = standard_household.load.daily_totals()[None]
+        with pytest.raises(ValidationError):
+            price_offers(daily, np.array([-0.25]), np.array([0.16]), incentive, 10.0, days, 30)
+
+    def test_accept_offer_rejects_rates_not_the_households(self, standard_household):
+        offer = Offer("h0", 10.0, 10.0, TariffSchedule(0.16, 0.3, EMERGENCY_DAYS, 30))
+        with pytest.raises(ContractViolation):
+            accept_offer(standard_household, offer)
+
+
 class TestRateHike:
     def test_revenue_neutral(self):
         nonparticipants = [household(hid=f"h{i}", kwh_per_day=10.0 * (i + 1))
                            for i in range(4)]
         incentives = [100.0, 150.0]
-        r = rate_hike(nonparticipants, incentives, cycle_days=30)
+        daily = np.array([h.load.daily_totals() for h in nonparticipants])
+        r = rate_hike(daily, incentives, cycle_days=30)
         collected = sum(
             h.load.daily_totals()[:30].sum() * r for h in nonparticipants
         )
         assert collected == pytest.approx(sum(incentives), rel=1e-12)
 
     def test_zero_incentives(self):
-        assert rate_hike([household()], [], cycle_days=30) == 0.0
+        assert rate_hike(household().load.daily_totals()[None], [], cycle_days=30) == 0.0
 
     def test_degenerate_population(self):
         zero_load = household(load=flat_load(0.0, 30))
         with pytest.raises(DegeneratePopulationError):
-            rate_hike([zero_load], [100.0], cycle_days=30)
+            rate_hike(zero_load.load.daily_totals()[None], [100.0], cycle_days=30)
 
 
 class TestValidation:
