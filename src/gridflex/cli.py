@@ -180,6 +180,9 @@ def cmd_select(args) -> int:
     out = args.out_dir
     community = _load_or_generate(args)
     similarity = _read_similarity(args.similarity_csv, tuple(community.index))
+    if args.days < ScenarioConfig.emergency_day_count:
+        raise InvalidSpecError(f"--days {args.days} is fewer than the "
+                               f"{ScenarioConfig.emergency_day_count} emergency days")
     config = ScenarioConfig(cycle_days=args.days, rng_seed=args.seed,
                             default_incentive=args.incentive,
                             target_reduction_pct=args.reduction)

@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import csv
+import math
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
+from itertools import repeat
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +33,12 @@ FEATURE_COLUMNS = (
     "precipitation",
     "dwelling_size",
 )
+
+# The two CSV schemas read by load_community and written by save_community.
+HOUSEHOLD_COLUMNS = ("id", "neighborhood_id", "county", "baseline_rate", "elasticity",
+                     *FEATURE_COLUMNS)
+LOAD_COLUMNS = ("id", "timestamp_iso8601", "kwh")
+HOUR = timedelta(hours=1)
 
 ELASTICITY_FLOOR = -5.0
 ELASTICITY_CEIL = -0.01
@@ -287,57 +296,132 @@ def generate_community(
     return Community(tuple(households), neighborhoods, county_map)
 
 
+def _rows(path: Path, columns: tuple[str, ...]):
+    """(line number, fields of `columns`) per non-blank row of the CSV at `path`;
+    a missing column or a row of the wrong width raises ValidationError."""
+    with path.open(newline="") as f:
+        reader = csv.reader(f)
+        header = next(reader, [])
+        missing = [c for c in columns if c not in header]
+        if missing:
+            raise ValidationError(f"{path.name}: missing column(s) {', '.join(missing)}")
+        pick = itemgetter(*(header.index(c) for c in columns))
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise ValidationError(f"{path.name} row {reader.line_num}: {len(row)} "
+                                      f"fields, the header has {len(header)}")
+            yield reader.line_num, pick(row)
+
+
+def _number(text: str, where: str, column: str) -> float:
+    """`text` as a finite float; anything else raises ValidationError at `where`."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise ValidationError(f"{where}: {column} {text!r} is not a finite number")
+    return value
+
+
+def _read_loads(path: Path) -> dict[str, LoadSeries]:
+    """Each household's load from the loads CSV. Rows may come in any order, but
+    every household must have one row per hour of one shared timeline."""
+    code: dict[str, int] = {}  # household id -> index, in order of first row
+    hour_of: dict[str, int] = {}  # timestamp string -> hours after `origin`
+    origin = None
+    codes, hours, kwhs, lines = [], [], [], []
+    for line, (hid, stamp, text) in _rows(path, LOAD_COLUMNS):
+        if stamp not in hour_of:
+            try:
+                when = datetime.fromisoformat(stamp)
+                origin = origin or when
+                offset = when - origin
+            except (TypeError, ValueError):
+                raise ValidationError(f"{path.name} row {line}: bad timestamp {stamp!r}") from None
+            if offset % HOUR:
+                raise ValidationError(f"{path.name} row {line}: {stamp} is not a whole "
+                                      f"number of hours after {origin.isoformat()}")
+            hour_of[stamp] = offset // HOUR
+        try:
+            kwh = float(text)
+        except ValueError:
+            kwh = math.nan
+        if not 0 <= kwh < math.inf:
+            raise ValidationError(f"{path.name} row {line}: kwh {text!r} is not a "
+                                  f"finite number >= 0")
+        codes.append(code.setdefault(hid, len(code)))
+        hours.append(hour_of[stamp])
+        kwhs.append(kwh)
+        lines.append(line)
+    if not code:
+        return {}
+    ids = list(code)
+
+    def lacks(j: int, hour: int) -> ValidationError:
+        return ValidationError(f"{path.name}: household {ids[j]} has no row for "
+                               f"{(origin + int(hour) * HOUR).isoformat()}")
+
+    order = np.lexsort((hours, codes))  # by household, then hour; stable
+    household, hour = np.array(codes)[order], np.array(hours)[order]
+    same = household[1:] == household[:-1]
+    step = hour[1:] - hour[:-1]
+    repeats = np.flatnonzero(same & (step == 0))
+    if repeats.size:
+        i = repeats[0]
+        raise ValidationError(f"{path.name} row {lines[order[i + 1]]}: household "
+                              f"{ids[household[i]]} repeats the hour of row {lines[order[i]]}")
+    gaps = np.flatnonzero(same & (step > 1))
+    if gaps.size:
+        raise lacks(household[gaps[0]], hour[gaps[0]] + 1)
+    # Each household's hours are now contiguous; all must match the first's.
+    # Of a pair that differs, the one that lacks the earliest hour is named.
+    first = np.flatnonzero(np.r_[True, ~same])
+    starts, counts = hour[first], np.diff(np.r_[first, hour.size])
+    ends = starts + counts
+    odd = np.flatnonzero((starts != starts[0]) | (counts != counts[0]))
+    if odd.size:
+        j = odd[0]
+        if starts[j] != starts[0]:
+            raise lacks(j if starts[j] > starts[0] else 0, min(starts[j], starts[0]))
+        raise lacks(j if ends[j] < ends[0] else 0, min(ends[j], ends[0]))
+    if counts[0] % HOURS_PER_DAY:
+        raise ValidationError(f"{path.name}: {counts[0]} hourly rows per household "
+                              f"are not a whole number of days")
+    start = origin + int(starts[0]) * HOUR
+    values = np.array(kwhs)[order].reshape(len(ids), counts[0])
+    return {h: LoadSeries(start, v) for h, v in zip(ids, values)}
+
+
 def load_community(households_csv: Path | str, loads_csv: Path | str) -> Community:
-    """Build a Community from the two-file CSV schema (see README)."""
+    """Build a Community from the two-file CSV schema (see README). Malformed
+    input raises ValidationError or ReferentialIntegrityError naming the file
+    and the row, or the household and the hour it lacks."""
     households_csv = Path(households_csv)
-    loads_csv = Path(loads_csv)
-    rows: list[dict[str, str]] = []
-    with households_csv.open(newline="") as f:
-        for row in csv.DictReader(f):
-            rows.append(row)
-
-    loads: dict[str, list[tuple[datetime, float]]] = {}
-    with loads_csv.open(newline="") as f:
-        for lineno, row in enumerate(csv.DictReader(f), start=2):
-            hid = row["id"]
-            kwh = float(row["kwh"])
-            if kwh < 0:
-                raise ValidationError(f"{loads_csv.name} row {lineno}: negative kwh {kwh}")
-            ts = datetime.fromisoformat(row["timestamp_iso8601"])
-            loads.setdefault(hid, []).append((ts, kwh))
-
+    loads = _read_loads(Path(loads_csv))
     households: list[Household] = []
     neighborhoods: dict[str, list[str]] = {}
     counties: dict[str, set[str]] = {}
-    for row in rows:
-        hid = row["id"]
+    row_of: dict[str, int] = {}
+    for line, (hid, nb_id, county, *numbers) in _rows(households_csv, HOUSEHOLD_COLUMNS):
+        where = f"{households_csv.name} row {line}"
+        if hid in row_of:
+            raise ValidationError(f"{where}: household {hid} repeats row {row_of[hid]}")
+        row_of[hid] = line
         if hid not in loads:
-            raise ReferentialIntegrityError(f"household {hid} has no load rows")
-        series = sorted(loads[hid])
-        values = np.array([kwh for _, kwh in series])
-        profile = SocioEconomicProfile(
-            median_income=float(row["median_income"]),
-            unemployment_pct=float(row["unemployment_pct"]),
-            act_score=float(row["act_score"]),
-            college_pct=float(row["college_pct"]),
-            avg_temperature=float(row["avg_temperature"]),
-            precipitation=float(row["precipitation"]),
-            dwelling_size=float(row["dwelling_size"]),
-        )
-        households.append(
-            Household(
-                id=hid,
-                neighborhood_id=row["neighborhood_id"],
-                load=LoadSeries(series[0][0], values),
-                elasticity=float(row["elasticity"]),
-                baseline_rate=float(row["baseline_rate"]),
-                profile=profile,
-            )
-        )
-        neighborhoods.setdefault(row["neighborhood_id"], []).append(hid)
-        counties.setdefault(row["county"], set()).add(row["neighborhood_id"])
-
-    orphans = set(loads) - {h.id for h in households}
+            raise ReferentialIntegrityError(f"{where}: household {hid} has no load rows")
+        rate, elasticity, *features = (_number(text, where, column) for text, column
+                                       in zip(numbers, HOUSEHOLD_COLUMNS[3:]))
+        try:
+            profile = SocioEconomicProfile(**dict(zip(FEATURE_COLUMNS, features)))
+            households.append(Household(hid, nb_id, loads[hid], elasticity, rate, profile))
+        except ValidationError as exc:
+            raise ValidationError(f"{where}: {exc}") from None
+        neighborhoods.setdefault(nb_id, []).append(hid)
+        counties.setdefault(county, set()).add(nb_id)
+    orphans = loads.keys() - row_of.keys()
     if orphans:
         raise ReferentialIntegrityError(f"load rows for unknown households: {sorted(orphans)}")
     return Community(
@@ -356,23 +440,23 @@ def save_community(
     }
     with Path(households_csv).open("w", newline="") as f:
         writer = csv.writer(f)
-        writer.writerow(
-            ["id", "neighborhood_id", "county", "baseline_rate", "elasticity"]
-            + list(FEATURE_COLUMNS)
-        )
+        writer.writerow(HOUSEHOLD_COLUMNS)
         for h in community.households:
             writer.writerow(
                 [h.id, h.neighborhood_id, county_of.get(h.neighborhood_id, "na"),
                  repr(h.baseline_rate), repr(h.elasticity)]
                 + [repr(float(v)) for v in h.profile.as_vector()]
             )
+    stamps: dict[tuple[datetime, int], list[str]] = {}  # (start, hours) -> timestamps
     with Path(loads_csv).open("w", newline="") as f:
         writer = csv.writer(f)
-        writer.writerow(["id", "timestamp_iso8601", "kwh"])
+        writer.writerow(LOAD_COLUMNS)
         for h in community.households:
-            for hour, kwh in enumerate(h.load.values):
-                ts = h.load.start + timedelta(hours=hour)
-                writer.writerow([h.id, ts.isoformat(), repr(float(kwh))])
+            start, size = h.load.start, h.load.values.size
+            if (start, size) not in stamps:
+                stamps[start, size] = [(start + k * HOUR).isoformat() for k in range(size)]
+            writer.writerows(zip(repeat(h.id), stamps[start, size],
+                                 map(repr, h.load.values.tolist())))
 
 
 def normalize_features(community: Community) -> np.ndarray:

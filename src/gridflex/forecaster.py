@@ -101,7 +101,6 @@ def build_model(
     gcn_hidden: int = 32,
     socio_width: int = 7,
     window: int = 24,
-    zero_head: bool = False,
 ) -> PatternModel:
     m = hidden_size
     if m % head_count != 0:
@@ -130,11 +129,7 @@ def build_model(
         parameter(rng, (m + socio_width, gcn_hidden), m + socio_width),
         parameter(rng, (gcn_hidden, gcn_hidden), gcn_hidden),
     ]
-    head_w = (
-        Tensor(np.zeros((gcn_hidden, 1)), requires_grad=True)
-        if zero_head
-        else parameter(rng, (gcn_hidden, 1), gcn_hidden)
-    )
+    head_w = parameter(rng, (gcn_hidden, 1), gcn_hidden)
     head_b = Tensor(np.zeros(1), requires_grad=True)
     return PatternModel(encoder, attention, gcn_weights, head_w, head_b,
                         window=window, socio_width=socio_width)

@@ -22,6 +22,7 @@ from .errors import (
     DomainError,
     InvalidSpecError,
     NumericalError,
+    ReferentialIntegrityError,
     UndefinedMetricError,
 )
 from .forecaster import Hyper, rmsprop_step
@@ -41,22 +42,10 @@ def check_similarity(a: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class SelectionGraph:
-    household_ids: tuple[str, ...]
-    edge_weights: np.ndarray  # (n, n) row-stochastic similarity
-
-    def __post_init__(self):
-        check_similarity(self.edge_weights)
-        if len(self.household_ids) != self.edge_weights.shape[0]:
-            raise DomainError("id count does not match matrix size")
-
-
-@dataclass(frozen=True)
 class SelectionResult:
     household_ids: tuple[str, ...]
     clusters: np.ndarray  # {0, 1} per household
     queried: frozenset[str]
-    true_labels: dict[str, bool]  # only for queried households
     predicted: np.ndarray  # bool per household
     accuracy_pct: float  # over non-queried households
     scores: np.ndarray  # accept probability per household; ones if supervision is degenerate
@@ -68,14 +57,19 @@ def symmetrize(a: np.ndarray) -> np.ndarray:
     return (a + a.T) / 2.0
 
 
+def degree_normalized(a: np.ndarray, deg: np.ndarray) -> np.ndarray:
+    """D^{-1/2} A D^{-1/2} for the degree vector `deg`."""
+    inv_sqrt = 1.0 / np.sqrt(deg)
+    return inv_sqrt[:, None] * a * inv_sqrt[None, :]
+
+
 def normalized_laplacian(a_sym: np.ndarray) -> np.ndarray:
     """L = I - D^{-1/2} A D^{-1/2} for a symmetric non-negative matrix."""
     a_sym = np.asarray(a_sym, dtype=float)
     deg = a_sym.sum(axis=1)
     if np.any(deg <= 0):
         raise DomainError(f"isolated node (zero degree) at index {int(np.argmin(deg))}")
-    inv_sqrt = 1.0 / np.sqrt(deg)
-    lap = np.eye(a_sym.shape[0]) - inv_sqrt[:, None] * a_sym * inv_sqrt[None, :]
+    lap = np.eye(a_sym.shape[0]) - degree_normalized(a_sym, deg)
     return (lap + lap.T) / 2.0  # kill round-off asymmetry
 
 
@@ -144,54 +138,52 @@ def _kmeanspp(points: np.ndarray, clusters: int, rng: np.random.Generator) -> np
     return np.stack(centers).astype(float)
 
 
-def pick_queries(community: Community, clusters: dict[str, int],
-                 fraction: float = 0.05, seed: int = 0) -> frozenset[str]:
-    """Per neighborhood, per cluster: ceil(fraction * stratum size) uniform picks."""
+def pick_queries(community: Community, clusters: np.ndarray,
+                 fraction: float = 0.05, seed: int = 0) -> np.ndarray:
+    """Per neighborhood, per cluster: ceil(fraction * stratum size) uniform
+    picks from the stratum's rows in id order. Returns the picked rows, sorted."""
+    if not 0 < fraction <= 1:
+        raise InvalidSpecError(f"query fraction must lie in (0, 1], got {fraction}")
     rng = np.random.default_rng(seed)
-    picked: list[str] = []
+    picked: list[int] = []
     for nb_id in sorted(community.neighborhoods):
-        members = community.neighborhoods[nb_id]
-        for cluster in sorted({clusters[m] for m in members}):
-            stratum = sorted(m for m in members if clusters[m] == cluster)
-            count = int(np.ceil(fraction * len(stratum)))
+        rows = np.array([community.index[m] for m in sorted(community.neighborhoods[nb_id])])
+        for cluster in sorted(set(clusters[rows].tolist())):
+            stratum = rows[clusters[rows] == cluster]
+            count = int(np.ceil(fraction * stratum.size))
             picked.extend(rng.choice(stratum, size=count, replace=False))
-    return frozenset(picked)
+    return np.sort(np.array(picked, dtype=int))
 
 
-def classify(graph: SelectionGraph, labeled: dict[str, bool],
+def classify(a_sym: np.ndarray, labeled_rows: np.ndarray, accept: np.ndarray,
              hyper: Hyper | None = None, seed: int = 0,
              gcn_hidden: int = 32) -> tuple[np.ndarray, np.ndarray]:
     """Semi-supervised two-layer GCN node classification without node features.
 
+    `labeled_rows` are sorted rows of `a_sym` whose labels `accept` are known.
     With identity features (Kipf & Welling 2017) layer 1 is relu(Â W1), so no
     identity is built. Returns (predicted bool labels, accept probabilities of
-    the last epoch's forward pass); labeled nodes keep their given labels."""
+    the last epoch's forward pass); labeled rows keep their given labels."""
     hyper = hyper or Hyper()
     if hyper.epochs < 1:
         raise InvalidSpecError(f"classifier needs >= 1 epoch, got {hyper.epochs}")
-    if set(labeled.values()) != {True, False}:
+    if accept.all() or not accept.any():
         raise DegenerateSupervisionError("need at least one labeled example per class")
-    n = len(graph.household_ids)
-    idx = {hid: i for i, hid in enumerate(graph.household_ids)}
-    labeled_idx = np.array(sorted(idx[h] for h in labeled))
-    accept = np.array([labeled[graph.household_ids[i]] for i in labeled_idx])
+    n = a_sym.shape[0]
     targets = np.stack([~accept, accept], axis=1).astype(float)
-
     # Â = D^-1/2 (A_sym + I) D^-1/2, once per call.
-    adj = symmetrize(graph.edge_weights)
-    inv_sqrt = 1.0 / np.sqrt(adj.sum(axis=1) + 1.0)
-    norm = (adj + np.eye(n)) * inv_sqrt[:, None] * inv_sqrt[None, :]
+    norm = degree_normalized(a_sym + np.eye(n), a_sym.sum(axis=1) + 1.0)
 
     rng = np.random.default_rng(seed)
     weights = [parameter(rng, (n, gcn_hidden), n).data,
                parameter(rng, (gcn_hidden, 2), gcn_hidden).data]
     caches = [np.zeros_like(w) for w in weights]
     for _epoch in range(hyper.epochs):
-        _loss, probs, grads = _gcn_epoch(norm, *weights, labeled_idx, targets)
+        _loss, probs, grads = _gcn_epoch(norm, *weights, labeled_rows, targets)
         for w, g, c in zip(weights, grads, caches):
             rmsprop_step(w, g, c, hyper)
     predicted = probs.argmax(axis=1).astype(bool)
-    predicted[labeled_idx] = accept
+    predicted[labeled_rows] = accept
     return predicted, probs[:, 1]
 
 
@@ -232,45 +224,38 @@ def inject_noise(a: np.ndarray, level_pct: float, seed: int = 0) -> np.ndarray:
     return noisy / noisy.sum(axis=1, keepdims=True)
 
 
-def evaluate_accuracy(predicted: dict[str, bool], truth: dict[str, bool],
-                      queried: frozenset[str]) -> float:
-    """Percent agreement over non-queried households."""
-    evaluated = [h for h in truth if h not in queried]
-    if not evaluated:
+def evaluate_accuracy(predicted: np.ndarray, truth: np.ndarray,
+                      queried_rows: np.ndarray) -> float:
+    """Percent agreement of two bool arrays over the rows not queried."""
+    rows = np.delete(np.arange(truth.size), queried_rows)
+    if not rows.size:
         raise UndefinedMetricError("no non-queried households to evaluate")
-    correct = sum(predicted[h] == truth[h] for h in evaluated)
-    return 100.0 * correct / len(evaluated)
+    return float(100.0 * np.count_nonzero(predicted[rows] == truth[rows]) / rows.size)
 
 
 def run_selection(community: Community, similarity: np.ndarray,
                   truth: dict[str, bool], seed: int = 0,
                   fraction: float = 0.05, hyper: Hyper | None = None) -> SelectionResult:
     """Full selection pipeline: spectral clustering, stratified query, GCN labeling."""
-    ids = tuple(h.id for h in community.households)
-    similarity = check_similarity(similarity)
-    a_sym = symmetrize(similarity)
-    lap = normalized_laplacian(a_sym)
-    embed = spectral_embed(lap, k=2)
-    cluster_arr = kmeans(embed, clusters=2, seed=seed)
-    clusters = {hid: int(c) for hid, c in zip(ids, cluster_arr)}
+    if truth.keys() != community.index.keys():
+        raise ReferentialIntegrityError("truth ids do not match the community's households")
+    labels = np.array([truth[hid] for hid in community.index], dtype=bool)
+    a_sym = symmetrize(check_similarity(similarity))
+    clusters = kmeans(spectral_embed(normalized_laplacian(a_sym), k=2), clusters=2, seed=seed)
     queried = pick_queries(community, clusters, fraction=fraction, seed=seed)
-    labeled = {hid: truth[hid] for hid in queried}
-    graph = SelectionGraph(ids, similarity)
     try:
-        predicted_arr, scores = classify(graph, labeled, hyper=hyper, seed=seed)
+        predicted, scores = classify(a_sym, queried, labels[queried], hyper=hyper, seed=seed)
     except DegenerateSupervisionError:
         # All queried households answered alike: predict that label everywhere.
-        predicted_arr = np.full(len(ids), next(iter(labeled.values())), dtype=bool)
-        scores = np.ones(len(ids))
-    predicted = {hid: bool(p) for hid, p in zip(ids, predicted_arr)}
-    accuracy = evaluate_accuracy(predicted, truth, queried)
+        predicted = np.full(labels.size, labels[queried[0]])
+        scores = np.ones(labels.size)
+    ids = tuple(community.index)
     return SelectionResult(
         household_ids=ids,
-        clusters=cluster_arr,
-        queried=queried,
-        true_labels=labeled,
-        predicted=predicted_arr,
-        accuracy_pct=accuracy,
+        clusters=clusters,
+        queried=frozenset(ids[i] for i in queried),
+        predicted=predicted,
+        accuracy_pct=evaluate_accuracy(predicted, labels, queried),
         scores=scores,
     )
 

@@ -1,5 +1,6 @@
 """Population model: validation, synthetic generation, CSV roundtrip, feature scaling."""
 
+import random
 from datetime import datetime
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gridflex import community as community_module
 from gridflex.community import (
     ELASTICITY_CEIL,
     ELASTICITY_FLOOR,
@@ -23,8 +25,10 @@ from gridflex.community import (
     save_community,
 )
 from gridflex.errors import (
+    GridflexError,
     InsufficientPopulationError,
     InvalidSpecError,
+    ReferentialIntegrityError,
     ValidationError,
 )
 from tests.conftest import START, community_of, household, profile
@@ -193,10 +197,183 @@ class TestCsvRoundtrip:
         lines = (tmp_path / "loads.csv").read_text().splitlines(keepends=True)
         keep = [lines[0]] + [ln for ln in lines[1:] if ln.startswith("c00-n00-h000")]
         (tmp_path / "loads.csv").write_text("".join(keep))
-        from gridflex.errors import ReferentialIntegrityError
-
         with pytest.raises(ReferentialIntegrityError):
             load_community(tmp_path / "hh.csv", tmp_path / "loads.csv")
+
+
+def assert_same_community(a: Community, b: Community) -> None:
+    assert [h.id for h in a.households] == [h.id for h in b.households]
+    assert a.neighborhoods == b.neighborhoods and a.counties == b.counties
+    for x, y in zip(a.households, b.households):
+        assert (x.neighborhood_id, x.elasticity, x.baseline_rate, x.profile) == (
+            y.neighborhood_id, y.elasticity, y.baseline_rate, y.profile)
+        assert x.load.start == y.load.start
+        np.testing.assert_array_equal(x.load.values, y.load.values)
+
+
+class TestCsvValidation:
+    """Malformed files fail in load_community with an error naming the file
+    and the row, or the household and the hour it lacks."""
+
+    @pytest.fixture
+    def saved(self, tmp_path):
+        """A 3-household, 3-day population saved to hh.csv and loads.csv."""
+        original = generate_community(1, 1, 3, seed=4, days=3)
+        save_community(original, tmp_path / "hh.csv", tmp_path / "loads.csv")
+        return original, tmp_path / "hh.csv", tmp_path / "loads.csv"
+
+    @staticmethod
+    def rows(path):
+        lines = path.read_text().splitlines(keepends=True)
+        return lines[0], lines[1:]
+
+    @staticmethod
+    def edit(path, header, rows):
+        path.write_text(header + "".join(rows))
+
+    def test_rows_in_any_order(self, saved):
+        original, hh, loads = saved
+        header, rows = self.rows(loads)
+        random.Random(0).shuffle(rows)
+        self.edit(loads, header, rows)
+        assert_same_community(load_community(hh, loads), original)
+
+    def test_missing_household_column(self, saved):
+        _, hh, loads = saved
+        header, rows = self.rows(hh)
+        assert header.rstrip("\n").endswith(",dwelling_size")
+        cut = [line.rsplit(",", 1)[0] + "\n" for line in [header, *rows]]
+        self.edit(hh, cut[0], cut[1:])
+        with pytest.raises(ValidationError, match="hh.csv: missing column.*dwelling_size"):
+            load_community(hh, loads)
+
+    def test_non_numeric_kwh(self, saved):
+        _, hh, loads = saved
+        header, rows = self.rows(loads)
+        rows[4] = rows[4].rsplit(",", 1)[0] + ",lots\n"
+        self.edit(loads, header, rows)
+        with pytest.raises(ValidationError, match="loads.csv row 6: kwh 'lots'"):
+            load_community(hh, loads)
+
+    def test_non_numeric_household_field(self, saved):
+        _, hh, loads = saved
+        header, rows = self.rows(hh)
+        rows[1] = rows[1].replace(rows[1].split(",")[3], "cheap", 1)
+        self.edit(hh, header, rows)
+        with pytest.raises(ValidationError, match="hh.csv row 3: baseline_rate 'cheap'"):
+            load_community(hh, loads)
+
+    def test_bad_timestamp(self, saved):
+        _, hh, loads = saved
+        header, rows = self.rows(loads)
+        hid, _, kwh = rows[7].split(",")
+        rows[7] = f"{hid},yesterday,{kwh}"
+        self.edit(loads, header, rows)
+        with pytest.raises(ValidationError, match="loads.csv row 9: bad timestamp 'yesterday'"):
+            load_community(hh, loads)
+
+    def test_household_shifted_by_a_day(self, saved):
+        original, hh, loads = saved
+        header, rows = self.rows(loads)
+        shifted = original.households[1].id
+        rows = [r.replace("2014-09-0", "2014-09-1") if r.startswith(shifted) else r
+                for r in rows]
+        self.edit(loads, header, rows)
+        with pytest.raises(ValidationError,
+                           match=f"loads.csv: household {shifted} has no row for "
+                                 "2014-09-01T00:00:00"):
+            load_community(hh, loads)
+
+    def test_duplicated_hour_and_dropped_hour(self, saved):
+        original, hh, loads = saved
+        header, rows = self.rows(loads)
+        # Row 12 (hour 10 of the first household) replaces the row of hour 11.
+        rows[10] = rows[9]
+        self.edit(loads, header, rows)
+        with pytest.raises(ValidationError,
+                           match=f"loads.csv row 12: household {original.households[0].id} "
+                                 "repeats the hour of row 11"):
+            load_community(hh, loads)
+
+    def test_dropped_day(self, saved):
+        original, hh, loads = saved
+        header, rows = self.rows(loads)
+        dropped = original.households[2].id
+        rows = [r for r in rows if not (r.startswith(dropped) and "2014-09-01T" in r)]
+        self.edit(loads, header, rows)
+        with pytest.raises(ValidationError,
+                           match=f"loads.csv: household {dropped} has no row for "
+                                 "2014-09-01T00:00:00"):
+            load_community(hh, loads)
+
+    def test_dropped_last_day_of_every_household_is_a_shorter_population(self, saved):
+        original, hh, loads = saved
+        header, rows = self.rows(loads)
+        self.edit(loads, header, [r for r in rows if "2014-09-03T" not in r])
+        assert load_community(hh, loads).daily.shape == (3, 2)
+
+    def test_short_row(self, saved):
+        _, hh, loads = saved
+        header, rows = self.rows(loads)
+        rows[0] = rows[0].rsplit(",", 1)[0] + "\n"
+        self.edit(loads, header, rows)
+        with pytest.raises(ValidationError, match="loads.csv row 2: 2 fields"):
+            load_community(hh, loads)
+
+    def test_duplicate_household_row(self, saved):
+        _, hh, loads = saved
+        header, rows = self.rows(hh)
+        self.edit(hh, header, rows + rows[:1])
+        with pytest.raises(ValidationError, match="hh.csv row 5: .* repeats row 2"):
+            load_community(hh, loads)
+
+    def test_parses_each_distinct_timestamp_once(self, saved, monkeypatch):
+        _, hh, loads = saved
+        calls = []
+
+        class Counting(datetime):
+            @classmethod
+            def fromisoformat(cls, text):
+                calls.append(text)
+                return datetime.fromisoformat(text)
+
+        monkeypatch.setattr(community_module, "datetime", Counting)
+        load_community(hh, loads)
+        assert len(calls) == len(set(calls)) == 3 * 24
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_mutated_rows_load_the_original_or_raise_a_typed_error(self, tmp_path_factory,
+                                                                   data):
+        tmp = tmp_path_factory.mktemp("mutated")
+        original = generate_community(1, 1, 3, seed=4, days=2)
+        hh, loads = tmp / "hh.csv", tmp / "loads.csv"
+        save_community(original, hh, loads)
+        header, rows = self.rows(loads)
+        kind = data.draw(st.sampled_from(["none", "drop", "duplicate", "shift", "garble"]))
+        picks = data.draw(st.lists(st.integers(0, len(rows) - 1), min_size=1, max_size=4,
+                                   unique=True))
+        if kind == "drop":
+            rows = [r for k, r in enumerate(rows) if k not in picks]
+        elif kind == "duplicate":
+            rows += [rows[k] for k in picks]
+        elif kind == "shift":
+            hid, stamp, kwh = rows[picks[0]].split(",")
+            hours = data.draw(st.integers(-30, 30).filter(bool))
+            moved = datetime.fromisoformat(stamp) + hours * community_module.HOUR
+            rows[picks[0]] = f"{hid},{moved.isoformat()},{kwh}"
+        elif kind == "garble":
+            fields = rows[picks[0]].rstrip("\n").split(",")
+            fields[data.draw(st.integers(0, 2))] = data.draw(st.sampled_from(["", "x", "-1"]))
+            rows[picks[0]] = ",".join(fields) + "\n"
+        rows = data.draw(st.permutations(rows))
+        self.edit(loads, header, rows)
+        try:
+            restored = load_community(hh, loads)
+        except GridflexError:
+            assert kind != "none"
+        else:
+            assert_same_community(restored, original)
 
 
 class TestNormalizeFeatures:

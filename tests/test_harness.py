@@ -403,6 +403,14 @@ class TestCli:
         reversed_ = self._select(tmp_path, "reversed", ids[::-1], matrix[::-1, ::-1])
         assert reversed_ == original
 
+    def test_select_names_days_fewer_than_the_emergency_days(self, tmp_path):
+        ids = tuple(generate_community(1, 1, 4, seed=0, days=2).index)
+        path = tmp_path / "sim.csv"
+        _write_similarity(path, ids, np.full((4, 4), 0.25))
+        with pytest.raises(InvalidSpecError, match="--days 2 .* 3 emergency days"):
+            main(["select", "--counties", "1", "--households", "4", "--days", "2",
+                  "--similarity-csv", str(path), "--out-dir", str(tmp_path / "out")])
+
     def test_select_rejects_unknown_similarity_id(self, tmp_path):
         ids, matrix = self._similarity()
         with pytest.raises(ReferentialIntegrityError):

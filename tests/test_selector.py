@@ -2,6 +2,7 @@
 stratified querying, semi-supervised classification, noise injection."""
 
 import csv
+import hashlib
 import itertools
 
 import numpy as np
@@ -9,20 +10,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gridflex import harness, selector
 from gridflex.autodiff import Tensor, parameter
 from gridflex.errors import (
     DegenerateClusteringError,
     DegenerateSupervisionError,
     DomainError,
     InvalidSpecError,
+    ReferentialIntegrityError,
     UndefinedMetricError,
 )
 from gridflex.forecaster import Hyper, gcn_layer
 from gridflex.selector import (
-    SelectionGraph,
     _gcn_epoch,
     check_similarity,
     classify,
+    degree_normalized,
     evaluate_accuracy,
     export_selection,
     inject_noise,
@@ -48,17 +51,13 @@ def two_block_similarity(sizes, rng, in_w=1.0, out_w=0.05):
     return row_normalize(base), labels
 
 
-def reference_classify(graph: SelectionGraph, labeled: dict[str, bool],
+def reference_classify(adj: np.ndarray, labeled_idx: np.ndarray, accept: np.ndarray,
                        hyper: Hyper, seed: int = 0, gcn_hidden: int = 32):
     """The classifier as Tensor ops on one-hot features: the reference for the
-    fused `classify`."""
-    n = len(graph.household_ids)
-    idx = {hid: i for i, hid in enumerate(graph.household_ids)}
-    labeled_idx = np.array(sorted(idx[h] for h in labeled))
+    fused `classify`. `adj` is symmetric; `labeled_idx` is sorted."""
+    n = adj.shape[0]
     y = np.zeros(n, dtype=int)
-    for hid, accept in labeled.items():
-        y[idx[hid]] = int(accept)
-    adj = symmetrize(graph.edge_weights)
+    y[labeled_idx] = accept
     rng = np.random.default_rng(seed)
     params = [parameter(rng, (n, gcn_hidden), n),
               parameter(rng, (gcn_hidden, 2), gcn_hidden)]
@@ -136,6 +135,13 @@ class TestLaplacian:
         a[0, 1] = a[1, 0] = 1.0
         with pytest.raises(DomainError):
             normalized_laplacian(a)
+
+    def test_degree_normalized_is_the_explicit_product(self):
+        rng = np.random.default_rng(12)
+        a = symmetrize(rng.uniform(0.1, 1.0, (5, 5)))
+        deg = a.sum(axis=1)
+        d = np.diag(1.0 / np.sqrt(deg))
+        np.testing.assert_allclose(degree_normalized(a, deg), d @ a @ d, rtol=1e-14)
 
     def test_zero_eigenvalue_always_present(self):
         rng = np.random.default_rng(1)
@@ -225,16 +231,17 @@ class TestPickQueries:
         # 50 households, clusters split 30/20: ceil(1.5) + ceil(1.0) = 3.
         hs = [household(f"h{i:02d}") for i in range(50)]
         community = community_of(hs)
-        clusters = {h.id: (0 if i < 30 else 1) for i, h in enumerate(hs)}
+        clusters = np.array([0 if i < 30 else 1 for i in range(50)])
         picked = pick_queries(community, clusters, fraction=0.05, seed=0)
         assert len(picked) == 3
+        assert list(picked) == sorted(picked)
         assert sum(clusters[p] == 0 for p in picked) == 2
         assert sum(clusters[p] == 1 for p in picked) == 1
 
     def test_stratified_across_neighborhoods(self):
         hs = [household(f"h{i:02d}", neighborhood_id=f"n{i % 2}") for i in range(40)]
         community = community_of(hs)
-        clusters = {h.id: (i // 2) % 2 for i, h in enumerate(hs)}
+        clusters = np.array([(i // 2) % 2 for i in range(40)])
         # 2 neighborhoods x 2 clusters, 10 each: ceil(0.5) = 1 per stratum.
         picked = pick_queries(community, clusters, fraction=0.05, seed=1)
         assert len(picked) == 4
@@ -242,20 +249,48 @@ class TestPickQueries:
     def test_deterministic(self):
         hs = [household(f"h{i:02d}") for i in range(20)]
         community = community_of(hs)
-        clusters = {h.id: i % 2 for i, h in enumerate(hs)}
-        assert pick_queries(community, clusters, seed=3) == pick_queries(
-            community, clusters, seed=3
-        )
+        clusters = np.arange(20) % 2
+        np.testing.assert_array_equal(pick_queries(community, clusters, seed=3),
+                                      pick_queries(community, clusters, seed=3))
+
+    @settings(max_examples=40, deadline=None)
+    @given(sizes=st.lists(st.integers(1, 9), min_size=1, max_size=4),
+           fraction=st.sampled_from((0.05, 0.1, 0.5, 1.0)), seed=st.integers(0, 2**32 - 1))
+    def test_rows_match_drawing_over_ids(self, sizes, fraction, seed):
+        # Rows listed out of id order: each stratum is still drawn over its
+        # ids in sorted order, as the id-keyed selector did.
+        rng = np.random.default_rng(seed)
+        ids = iter(rng.permutation(40))
+        hs = [household(f"h{next(ids):02d}", neighborhood_id=f"n{nb}")
+              for nb, size in enumerate(sizes) for _ in range(size)]
+        community = community_of(hs)
+        clusters = rng.integers(0, 2, len(hs))
+        draws = np.random.default_rng(seed)
+        expected = []
+        for nb_id in sorted(community.neighborhoods):
+            members = community.neighborhoods[nb_id]
+            cluster_of = {m: clusters[community.index[m]] for m in members}
+            for cluster in sorted(set(cluster_of.values())):
+                stratum = sorted(m for m in members if cluster_of[m] == cluster)
+                count = int(np.ceil(fraction * len(stratum)))
+                expected.extend(draws.choice(stratum, size=count, replace=False))
+        picked = pick_queries(community, clusters, fraction=fraction, seed=seed)
+        assert sorted(community.index[h] for h in expected) == list(picked)
+
+    @pytest.mark.parametrize("fraction", [0.0, -0.1, 1.5])
+    def test_rejects_fraction_outside_unit_interval(self, fraction):
+        community = community_of([household(f"h{i}") for i in range(4)])
+        with pytest.raises(InvalidSpecError):
+            pick_queries(community, np.arange(4) % 2, fraction=fraction)
 
 
 class TestClassify:
     def test_block_similarity_recovered(self):
         rng = np.random.default_rng(6)
         a, labels = two_block_similarity((8, 8), rng)
-        ids = tuple(f"h{i:02d}" for i in range(16))
-        graph = SelectionGraph(ids, a)
-        labeled = {ids[0]: True, ids[1]: True, ids[8]: False, ids[9]: False}
-        predicted, probs = classify(graph, labeled, Hyper(epochs=100), seed=0)
+        predicted, probs = classify(symmetrize(a), np.array([0, 1, 8, 9]),
+                                    np.array([True, True, False, False]),
+                                    Hyper(epochs=100), seed=0)
         expected = labels == 0
         np.testing.assert_array_equal(predicted, expected)
         assert probs.shape == (16,)
@@ -264,24 +299,22 @@ class TestClassify:
     def test_labeled_nodes_keep_labels(self):
         rng = np.random.default_rng(7)
         a, _ = two_block_similarity((5, 5), rng, out_w=0.9)  # weak structure
-        ids = tuple(f"h{i}" for i in range(10))
-        labeled = {ids[0]: True, ids[5]: False}
-        predicted, _ = classify(SelectionGraph(ids, a), labeled,
+        predicted, _ = classify(symmetrize(a), np.array([0, 5]), np.array([True, False]),
                                 Hyper(epochs=5), seed=0)
         assert predicted[0] == True  # noqa: E712
         assert predicted[5] == False  # noqa: E712
 
     def test_one_sided_supervision_rejected(self):
         a = row_normalize(np.ones((4, 4)))
-        ids = ("a", "b", "c", "d")
         with pytest.raises(DegenerateSupervisionError):
-            classify(SelectionGraph(ids, a), {"a": True, "b": True})
+            classify(a, np.array([0, 1]), np.array([True, True]))
+        with pytest.raises(DegenerateSupervisionError):
+            classify(a, np.array([0, 1]), np.array([False, False]))
 
     def test_zero_epochs_rejected(self):
         a = row_normalize(np.ones((4, 4)))
-        graph = SelectionGraph(("a", "b", "c", "d"), a)
         with pytest.raises(InvalidSpecError):
-            classify(graph, {"a": True, "b": False}, Hyper(epochs=0))
+            classify(a, np.array([0, 1]), np.array([True, False]), Hyper(epochs=0))
 
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(2, 12), hidden=st.integers(1, 8), epochs=st.integers(1, 30),
@@ -289,14 +322,12 @@ class TestClassify:
     def test_fused_matches_autodiff_reference(self, n, hidden, epochs, learning_rate,
                                               seed):
         rng = np.random.default_rng(seed)
-        ids = tuple(f"h{i}" for i in range(n))
-        graph = SelectionGraph(ids, row_normalize(rng.uniform(0.0, 1.0, (n, n)) + 1e-3))
-        chosen = rng.choice(n, size=int(rng.integers(2, n + 1)), replace=False)
-        answers = [True, False] + list(rng.random(chosen.size - 2) < 0.5)
-        labeled = {ids[i]: bool(a) for i, a in zip(chosen, answers)}
+        a_sym = symmetrize(row_normalize(rng.uniform(0.0, 1.0, (n, n)) + 1e-3))
+        chosen = np.sort(rng.choice(n, size=int(rng.integers(2, n + 1)), replace=False))
+        accept = rng.permutation([True, False] + list(rng.random(chosen.size - 2) < 0.5))
         hyper = Hyper(epochs=epochs, learning_rate=learning_rate)
-        predicted, probs = classify(graph, labeled, hyper, seed=seed, gcn_hidden=hidden)
-        ref_predicted, ref_probs = reference_classify(graph, labeled, hyper, seed=seed,
+        predicted, probs = classify(a_sym, chosen, accept, hyper, seed=seed, gcn_hidden=hidden)
+        ref_predicted, ref_probs = reference_classify(a_sym, chosen, accept, hyper, seed=seed,
                                                       gcn_hidden=hidden)
         np.testing.assert_allclose(probs, ref_probs, rtol=0, atol=1e-12)
         np.testing.assert_array_equal(predicted, ref_predicted)
@@ -355,15 +386,16 @@ class TestInjectNoise:
 
 class TestEvaluateAccuracy:
     def test_arithmetic(self):
-        truth = {"a": True, "b": False, "c": True, "d": False}
-        predicted = {"a": True, "b": True, "c": True, "d": False}
-        acc = evaluate_accuracy(predicted, truth, queried=frozenset({"a"}))
+        truth = np.array([True, False, True, False])
+        predicted = np.array([True, True, True, False])
+        acc = evaluate_accuracy(predicted, truth, queried_rows=np.array([0]))
         assert acc == pytest.approx(100.0 * 2 / 3)
+        assert evaluate_accuracy(predicted, truth, np.array([], dtype=int)) == 75.0
 
     def test_all_queried_rejected(self):
-        truth = {"a": True}
+        truth = np.array([True])
         with pytest.raises(UndefinedMetricError):
-            evaluate_accuracy({"a": True}, truth, queried=frozenset({"a"}))
+            evaluate_accuracy(truth, truth, queried_rows=np.array([0]))
 
 
 class TestRunSelection:
@@ -396,9 +428,63 @@ class TestRunSelection:
         hyper = Hyper(epochs=30)
         result = run_selection(community, similarity, truth, seed=2, fraction=0.1,
                                hyper=hyper)
-        graph = SelectionGraph(result.household_ids, similarity)
-        _, probs = classify(graph, result.true_labels, hyper, seed=2)
+        rows = np.array(sorted(community.index[h] for h in result.queried))
+        accept = np.array([truth[result.household_ids[i]] for i in rows])
+        _, probs = classify(symmetrize(similarity), rows, accept, hyper, seed=2)
         np.testing.assert_array_equal(result.scores, probs)
+
+    def test_validates_and_symmetrizes_once(self, monkeypatch):
+        community, similarity, truth = self._fixture(seed=4)
+        calls = {"check_similarity": 0, "symmetrize": 0}
+        for name in calls:
+            original = getattr(selector, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(selector, name, counted)
+        run_selection(community, similarity, truth, seed=4, fraction=0.1,
+                      hyper=Hyper(epochs=5))
+        assert calls == {"check_similarity": 1, "symmetrize": 1}
+
+    def test_truth_must_match_the_community(self):
+        community, similarity, truth = self._fixture()
+        missing = dict(list(truth.items())[1:])
+        with pytest.raises(ReferentialIntegrityError):
+            run_selection(community, similarity, missing)
+        with pytest.raises(ReferentialIntegrityError):
+            run_selection(community, similarity, {**truth, "stranger": True})
+
+    # sha256 of (clusters as int64, sorted queried ids joined by newlines,
+    # predicted as bool) for planted seeds 2 and 3 at noise 0% and 50%, as
+    # the id-keyed selector computed them.
+    GOLDEN = {
+        (2, 0.0): "df3f3c0d5ef75751d1ef4f63c551667c80d20e84db4a95cdaee7dde3d8f39289",
+        (2, 50.0): "3c81de312eb5ff87b7ae286977307329c6151548c3f2a72dbff91ea5c6d73768",
+        (3, 0.0): "2e68997bf09331ac957e71d1f38bac461965401c54d746e2e5e7e7b2eff0673e",
+        (3, 50.0): "563362614af599dcecccd4fa7e10f2062a148b4c4c60092217789a487ef12078",
+    }
+
+    @pytest.mark.parametrize("seed", [2, 3])
+    def test_planted_selections_match_golden_digests(self, seed):
+        spec = harness.PlantedSpec()
+        community = harness.planted_community(spec, seed)
+        rng = np.random.default_rng(seed + 10_000)
+        days = tuple(sorted(int(d) for d in rng.choice(spec.community.days, size=3,
+                                                       replace=False)))
+        truth = harness.oracle_truth(community, spec.incentive, spec.reduction_pct, days,
+                                     spec.community.days)
+        clean = harness.label_similarity(truth, tuple(community.index), seed,
+                                         spec.in_weight, spec.out_weight, spec.jitter)
+        for level in (0.0, 50.0):
+            noisy = inject_noise(clean, level, seed=seed + 20_000)
+            result = run_selection(community, noisy, truth, seed=seed, fraction=0.10)
+            digest = hashlib.sha256()
+            digest.update(np.asarray(result.clusters, dtype=np.int64).tobytes())
+            digest.update("\n".join(sorted(result.queried)).encode())
+            digest.update(np.asarray(result.predicted, dtype=bool).tobytes())
+            assert digest.hexdigest() == self.GOLDEN[seed, level], level
 
     def test_degenerate_supervision_scores_all_ones(self):
         community, similarity, truth = self._fixture(seed=3)
