@@ -1,5 +1,6 @@
 """Population model: validation, synthetic generation, CSV roundtrip, feature scaling."""
 
+import hashlib
 import random
 from datetime import datetime
 
@@ -189,6 +190,16 @@ class TestCsvRoundtrip:
                 a.profile.as_vector(), b.profile.as_vector()
             )
         assert restored.counties.keys() == original.counties.keys()
+
+    def test_saved_bytes_are_pinned(self, tmp_path):
+        """sha256 of both files as the per-household population model wrote them."""
+        save_community(generate_community(2, 1, 6, seed=3, days=4),
+                       tmp_path / "hh.csv", tmp_path / "loads.csv")
+        assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                for name in ("hh.csv", "loads.csv")} == {
+            "hh.csv": "6c09941e4533724e2045f4086b5908af4f6efa44230d8625fe7028fcd876dd93",
+            "loads.csv": "af92fabd898011a259e5008a6d4309541f4869c19fc18473d128f01e04772b65",
+        }
 
     def test_load_rejects_missing_load_rows(self, tmp_path):
         c = generate_community(1, 1, 2, seed=0, days=1)

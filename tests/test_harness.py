@@ -251,6 +251,36 @@ def test_incentive_sweep_bytes_are_pinned(tmp_path, seed, incentive):
     assert digest == GOLDEN_DIGESTS[seed, incentive]
 
 
+# sha256 of the files `gridflex run` writes for criterion 12's config at two
+# seeds, as the per-household population model wrote them.
+RUN_GOLDEN_DIGESTS = {
+    0: {"offers.csv": "aed2e6881272ff5d567d6687d29ff6446f6981dee5d472eb266d3936b9dcd8d1",
+        "report.json": "6f95c633e127af8d3167188316bee6e9d58676cd3160ff2014aa80e079d79b11",
+        "similarity.csv": "275a655ee0ae81c95b65bf59cc47750aa558fa3477e6b7f66cadf014aad44c3c"},
+    3: {"offers.csv": "9a3b090628795d28eee3f70cd4311948e59c1e70962a9669bcbd16db99937d43",
+        "report.json": "a2b6e572ab1fed98960ba24503a51045c99e76ce3aa6acab4e76837dcb3c1d9f",
+        "similarity.csv": "7d281c534a82f4fe9fa443173bd8fe6676b060b352bbf4a9068a239ba2f48a06"},
+}
+
+
+@pytest.mark.parametrize("seed", sorted(RUN_GOLDEN_DIGESTS))
+def test_run_bytes_are_pinned(tmp_path, seed):
+    """A change to how the population is held must leave every file of a run
+    byte for byte as it was."""
+    config = {
+        "scenario": {"cycle_days": 8, "emergency_day_count": 2, "rng_seed": seed},
+        "community": {"counties": 1, "households_per_neighborhood": 10, "days": 8},
+        "hyper": {"epochs": 2, "batch_size": 4},
+        "hidden_size": 4, "head_count": 2, "stride": 12,
+    }
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(tmp_path / "config.json"), "--out-dir", str(out)]) == 0
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+               for name in RUN_GOLDEN_DIGESTS[seed]}
+    assert digests == RUN_GOLDEN_DIGESTS[seed]
+
+
 def test_reduction_sweep_is_free_of_hash_order():
     """The sweep's raw floats do not depend on the order in which Python
     iterates a set of ids, which PYTHONHASHSEED changes."""
