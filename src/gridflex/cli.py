@@ -117,6 +117,14 @@ def _fits(value, hint) -> bool:
     return isinstance(value, hint) and not isinstance(value, bool)
 
 
+def _read_json(path: Path):
+    """The file's JSON value; malformed JSON raises InvalidSpecError naming the spot."""
+    try:
+        return json.loads(path.read_text())
+    except json.JSONDecodeError as e:
+        raise InvalidSpecError(f"{path.name} line {e.lineno} column {e.colno}: {e.msg}") from None
+
+
 def _from_json(cls, raw, where: str, sections: tuple[str, ...] = (), **given):
     """`cls` from the JSON object `raw`, its lists made tuples. The caller sets
     the fields in `given` and reads the nested objects under `sections` itself.
@@ -163,7 +171,7 @@ def cmd_train(args) -> int:
                         head_count=args.heads, socio_width=data.socio.shape[1])
     result = train(model, data, hyper)
     similarity = similarity_matrix(model, data)
-    _write_similarity(out / "similarity.csv", tuple(community.index), similarity)
+    _write_similarity(out / "similarity.csv", community.ids, similarity)
     rows_to_csv(
         [{"epoch": i, "train_mse": t, "val_mse": v}
          for i, (t, v) in enumerate(zip(result.train_mse, result.val_mse))],
@@ -179,10 +187,11 @@ def cmd_train(args) -> int:
 def cmd_select(args) -> int:
     out = args.out_dir
     community = _load_or_generate(args)
-    similarity = _read_similarity(args.similarity_csv, tuple(community.index))
-    if args.days < ScenarioConfig.emergency_day_count:
-        raise InvalidSpecError(f"--days {args.days} is fewer than the "
-                               f"{ScenarioConfig.emergency_day_count} emergency days")
+    similarity = _read_similarity(args.similarity_csv, community.ids)
+    fewest, most = ScenarioConfig.emergency_day_count, community.daily.shape[1]
+    if not fewest <= args.days <= most:
+        raise InvalidSpecError(f"--days {args.days} must lie between the {fewest} emergency "
+                               f"days and the {most} days the loads cover")
     config = ScenarioConfig(cycle_days=args.days, rng_seed=args.seed,
                             default_incentive=args.incentive,
                             target_reduction_pct=args.reduction)
@@ -199,7 +208,7 @@ def cmd_select(args) -> int:
 
 def cmd_run(args) -> int:
     out = args.out_dir
-    raw = json.loads(Path(args.config).read_text())
+    raw = _read_json(args.config)
     options = _from_json(_RunOptions, raw, "config",
                          sections=("scenario", "community", "hyper"))
     scenario = _from_json(ScenarioConfig, raw.get("scenario", {}), "scenario")
@@ -210,8 +219,7 @@ def cmd_run(args) -> int:
     (out / "report.json").write_text(
         json.dumps(asdict(report), indent=2, sort_keys=True) + "\n"
     )
-    _write_similarity(out / "similarity.csv", tuple(details["community"].index),
-                      details["similarity"])
+    _write_similarity(out / "similarity.csv", details["community"].ids, details["similarity"])
     outputs = ["report.json", "similarity.csv"]
     if details["outcomes"]:
         rows_to_csv([{"household_id": o.offer.household_id, "accepted": int(o.accepted),
@@ -226,7 +234,7 @@ def cmd_run(args) -> int:
 
 def cmd_sweep(args) -> int:
     out = args.out_dir
-    raw = json.loads(Path(args.spec).read_text())
+    raw = _read_json(args.spec)
     # The noise study runs on its own planted population, seeded 0, 1, ...
     noise = isinstance(raw, dict) and raw.get("variable") == "noise_level"
     spec = _from_json(SweepSpec, raw, "spec",

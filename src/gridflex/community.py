@@ -1,4 +1,4 @@
-"""Population data model: households, neighborhoods, synthetic generation, CSV ingestion."""
+"""Population data model: the community as arrays, synthetic generation, CSV ingestion."""
 
 from __future__ import annotations
 
@@ -7,9 +7,11 @@ import math
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
-from itertools import repeat
+from functools import cached_property
+from itertools import chain, repeat
 from operator import itemgetter
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,119 +46,94 @@ ELASTICITY_FLOOR = -5.0
 ELASTICITY_CEIL = -0.01
 
 
-@dataclass(frozen=True)
-class SocioEconomicProfile:
-    median_income: float  # dollars / year
-    unemployment_pct: float  # [0, 100]
-    act_score: float  # [1, 36]
-    college_pct: float  # [0, 100]
-    avg_temperature: float  # degrees F
-    precipitation: float  # inches / month
-    dwelling_size: float  # square feet
-
-    def __post_init__(self):
-        for name in ("unemployment_pct", "college_pct"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 100.0:
-                raise ValidationError(f"{name}={v} outside [0, 100]")
-        if not 1.0 <= self.act_score <= 36.0:
-            raise ValidationError(f"act_score={self.act_score} outside [1, 36]")
-        if self.dwelling_size <= 0:
-            raise ValidationError(f"dwelling_size={self.dwelling_size} must be > 0")
-
-    def as_vector(self) -> np.ndarray:
-        return np.array([getattr(self, c) for c in FEATURE_COLUMNS], dtype=float)
+def daily_totals(hourly: np.ndarray) -> np.ndarray:
+    """Total kWh per day of hourly kWh whose last axis is whole days: (..., days)."""
+    return hourly.reshape(*hourly.shape[:-1], -1, HOURS_PER_DAY).sum(axis=-1)
 
 
-@dataclass(frozen=True)
-class LoadSeries:
-    """Hourly kWh consumption starting at `start` (hour resolution)."""
+class Household(NamedTuple):
+    """One row of a Community as a record; the Community checks its values."""
 
-    start: datetime
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", vals)
-        if vals.ndim != 1 or vals.size == 0 or vals.size % HOURS_PER_DAY != 0:
-            raise ValidationError(
-                f"load series length {vals.size} is not a positive multiple of 24"
-            )
-        if not np.all(np.isfinite(vals)) or np.any(vals < 0):
-            raise ValidationError("load series values must be finite and >= 0")
-
-    @property
-    def n_days(self) -> int:
-        return self.values.size // HOURS_PER_DAY
-
-    def daily_totals(self) -> np.ndarray:
-        """Total kWh per day, shape (n_days,)."""
-        return self.values.reshape(self.n_days, HOURS_PER_DAY).sum(axis=1)
-
-
-@dataclass(frozen=True)
-class Household:
     id: str
     neighborhood_id: str
-    load: LoadSeries
+    load: np.ndarray  # hourly kWh
     elasticity: float  # price elasticity of demand, strictly negative
     baseline_rate: float  # dollars / kWh
-    profile: SocioEconomicProfile
-
-    def __post_init__(self):
-        if self.elasticity >= 0:
-            raise ValidationError(f"elasticity must be negative, got {self.elasticity}")
-        if self.baseline_rate <= 0:
-            raise ValidationError(f"baseline_rate must be > 0, got {self.baseline_rate}")
+    profile: np.ndarray  # socio-economic features in FEATURE_COLUMNS order
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Community:
-    households: tuple[Household, ...]
+    """The household population, one array row per household in `ids` order. The
+    arrays are taken without a copy and made read-only, so `replace` shares them."""
+
+    ids: tuple[str, ...]
     neighborhoods: dict[str, tuple[str, ...]]  # neighborhood id -> member household ids
-    counties: dict[str, tuple[str, ...]] = field(default_factory=dict)  # county -> neighborhood ids
-    # Built once from `households`; row i is households[i].
-    daily: np.ndarray = field(init=False, repr=False, compare=False)  # kWh per day, (n, days)
-    elasticity: np.ndarray = field(init=False, repr=False, compare=False)  # (n,)
-    baseline_rate: np.ndarray = field(init=False, repr=False, compare=False)  # (n,)
-    index: dict[str, int] = field(init=False, repr=False, compare=False)  # id -> row
+    counties: dict[str, tuple[str, ...]]  # county -> neighborhood ids
+    start: datetime  # the hour of loads[:, 0]
+    loads: np.ndarray  # hourly kWh of whole days, (n, hours)
+    elasticity: np.ndarray  # price elasticity of demand, strictly negative, (n,)
+    baseline_rate: np.ndarray  # dollars / kWh, (n,)
+    profiles: np.ndarray  # socio-economic features, (n, len(FEATURE_COLUMNS))
+    daily: np.ndarray = field(init=False, repr=False)  # kWh per day, (n, days)
+    index: dict[str, int] = field(init=False, repr=False)  # id -> row
 
     def __post_init__(self):
-        ids = [h.id for h in self.households]
-        if len(set(ids)) != len(ids):
-            raise ValidationError("duplicate household ids")
-        members: list[str] = []
-        for nid, nb in self.neighborhoods.items():
-            members.extend(nb)
-        if sorted(members) != sorted(ids):
+        n = len(self.ids)
+        index = dict(zip(self.ids, range(n)))
+        if len(index) != n:
+            twice = next(hid for i, hid in enumerate(self.ids) if index[hid] != i)
+            raise ValidationError(f"duplicate household id {twice}")
+        if sorted(chain.from_iterable(self.neighborhoods.values())) != sorted(self.ids):
             raise ValidationError("neighborhoods do not partition the household set")
-        for h in self.households:
-            if h.neighborhood_id not in self.neighborhoods:
-                raise ReferentialIntegrityError(
-                    f"household {h.id} references unknown neighborhood {h.neighborhood_id}"
-                )
-            if h.id not in self.neighborhoods[h.neighborhood_id]:
-                raise ValidationError(
-                    f"household {h.id} missing from its neighborhood {h.neighborhood_id}"
-                )
-        days = {h.load.n_days for h in self.households}
-        if len(days) > 1:
-            raise ValidationError(f"households cover different numbers of days: {sorted(days)}")
-        hs = self.households
-        for name, value in (
-            ("daily", np.array([h.load.daily_totals() for h in hs]).reshape(len(hs), *days or {0})),
-            ("elasticity", np.array([h.elasticity for h in hs], dtype=float)),
-            ("baseline_rate", np.array([h.baseline_rate for h in hs], dtype=float)),
-        ):
+        row_shapes = {"loads": np.shape(self.loads)[-1:], "elasticity": (),
+                      "baseline_rate": (), "profiles": (len(FEATURE_COLUMNS),)}
+        for name, row in row_shapes.items():
+            value = np.asarray(getattr(self, name), dtype=float)
+            if value.shape != (n, *row):
+                raise ValidationError(f"{name} has shape {value.shape}, not {(n, *row)}")
             value.flags.writeable = False  # shared by every reader
             object.__setattr__(self, name, value)
-        object.__setattr__(self, "index", {hid: i for i, hid in enumerate(ids)})
+        hours = self.loads.shape[1]
+        if hours == 0 or hours % HOURS_PER_DAY:
+            raise ValidationError(f"load series length {hours} is not a positive multiple of 24")
+        feature = dict(zip(FEATURE_COLUMNS, self.profiles.T))
+        ok = {  # each per-household rule, as a row mask
+            "load values must be finite and >= 0":
+                (self.loads.min(axis=1) >= 0) & (self.loads.max(axis=1) < math.inf),
+            "elasticity must be negative": self.elasticity < 0,
+            "baseline_rate must be > 0": self.baseline_rate > 0,
+            **{f"{c} must lie in [{lo}, {hi}]": (lo <= feature[c]) & (feature[c] <= hi)
+               for c, lo, hi in (("unemployment_pct", 0, 100), ("act_score", 1, 36),
+                                 ("college_pct", 0, 100))},
+            "dwelling_size must be > 0": feature["dwelling_size"] > 0,
+        }
+        bad = ~np.array(list(ok.values())).reshape(len(ok), n)
+        if bad.any():
+            i = int(bad.any(axis=0).argmax())
+            rule = list(ok)[bad[:, i].argmax()]
+            raise ValidationError(f"household {self.ids[i]}: {rule}", row=i)
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "daily", daily_totals(self.loads))
+        self.daily.flags.writeable = False
 
     def __len__(self) -> int:
-        return len(self.households)
+        return len(self.ids)
+
+    @cached_property
+    def neighborhood_of(self) -> dict[str, str]:
+        """Household id -> its neighborhood id."""
+        return {hid: nid for nid, members in self.neighborhoods.items() for hid in members}
 
     def by_id(self, hid: str) -> Household:
-        return self.households[self.index[hid]]
+        i = self.index[hid]
+        return Household(hid, self.neighborhood_of[hid], self.loads[i],
+                         float(self.elasticity[i]), float(self.baseline_rate[i]), self.profiles[i])
+
+    @property
+    def households(self) -> tuple[Household, ...]:
+        """Every row as a record, in row order."""
+        return tuple(map(self.by_id, self.ids))
 
     def mask(self, ids: Iterable[str]) -> np.ndarray:
         """Boolean row mask that selects the households `ids`."""
@@ -195,14 +172,18 @@ class ScenarioConfig:
             raise InvalidSpecError("split_ratios must be positive and sum to 1")
 
 
-def sample_elasticity(rng: np.random.Generator, mean: float, std: float) -> float:
-    """One Gaussian elasticity draw, clamped into [-5.0, -0.01]."""
-    if mean >= 0:
+def sample_elasticity(rng: np.random.Generator, mean, std, size: int | None = None):
+    """Gaussian elasticity draws clamped into [-5.0, -0.01]: one float, or an
+    array of `size` whose means and stds may be arrays. One draw of std 0 is its
+    mean and takes nothing from `rng`; an array takes a normal per element."""
+    if np.any(np.asarray(mean) >= 0):
         raise InvalidSpecError(f"elasticity mean must be negative, got {mean}")
-    if std < 0:
+    if np.any(np.asarray(std) < 0):
         raise InvalidSpecError(f"elasticity std must be >= 0, got {std}")
+    if size is not None:
+        return np.clip(rng.normal(mean, std, size), ELASTICITY_FLOOR, ELASTICITY_CEIL)
     draw = mean if std == 0 else rng.normal(mean, std)
-    return float(np.clip(draw, ELASTICITY_FLOOR, ELASTICITY_CEIL))
+    return float(min(max(draw, ELASTICITY_FLOOR), ELASTICITY_CEIL))
 
 
 def _county_profile_base(rng: np.random.Generator) -> dict[str, float]:
@@ -217,32 +198,31 @@ def _county_profile_base(rng: np.random.Generator) -> dict[str, float]:
     }
 
 
-def _sample_profile(rng: np.random.Generator, base: dict[str, float]) -> SocioEconomicProfile:
-    return SocioEconomicProfile(
-        median_income=max(10_000.0, base["median_income"] * rng.lognormal(0.0, 0.25)),
-        unemployment_pct=float(np.clip(base["unemployment_pct"] + rng.normal(0, 1.0), 0, 100)),
-        act_score=float(np.clip(base["act_score"] + rng.normal(0, 2.0), 1, 36)),
-        college_pct=float(np.clip(base["college_pct"] + rng.normal(0, 5.0), 0, 100)),
-        avg_temperature=base["avg_temperature"] + rng.normal(0, 2.0),
-        precipitation=max(0.0, base["precipitation"] + rng.normal(0, 0.5)),
-        dwelling_size=float(rng.uniform(700, 3_500)),
+def _sample_profile(rng: np.random.Generator, base: dict[str, float]) -> tuple[float, ...]:
+    """One household's features, in FEATURE_COLUMNS order."""
+    return (
+        max(10_000.0, base["median_income"] * rng.lognormal(0.0, 0.25)),
+        min(max(base["unemployment_pct"] + rng.normal(0, 1.0), 0.0), 100.0),
+        min(max(base["act_score"] + rng.normal(0, 2.0), 1.0), 36.0),
+        min(max(base["college_pct"] + rng.normal(0, 5.0), 0.0), 100.0),
+        base["avg_temperature"] + rng.normal(0, 2.0),
+        max(0.0, base["precipitation"] + rng.normal(0, 0.5)),
+        rng.uniform(700, 3_500),
     )
 
 
-def _synthetic_load(
-    rng: np.random.Generator,
-    days: int,
-    profile: SocioEconomicProfile,
-    income_percentile: float,
-) -> np.ndarray:
-    """Daily double-peak shape scaled by dwelling size and income, plus seeded noise."""
-    hours = np.arange(HOURS_PER_DAY)
-    morning = np.exp(-0.5 * ((hours - 7.5) / 1.8) ** 2)
-    evening = np.exp(-0.5 * ((hours - 19.0) / 2.5) ** 2)
-    base_shape = 0.35 + 0.8 * morning + 1.3 * evening
-    scale = (profile.dwelling_size / 1_800.0) * (0.7 + 0.6 * income_percentile)
+_HOURS = np.arange(HOURS_PER_DAY)
+# Daily double-peak consumption shape: morning and evening.
+_DAY_SHAPE = (0.35 + 0.8 * np.exp(-0.5 * ((_HOURS - 7.5) / 1.8) ** 2)
+              + 1.3 * np.exp(-0.5 * ((_HOURS - 19.0) / 2.5) ** 2))
+
+
+def _synthetic_load(rng: np.random.Generator, days: int, dwelling_size: float,
+                    income_percentile: float) -> np.ndarray:
+    """The day shape scaled by dwelling size and income, plus seeded noise."""
+    scale = (dwelling_size / 1_800.0) * (0.7 + 0.6 * income_percentile)
     day_wiggle = 1.0 + 0.1 * rng.normal(size=days)  # day-to-day variation
-    series = np.concatenate([base_shape * scale * w for w in day_wiggle])
+    series = (day_wiggle[:, None] * (_DAY_SHAPE * scale)).ravel()
     series += 0.05 * scale * rng.normal(size=series.size)
     return np.maximum(series, 0.0)
 
@@ -264,36 +244,27 @@ def generate_community(
     if days < 1:
         raise InvalidSpecError("days must be >= 1")
     rng = np.random.default_rng(seed)
-    households: list[Household] = []
-    neighborhoods: dict[str, tuple[str, ...]] = {}
-    county_map: dict[str, tuple[str, ...]] = {}
+    n = counties * neighborhoods_per_county * households_per_neighborhood
+    loads = np.empty((n, days * HOURS_PER_DAY))
+    profiles = np.empty((n, len(FEATURE_COLUMNS)))
+    elasticity = np.empty(n)
+    ids, neighborhoods, county_map = [], {}, {}
     for ci in range(counties):
         county_id = f"c{ci:02d}"
         base = _county_profile_base(rng)
-        county_nbs: list[str] = []
-        for ni in range(neighborhoods_per_county):
-            nb_id = f"{county_id}-n{ni:02d}"
-            county_nbs.append(nb_id)
-            member_ids: list[str] = []
-            for hi in range(households_per_neighborhood):
-                hid = f"{nb_id}-h{hi:03d}"
-                member_ids.append(hid)
-                profile = _sample_profile(rng, base)
-                income_pctile = float(np.clip(profile.median_income / 120_000.0, 0.0, 1.0))
-                load = LoadSeries(start, _synthetic_load(rng, days, profile, income_pctile))
-                households.append(
-                    Household(
-                        id=hid,
-                        neighborhood_id=nb_id,
-                        load=load,
-                        elasticity=sample_elasticity(rng, elasticity_mean, elasticity_std),
-                        baseline_rate=baseline_rate,
-                        profile=profile,
-                    )
-                )
-            neighborhoods[nb_id] = tuple(member_ids)
-        county_map[county_id] = tuple(county_nbs)
-    return Community(tuple(households), neighborhoods, county_map)
+        county_map[county_id] = tuple(f"{county_id}-n{ni:02d}"
+                                      for ni in range(neighborhoods_per_county))
+        for nb_id in county_map[county_id]:
+            neighborhoods[nb_id] = members = tuple(
+                f"{nb_id}-h{hi:03d}" for hi in range(households_per_neighborhood))
+            for i in range(len(ids), len(ids) + len(members)):
+                profiles[i] = profile = _sample_profile(rng, base)
+                income_pctile = min(max(profile[0] / 120_000.0, 0.0), 1.0)
+                loads[i] = _synthetic_load(rng, days, profile[-1], income_pctile)
+                elasticity[i] = sample_elasticity(rng, elasticity_mean, elasticity_std)
+            ids.extend(members)
+    return Community(tuple(ids), neighborhoods, county_map, start, loads, elasticity,
+                     np.full(n, baseline_rate, dtype=float), profiles)
 
 
 def _rows(path: Path, columns: tuple[str, ...]):
@@ -326,9 +297,10 @@ def _number(text: str, where: str, column: str) -> float:
     return value
 
 
-def _read_loads(path: Path) -> dict[str, LoadSeries]:
-    """Each household's load from the loads CSV. Rows may come in any order, but
-    every household must have one row per hour of one shared timeline."""
+def _read_loads(path: Path) -> tuple[datetime | None, dict[str, int], np.ndarray]:
+    """The loads CSV as (start, household id -> row, hourly kWh of shape
+    (households, hours)). Rows may come in any order, but every household must
+    have one row per hour of one shared timeline."""
     code: dict[str, int] = {}  # household id -> index, in order of first row
     hour_of: dict[str, int] = {}  # timestamp string -> hours after `origin`
     origin = None
@@ -357,7 +329,7 @@ def _read_loads(path: Path) -> dict[str, LoadSeries]:
         kwhs.append(kwh)
         lines.append(line)
     if not code:
-        return {}
+        return None, {}, np.zeros((0, 0))
     ids = list(code)
 
     def lacks(j: int, hour: int) -> ValidationError:
@@ -390,9 +362,8 @@ def _read_loads(path: Path) -> dict[str, LoadSeries]:
     if counts[0] % HOURS_PER_DAY:
         raise ValidationError(f"{path.name}: {counts[0]} hourly rows per household "
                               f"are not a whole number of days")
-    start = origin + int(starts[0]) * HOUR
     values = np.array(kwhs)[order].reshape(len(ids), counts[0])
-    return {h: LoadSeries(start, v) for h, v in zip(ids, values)}
+    return origin + int(starts[0]) * HOUR, code, values
 
 
 def load_community(households_csv: Path | str, loads_csv: Path | str) -> Community:
@@ -400,63 +371,57 @@ def load_community(households_csv: Path | str, loads_csv: Path | str) -> Communi
     input raises ValidationError or ReferentialIntegrityError naming the file
     and the row, or the household and the hour it lacks."""
     households_csv = Path(households_csv)
-    loads = _read_loads(Path(loads_csv))
-    households: list[Household] = []
+    start, load_row, loads = _read_loads(Path(loads_csv))
     neighborhoods: dict[str, list[str]] = {}
     counties: dict[str, set[str]] = {}
-    row_of: dict[str, int] = {}
-    for line, (hid, nb_id, county, *numbers) in _rows(households_csv, HOUSEHOLD_COLUMNS):
+    row_of: dict[str, int] = {}  # household id -> line, in file order
+    numbers = []
+    for line, (hid, nb_id, county, *fields) in _rows(households_csv, HOUSEHOLD_COLUMNS):
         where = f"{households_csv.name} row {line}"
         if hid in row_of:
             raise ValidationError(f"{where}: household {hid} repeats row {row_of[hid]}")
         row_of[hid] = line
-        if hid not in loads:
+        if hid not in load_row:
             raise ReferentialIntegrityError(f"{where}: household {hid} has no load rows")
-        rate, elasticity, *features = (_number(text, where, column) for text, column
-                                       in zip(numbers, HOUSEHOLD_COLUMNS[3:]))
-        try:
-            profile = SocioEconomicProfile(**dict(zip(FEATURE_COLUMNS, features)))
-            households.append(Household(hid, nb_id, loads[hid], elasticity, rate, profile))
-        except ValidationError as exc:
-            raise ValidationError(f"{where}: {exc}") from None
+        numbers.append([_number(text, where, column)
+                        for text, column in zip(fields, HOUSEHOLD_COLUMNS[3:])])
         neighborhoods.setdefault(nb_id, []).append(hid)
         counties.setdefault(county, set()).add(nb_id)
-    orphans = loads.keys() - row_of.keys()
+    orphans = load_row.keys() - row_of.keys()
     if orphans:
         raise ReferentialIntegrityError(f"load rows for unknown households: {sorted(orphans)}")
-    return Community(
-        tuple(households),
-        {k: tuple(v) for k, v in neighborhoods.items()},
-        {k: tuple(sorted(v)) for k, v in counties.items()},
-    )
+    ids = tuple(row_of)
+    rows = [load_row[hid] for hid in ids]
+    table = np.array(numbers, dtype=float).reshape(len(ids), len(HOUSEHOLD_COLUMNS) - 3)
+    try:
+        return Community(ids, {k: tuple(v) for k, v in neighborhoods.items()},
+                         {k: tuple(sorted(v)) for k, v in counties.items()}, start,
+                         loads if rows == list(range(len(ids))) else loads[rows],
+                         *map(np.ascontiguousarray, (table[:, 1], table[:, 0], table[:, 2:])))
+    except ValidationError as exc:  # a household's value: name its row of the file
+        if exc.row is None:
+            raise
+        raise ValidationError(f"{households_csv.name} row {row_of[ids[exc.row]]}: {exc}") from None
 
 
 def save_community(
     community: Community, households_csv: Path | str, loads_csv: Path | str
 ) -> None:
     """Write the two-file CSV schema read back by load_community."""
-    county_of = {
-        nb: county for county, nbs in community.counties.items() for nb in nbs
-    }
+    county_of = {nb: county for county, nbs in community.counties.items() for nb in nbs}
+    home = community.neighborhood_of
+    numbers = np.column_stack([community.baseline_rate, community.elasticity, community.profiles])
     with Path(households_csv).open("w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(HOUSEHOLD_COLUMNS)
-        for h in community.households:
-            writer.writerow(
-                [h.id, h.neighborhood_id, county_of.get(h.neighborhood_id, "na"),
-                 repr(h.baseline_rate), repr(h.elasticity)]
-                + [repr(float(v)) for v in h.profile.as_vector()]
-            )
-    stamps: dict[tuple[datetime, int], list[str]] = {}  # (start, hours) -> timestamps
+        writer.writerows([hid, home[hid], county_of.get(home[hid], "na"), *map(repr, row)]
+                         for hid, row in zip(community.ids, numbers.tolist()))
+    stamps = [(community.start + k * HOUR).isoformat() for k in range(community.loads.shape[1])]
     with Path(loads_csv).open("w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(LOAD_COLUMNS)
-        for h in community.households:
-            start, size = h.load.start, h.load.values.size
-            if (start, size) not in stamps:
-                stamps[start, size] = [(start + k * HOUR).isoformat() for k in range(size)]
-            writer.writerows(zip(repeat(h.id), stamps[start, size],
-                                 map(repr, h.load.values.tolist())))
+        for hid, load in zip(community.ids, community.loads):
+            writer.writerows(zip(repeat(hid), stamps, map(repr, load.tolist())))
 
 
 def normalize_features(community: Community) -> np.ndarray:
@@ -466,9 +431,8 @@ def normalize_features(community: Community) -> np.ndarray:
     """
     if len(community) < 2:
         raise InsufficientPopulationError("need >= 2 households to normalize features")
-    raw = np.stack([h.profile.as_vector() for h in community.households])
-    mean = raw.mean(axis=0)
-    std = raw.std(axis=0)
+    raw = community.profiles
+    mean, std = raw.mean(axis=0), raw.std(axis=0)
     out = np.zeros_like(raw)
     nonconst = std > 0
     out[:, nonconst] = (raw[:, nonconst] - mean[nonconst]) / std[nonconst]

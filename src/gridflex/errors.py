@@ -10,7 +10,11 @@ class InvalidSpecError(GridflexError):
 
 
 class ValidationError(GridflexError):
-    """Ingested data failed a value-level check."""
+    """Ingested data failed a value-level check, at population `row` if known."""
+
+    def __init__(self, message: str, row: int | None = None):
+        super().__init__(message)
+        self.row = row
 
 
 class ReferentialIntegrityError(GridflexError):

@@ -327,7 +327,7 @@ def make_dataset(community: Community, window: int = 24, stride: int = 24) -> Sa
     Inputs and targets are z-scored over the whole timeline per household so
     the MSE is scale-free.
     """
-    series = np.stack([h.load.values for h in community.households])  # (n, T)
+    series = community.loads  # (n, T)
     mean = series.mean(axis=1, keepdims=True)
     std = series.std(axis=1, keepdims=True)
     std[std == 0] = 1.0

@@ -77,12 +77,8 @@ class RunManifest:
 def resample_elasticities(
     community: Community, seed: int, mean: float = -0.25, std: float = 0.1
 ) -> Community:
-    rng = np.random.default_rng(seed)
-    households = tuple(
-        replace(h, elasticity=sample_elasticity(rng, mean, std))
-        for h in community.households
-    )
-    return Community(households, community.neighborhoods, community.counties)
+    elasticity = sample_elasticity(np.random.default_rng(seed), mean, std, size=len(community))
+    return replace(community, elasticity=elasticity)
 
 
 def oracle_truth(
@@ -96,7 +92,7 @@ def oracle_truth(
     least the household's minimum incentive."""
     accepted = price_offers(community.daily, community.elasticity, community.baseline_rate,
                             incentive, reduction_pct, emergency_days, cycle_days).accepted
-    return dict(zip(community.index, accepted.tolist()))
+    return dict(zip(community.ids, accepted.tolist()))
 
 
 # -- planted-partition benchmark ----------------------------------------------
@@ -126,11 +122,10 @@ def planted_community(spec: PlantedSpec, seed: int) -> Community:
         cs.counties, cs.neighborhoods_per_county, cs.households_per_neighborhood,
         seed=seed, days=cs.days, baseline_rate=cs.baseline_rate,
     )
-    rng = np.random.default_rng(seed + 1)
     regimes = ((spec.flexible_mean, spec.flexible_std), (spec.rigid_mean, spec.rigid_std))
-    households = tuple(replace(h, elasticity=sample_elasticity(rng, *regimes[i % 2]))
-                       for i, h in enumerate(base.households))
-    return Community(households, base.neighborhoods, base.counties)
+    mean, std = np.resize(regimes, (len(base), 2)).T  # rows alternate between regimes
+    elasticity = sample_elasticity(np.random.default_rng(seed + 1), mean, std, size=len(base))
+    return replace(base, elasticity=elasticity)
 
 
 def label_similarity(
@@ -274,7 +269,7 @@ def _planted_ranking(community: Community, scenario: ScenarioConfig,
         community, scenario.default_incentive, scenario.target_reduction_pct,
         emergency_days, scenario.cycle_days,
     )
-    similarity = label_similarity(truth, tuple(community.index), seed)
+    similarity = label_similarity(truth, community.ids, seed)
     return _ranked(run_selection(community, similarity, truth, seed=seed))
 
 
@@ -323,7 +318,7 @@ def sweep_reduction(
     for seed, community, emergency_days in _repetitions(spec, scenario, community_spec):
         count = int(round(0.25 * len(community)))
         kwh = community.emergency_kwh(emergency_days)
-        skewed = sorted(zip(-community.daily.sum(axis=1), community.index))
+        skewed = sorted(zip(-community.daily.sum(axis=1), community.ids))
         quarters = (
             ("framework", _planted_ranking(community, scenario, emergency_days, seed)),
             ("skewed", [hid for _, hid in skewed]),
@@ -391,7 +386,7 @@ def noise_experiment(
         emergency_days = tuple(sorted(int(d) for d in rng.choice(days, size=3, replace=False)))
         truth = oracle_truth(community, planted.incentive, planted.reduction_pct,
                              emergency_days, days)
-        clean = label_similarity(truth, tuple(community.index), seed, planted.in_weight,
+        clean = label_similarity(truth, community.ids, seed, planted.in_weight,
                                  planted.out_weight, planted.jitter)
         for level in spec.values:
             noisy = inject_noise(clean, level, seed=seed + 20_000)

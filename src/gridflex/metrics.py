@@ -70,7 +70,7 @@ def allocate_budget(
     days = tuple(sorted(shortfall_per_day))
     if not days or all(s <= 0 for s in shortfall_per_day.values()):
         return set(), {}
-    ids = list(community.index)
+    ids = community.ids
     reduction = community.daily[:, list(days)] * (reduction_pct / 100.0)  # (n, days)
     cost = price_offers(
         community.daily, community.elasticity, community.baseline_rate, 0.0,

@@ -239,7 +239,7 @@ def run_selection(community: Community, similarity: np.ndarray,
     """Full selection pipeline: spectral clustering, stratified query, GCN labeling."""
     if truth.keys() != community.index.keys():
         raise ReferentialIntegrityError("truth ids do not match the community's households")
-    labels = np.array([truth[hid] for hid in community.index], dtype=bool)
+    labels = np.array([truth[hid] for hid in community.ids], dtype=bool)
     a_sym = symmetrize(check_similarity(similarity))
     clusters = kmeans(spectral_embed(normalized_laplacian(a_sym), k=2), clusters=2, seed=seed)
     queried = pick_queries(community, clusters, fraction=fraction, seed=seed)
@@ -249,11 +249,10 @@ def run_selection(community: Community, similarity: np.ndarray,
         # All queried households answered alike: predict that label everywhere.
         predicted = np.full(labels.size, labels[queried[0]])
         scores = np.ones(labels.size)
-    ids = tuple(community.index)
     return SelectionResult(
-        household_ids=ids,
+        household_ids=community.ids,
         clusters=clusters,
-        queried=frozenset(ids[i] for i in queried),
+        queried=frozenset(community.ids[i] for i in queried),
         predicted=predicted,
         accuracy_pct=evaluate_accuracy(predicted, labels, queried),
         scores=scores,

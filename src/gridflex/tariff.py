@@ -9,7 +9,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .community import Household, LoadSeries
+from .community import HOURS_PER_DAY, Household, daily_totals
 from .errors import (
     ContractViolation,
     CoverageError,
@@ -117,32 +117,32 @@ def price_offers(daily: np.ndarray, elasticity: np.ndarray, baseline_rate: np.nd
 
 def baseline_cost(household: Household, cycle_days: int) -> float:
     """Cycle cost at the baseline rate with no program participation."""
-    daily = _cycle(household.load.daily_totals(), cycle_days)
+    daily = _cycle(daily_totals(household.load), cycle_days)
     return float(daily.sum() * household.baseline_rate)
 
 
 def apply_reduction(
-    load: LoadSeries, emergency_days: tuple[int, ...], reduction_pct: float
-) -> LoadSeries:
-    """Scale every hour of each emergency day by (1 - i/100); other hours untouched."""
+    load: np.ndarray, emergency_days: tuple[int, ...], reduction_pct: float
+) -> np.ndarray:
+    """A copy of the hourly `load` with each emergency day scaled by (1 - i/100)."""
     if not 0 <= reduction_pct <= 100:
         raise DomainError("reduction_pct must lie in [0, 100]")
-    values = load.values.copy().reshape(load.n_days, -1)
+    values = np.array(load, dtype=float).reshape(-1, HOURS_PER_DAY)
     for d in emergency_days:
         values[d] = values[d] * (1.0 - reduction_pct / 100.0)
-    return LoadSeries(load.start, values.reshape(-1))
+    return values.reshape(-1)
 
 
-def program_cost(household: Household, offer: Offer, reduced_load: LoadSeries) -> float:
+def program_cost(household: Household, offer: Offer, reduced_load: np.ndarray) -> float:
     """Cycle cost under the program: baseline rate off-emergency, emergency rate on
     the reduced consumption, minus the upfront incentive. Can be negative."""
     sched = offer.schedule
-    daily = _cycle(household.load.daily_totals(), sched.cycle_days)
-    reduced_daily = _cycle(reduced_load.daily_totals(), sched.cycle_days)
+    daily = _cycle(daily_totals(household.load), sched.cycle_days)
+    reduced_daily = _cycle(daily_totals(reduced_load), sched.cycle_days)
     emergency = np.zeros(sched.cycle_days, dtype=bool)
     emergency[list(sched.emergency_days)] = True
     hours = np.arange(sched.cycle_days * 24)
-    changed = reduced_load.values[hours] != household.load.values[hours]
+    changed = reduced_load[hours] != household.load[hours]
     if np.any(changed & ~emergency[hours // 24]):
         raise ContractViolation("reduced load differs from the load on a non-emergency day")
     cost = (
@@ -156,7 +156,7 @@ def program_cost(household: Household, offer: Offer, reduced_load: LoadSeries) -
 def _price_one(household: Household, offer: Offer) -> Pricing:
     """`price_offers` for one household, whose own rates the offer must carry."""
     sched = offer.schedule
-    priced = price_offers(household.load.daily_totals()[None], np.array([household.elasticity]),
+    priced = price_offers(daily_totals(household.load)[None], np.array([household.elasticity]),
                           np.array([household.baseline_rate]), offer.incentive,
                           offer.target_reduction_pct, sched.emergency_days, sched.cycle_days)
     if (sched.baseline_rate, sched.emergency_rate) != (household.baseline_rate,

@@ -3,17 +3,13 @@ from datetime import datetime
 import numpy as np
 import pytest
 
-from gridflex.community import (
-    Community,
-    Household,
-    LoadSeries,
-    SocioEconomicProfile,
-)
+from gridflex.community import FEATURE_COLUMNS, Community, Household
 
 START = datetime(2014, 9, 1)
 
 
-def profile(**overrides) -> SocioEconomicProfile:
+def profile(**overrides) -> np.ndarray:
+    """Socio-economic features in FEATURE_COLUMNS order."""
     base = dict(
         median_income=60_000.0,
         unemployment_pct=5.0,
@@ -24,11 +20,11 @@ def profile(**overrides) -> SocioEconomicProfile:
         dwelling_size=1_800.0,
     )
     base.update(overrides)
-    return SocioEconomicProfile(**base)
+    return np.array([base[c] for c in FEATURE_COLUMNS])
 
 
-def flat_load(kwh_per_day: float, days: int) -> LoadSeries:
-    return LoadSeries(START, np.full(days * 24, kwh_per_day / 24.0))
+def flat_load(kwh_per_day: float, days: int) -> np.ndarray:
+    return np.full(days * 24, kwh_per_day / 24.0)
 
 
 def household(
@@ -38,7 +34,7 @@ def household(
     elasticity: float = -0.25,
     baseline_rate: float = 0.16,
     neighborhood_id: str = "n0",
-    load: LoadSeries | None = None,
+    load: np.ndarray | None = None,
     **profile_overrides,
 ) -> Household:
     return Household(
@@ -52,11 +48,19 @@ def household(
 
 
 def community_of(households: list[Household]) -> Community:
+    """The Community whose rows are `households`, in order, from START."""
     neighborhoods: dict[str, list[str]] = {}
     for h in households:
         neighborhoods.setdefault(h.neighborhood_id, []).append(h.id)
     return Community(
-        tuple(households), {k: tuple(v) for k, v in neighborhoods.items()}
+        tuple(h.id for h in households),
+        {k: tuple(v) for k, v in neighborhoods.items()},
+        {},
+        START,
+        np.array([h.load for h in households]),
+        np.array([h.elasticity for h in households]),
+        np.array([h.baseline_rate for h in households]),
+        np.array([h.profile for h in households]),
     )
 
 

@@ -16,8 +16,8 @@ from scipy.stats import spearmanr
 from gridflex.cli import main
 from gridflex.community import (
     Community,
-    LoadSeries,
     ScenarioConfig,
+    daily_totals,
     generate_community,
 )
 from gridflex.forecaster import Hyper, build_model, grad_check, make_dataset, train
@@ -51,7 +51,7 @@ from gridflex.tariff import (
     program_cost,
     rate_hike,
 )
-from tests.conftest import START, community_of, household
+from tests.conftest import community_of, household
 
 
 def report(criterion: int, message: str) -> None:
@@ -64,7 +64,7 @@ def random_household(rng: np.random.Generator, hid: str, days: int = 30):
         hid=hid,
         elasticity=float(rng.uniform(-3.0, -0.05)),
         baseline_rate=float(rng.uniform(0.08, 0.4)),
-        load=LoadSeries(START, hourly),
+        load=hourly,
     )
 
 
@@ -150,9 +150,9 @@ def test_criterion_02_revenue_neutrality():
         nonparticipants = [random_household(rng, f"h{i}_{j}", days=30)
                            for j in range(n)]
         incentives = list(rng.uniform(10.0, 300.0, size=int(rng.integers(1, 20))))
-        daily = np.array([h.load.daily_totals() for h in nonparticipants])
+        daily = np.array([daily_totals(h.load) for h in nonparticipants])
         r = rate_hike(daily, incentives, cycle_days=30)
-        collected = sum(h.load.daily_totals()[:30].sum() * r
+        collected = sum(daily_totals(h.load)[:30].sum() * r
                         for h in nonparticipants)
         worst = max(worst, abs(collected - sum(incentives)) / sum(incentives))
     elapsed = time.time() - start
@@ -179,7 +179,7 @@ def test_criterion_04_budget_allocator_vs_brute_force():
         community = community_of(
             [random_household(rng, f"h{j:02d}", days=10) for j in range(n)]
         )
-        daily_total = sum(h.load.daily_totals() for h in community.households)
+        daily_total = sum(daily_totals(h.load) for h in community.households)
         day_count = int(rng.integers(1, 3))
         days = sorted(int(d) for d in rng.choice(10, size=day_count, replace=False))
         reduction = float(rng.uniform(5.0, 25.0))
@@ -190,7 +190,7 @@ def test_criterion_04_budget_allocator_vs_brute_force():
         selected, paid = allocate_budget(community, shortfall, reduction, 10)
         for d, need in shortfall.items():
             covered = sum(
-                community.by_id(h).load.daily_totals()[d] * reduction / 100.0
+                daily_totals(community.by_id(h).load)[d] * reduction / 100.0
                 for h in selected
             )
             assert covered >= need - 1e-9, f"day {d} constraint violated"
@@ -216,7 +216,7 @@ def brute_force_allocation(community: Community, shortfall: dict, reduction: flo
     scale = reduction / 100.0
     contrib, cost = {}, {}
     for h in community.households:
-        daily = h.load.daily_totals()
+        daily = daily_totals(h.load)
         contrib[h.id] = np.array([daily[d] * scale for d in days])
         cost[h.id] = min_incentive(h, make_offer(h, 0.0, reduction, days, cycle_days))
     ids = sorted(contrib)
@@ -238,7 +238,7 @@ def test_criterion_05_gradient_correctness():
     start = time.time()
     rng = np.random.default_rng(5)
     community = community_of([
-        household(f"h{i}", load=LoadSeries(START, rng.uniform(0.1, 2.0, size=48)))
+        household(f"h{i}", load=rng.uniform(0.1, 2.0, size=48))
         for i in range(8)
     ])
     data = make_dataset(community, window=24, stride=24)

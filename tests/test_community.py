@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+from dataclasses import replace
 from datetime import datetime
 
 import numpy as np
@@ -14,10 +15,10 @@ from gridflex.community import (
     ELASTICITY_CEIL,
     ELASTICITY_FLOOR,
     FEATURE_COLUMNS,
+    HOUSEHOLD_COLUMNS,
     Community,
-    LoadSeries,
     ScenarioConfig,
-    SocioEconomicProfile,
+    daily_totals,
     emergency_schedule,
     generate_community,
     load_community,
@@ -32,39 +33,46 @@ from gridflex.errors import (
     ReferentialIntegrityError,
     ValidationError,
 )
-from tests.conftest import START, community_of, household, profile
+from tests.conftest import community_of, household, profile
 
 
 class TestLoadSeries:
+    """The rules each household's hourly load obeys, checked by Community."""
+
     def test_daily_totals(self):
         values = np.arange(48, dtype=float)
-        series = LoadSeries(START, values)
-        assert series.n_days == 2
+        assert daily_totals(values).shape == (2,)
         np.testing.assert_allclose(
-            series.daily_totals(), [values[:24].sum(), values[24:].sum()]
+            daily_totals(values), [values[:24].sum(), values[24:].sum()]
         )
+        np.testing.assert_array_equal(community_of([household(load=values)]).daily,
+                                      [daily_totals(values)])
 
     @pytest.mark.parametrize("n", [0, 23, 25, 100])
     def test_rejects_non_daily_length(self, n):
-        with pytest.raises(ValidationError):
-            LoadSeries(START, np.ones(n))
+        with pytest.raises(ValidationError, match=f"length {n} is not"):
+            community_of([household(load=np.ones(n))])
 
     def test_rejects_negative_and_nan(self):
-        with pytest.raises(ValidationError):
-            LoadSeries(START, np.full(24, -1.0))
+        with pytest.raises(ValidationError, match="household h0: load values"):
+            community_of([household(load=np.full(24, -1.0))])
         bad = np.ones(24)
         bad[3] = np.nan
-        with pytest.raises(ValidationError):
-            LoadSeries(START, bad)
+        with pytest.raises(ValidationError, match="household h1: load values"):
+            community_of([household("h0", load=np.ones(24)), household("h1", load=bad)])
 
 
 class TestProfile:
+    """The rules each household's socio-economic features obey, checked by Community."""
+
     def test_vector_follows_column_order(self):
-        p = profile()
-        vec = p.as_vector()
+        c = community_of([household(median_income=1.0, dwelling_size=2.0)])
+        vec = c.by_id("h0").profile
         assert vec.shape == (len(FEATURE_COLUMNS),)
-        assert vec[0] == p.median_income
-        assert vec[-1] == p.dwelling_size
+        assert vec[0] == 1.0  # median_income
+        assert vec[-1] == 2.0  # dwelling_size
+        np.testing.assert_array_equal(c.profiles, [profile(median_income=1.0,
+                                                           dwelling_size=2.0)])
 
     @pytest.mark.parametrize("kwargs", [
         {"unemployment_pct": -1.0},
@@ -73,20 +81,21 @@ class TestProfile:
         {"dwelling_size": 0.0},
     ])
     def test_rejects_out_of_range(self, kwargs):
-        with pytest.raises(ValidationError):
-            profile(**kwargs)
+        (name,) = kwargs
+        with pytest.raises(ValidationError, match=f"household h0: {name}"):
+            community_of([household(**kwargs)])
 
 
 class TestCommunityInvariants:
     def test_rejects_duplicate_ids(self):
-        hs = (household("h0"), household("h0"))
-        with pytest.raises(ValidationError):
-            Community(hs, {"n0": ("h0", "h0")})
+        hs = [household("h0"), household("h0")]
+        with pytest.raises(ValidationError, match="duplicate household id h0"):
+            community_of(hs)
 
     def test_rejects_partition_mismatch(self):
-        hs = (household("h0"), household("h1"))
+        c = community_of([household("h0"), household("h1")])
         with pytest.raises(ValidationError):
-            Community(hs, {"n0": ("h0",)})
+            replace(c, neighborhoods={"n0": ("h0",)})
 
     def test_by_id(self):
         c = community_of([household("h0"), household("h1")])
@@ -98,7 +107,7 @@ class TestCommunityInvariants:
         hs = [household("b", kwh_per_day=20.0, days=4, elasticity=-0.5),
               household("a", kwh_per_day=10.0, days=4, baseline_rate=0.2)]
         c = community_of(hs)
-        np.testing.assert_array_equal(c.daily, [h.load.daily_totals() for h in hs])
+        np.testing.assert_array_equal(c.daily, [daily_totals(h.load) for h in hs])
         np.testing.assert_array_equal(c.elasticity, [-0.5, -0.25])
         np.testing.assert_array_equal(c.baseline_rate, [0.16, 0.2])
         assert c.index == {"b": 0, "a": 1}
@@ -109,8 +118,47 @@ class TestCommunityInvariants:
             c.daily[0, 0] = 1.0  # shared by every reader, so read-only
 
     def test_rejects_households_of_different_lengths(self):
-        with pytest.raises(ValidationError, match="different numbers of days"):
-            community_of([household("h0", days=3), household("h1", days=4)])
+        # One loads row per household, all of one length: rows that do not
+        # match the ids are rejected.
+        c = community_of([household("h0", days=3), household("h1", days=3)])
+        with pytest.raises(ValidationError, match=r"loads has shape \(1, 72\)"):
+            replace(c, loads=c.loads[:1])
+        with pytest.raises(ValidationError, match=r"loads has shape \(144,\)"):
+            replace(c, loads=c.loads.reshape(-1))
+
+    @pytest.mark.parametrize(("kwargs", "rule"), [
+        ({"elasticity": 0.0}, "elasticity must be negative"),
+        ({"elasticity": float("nan")}, "elasticity must be negative"),
+        ({"baseline_rate": 0.0}, "baseline_rate must be > 0"),
+        ({"baseline_rate": -0.1}, "baseline_rate must be > 0"),
+    ])
+    def test_rejects_a_bad_elasticity_or_rate(self, kwargs, rule):
+        with pytest.raises(ValidationError, match=f"household h1: {rule}"):
+            community_of([household("h0"), household("h1", **kwargs)])
+
+    def test_names_the_first_bad_household_and_its_row(self):
+        hs = [household("h0"), household("h1", act_score=40.0), household("h2", elasticity=1.0)]
+        with pytest.raises(ValidationError, match=r"household h1: act_score must lie in \[1, 36\]") as info:
+            community_of(hs)
+        assert info.value.row == 1
+
+    @given(st.integers(1, 6), st.integers(1, 40), st.integers(0, 2**32 - 1))
+    @settings(max_examples=40)
+    def test_daily_is_bit_identical_to_per_row_sums(self, n, days, seed):
+        loads = np.random.default_rng(seed).uniform(0.0, 5.0, (n, days * 24))
+        c = community_of([household(f"h{i}", load=row) for i, row in enumerate(loads)])
+        np.testing.assert_array_equal(c.daily, [row.reshape(days, 24).sum(axis=1)
+                                                for row in loads])
+
+    def test_shares_its_arrays_read_only(self):
+        loads = np.ones((2, 48))
+        c = community_of([household("h0", load=loads[0]), household("h1", load=loads[1])])
+        resampled = replace(c, elasticity=np.array([-0.5, -0.6]))
+        for name in ("loads", "baseline_rate", "profiles"):
+            assert getattr(resampled, name) is getattr(c, name)
+        assert resampled.by_id("h1").elasticity == -0.6
+        with pytest.raises(ValueError):
+            c.loads[0, 0] = 2.0
 
 
 class TestElasticitySampling:
@@ -129,6 +177,20 @@ class TestElasticitySampling:
         e = sample_elasticity(rng, -0.25, 2.0)  # wide std to hit both clamps
         assert ELASTICITY_FLOOR <= e <= ELASTICITY_CEIL
 
+    @given(st.integers(1, 30), st.integers(0, 2**32 - 1))
+    @settings(max_examples=50)
+    def test_array_draws_match_one_draw_at_a_time(self, n, seed):
+        regimes = [(-0.5, 0.05), (-0.025, 0.004)]
+        one_at_a_time = np.random.default_rng(seed)
+        expected = [sample_elasticity(one_at_a_time, *regimes[i % 2]) for i in range(n)]
+        mean, std = np.resize(regimes, (n, 2)).T
+        drawn = sample_elasticity(np.random.default_rng(seed), mean, std, size=n)
+        np.testing.assert_array_equal(drawn, expected)
+        rng = np.random.default_rng(seed)
+        np.testing.assert_array_equal(
+            sample_elasticity(np.random.default_rng(seed), -0.25, 2.0, size=n),
+            [sample_elasticity(rng, -0.25, 2.0) for _ in range(n)])
+
     def test_distribution_matches_gaussian(self):
         # With the default (mean -0.25, std 0.1) parameters clipping is rare,
         # so the sample mean/std should track the Gaussian parameters.
@@ -145,7 +207,7 @@ class TestGeneration:
         assert len(c.neighborhoods) == 6
         assert len(c.counties) == 3
         for h in c.households:
-            assert h.load.n_days == 7
+            assert daily_totals(h.load).shape == (7,)
             assert ELASTICITY_FLOOR <= h.elasticity <= ELASTICITY_CEIL
             assert h.id in c.neighborhoods[h.neighborhood_id]
 
@@ -154,10 +216,8 @@ class TestGeneration:
         b = generate_community(2, 1, 5, seed=7, days=3)
         for ha, hb in zip(a.households, b.households):
             assert ha.elasticity == hb.elasticity
-            np.testing.assert_array_equal(ha.load.values, hb.load.values)
-            np.testing.assert_array_equal(
-                ha.profile.as_vector(), hb.profile.as_vector()
-            )
+            np.testing.assert_array_equal(ha.load, hb.load)
+            np.testing.assert_array_equal(ha.profile, hb.profile)
 
     def test_different_seeds_differ(self):
         a = generate_community(1, 1, 5, seed=0, days=3)
@@ -185,10 +245,8 @@ class TestCsvRoundtrip:
             assert a.neighborhood_id == b.neighborhood_id
             assert a.elasticity == b.elasticity  # repr() roundtrips exactly
             assert a.baseline_rate == b.baseline_rate
-            np.testing.assert_array_equal(a.load.values, b.load.values)
-            np.testing.assert_array_equal(
-                a.profile.as_vector(), b.profile.as_vector()
-            )
+            np.testing.assert_array_equal(a.load, b.load)
+            np.testing.assert_array_equal(a.profile, b.profile)
         assert restored.counties.keys() == original.counties.keys()
 
     def test_saved_bytes_are_pinned(self, tmp_path):
@@ -215,11 +273,12 @@ class TestCsvRoundtrip:
 def assert_same_community(a: Community, b: Community) -> None:
     assert [h.id for h in a.households] == [h.id for h in b.households]
     assert a.neighborhoods == b.neighborhoods and a.counties == b.counties
+    assert a.start == b.start
     for x, y in zip(a.households, b.households):
-        assert (x.neighborhood_id, x.elasticity, x.baseline_rate, x.profile) == (
-            y.neighborhood_id, y.elasticity, y.baseline_rate, y.profile)
-        assert x.load.start == y.load.start
-        np.testing.assert_array_equal(x.load.values, y.load.values)
+        assert (x.neighborhood_id, x.elasticity, x.baseline_rate) == (
+            y.neighborhood_id, y.elasticity, y.baseline_rate)
+        np.testing.assert_array_equal(x.profile, y.profile)
+        np.testing.assert_array_equal(x.load, y.load)
 
 
 class TestCsvValidation:
@@ -272,6 +331,23 @@ class TestCsvValidation:
         rows[1] = rows[1].replace(rows[1].split(",")[3], "cheap", 1)
         self.edit(hh, header, rows)
         with pytest.raises(ValidationError, match="hh.csv row 3: baseline_rate 'cheap'"):
+            load_community(hh, loads)
+
+    @pytest.mark.parametrize(("column", "text", "rule"), [
+        ("elasticity", "0.1", "elasticity must be negative"),
+        ("baseline_rate", "-0.16", "baseline_rate must be > 0"),
+        ("act_score", "40.0", r"act_score must lie in \[1, 36\]"),
+        ("dwelling_size", "0", "dwelling_size must be > 0"),
+    ])
+    def test_out_of_range_household_field(self, saved, column, text, rule):
+        original, hh, loads = saved
+        header, rows = self.rows(hh)
+        fields = rows[1].rstrip("\n").split(",")
+        fields[HOUSEHOLD_COLUMNS.index(column)] = text
+        rows[1] = ",".join(fields) + "\n"
+        self.edit(hh, header, rows)
+        with pytest.raises(ValidationError,
+                           match=f"hh.csv row 3: household {original.ids[1]}: {rule}"):
             load_community(hh, loads)
 
     def test_bad_timestamp(self, saved):

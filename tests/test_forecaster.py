@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from gridflex import forecaster
 from gridflex.autodiff import Tensor
-from gridflex.community import LoadSeries
 from gridflex.errors import DomainError, InvalidSpecError, NumericalError, ShapeError
 from gridflex.forecaster import (
     EncoderParams,
@@ -27,7 +26,7 @@ from gridflex.forecaster import (
     split_dataset,
     train,
 )
-from tests.conftest import START, community_of, household
+from tests.conftest import community_of, household
 
 
 def household_embedding(params: EncoderParams, window: np.ndarray) -> np.ndarray:
@@ -292,8 +291,7 @@ class TestDataset:
     def _community(self, n=4, days=4, seed=0):
         rng = np.random.default_rng(seed)
         return community_of([
-            household(f"h{i}", load=LoadSeries(
-                START, rng.uniform(0.1, 2.0, size=days * 24)))
+            household(f"h{i}", load=rng.uniform(0.1, 2.0, size=days * 24))
             for i in range(n)
         ])
 
@@ -305,7 +303,7 @@ class TestDataset:
         assert data.targets.shape == (3, 4)
         assert data.socio.shape == (4, 7)
         # Target is the z-scored hour immediately after each window.
-        series = np.stack([h.load.values for h in c.households])
+        series = np.stack([h.load for h in c.households])
         z = (series - series.mean(axis=1, keepdims=True)) / series.std(
             axis=1, keepdims=True
         )
@@ -361,8 +359,7 @@ class TestTraining:
     def _setup(self, n=3, days=6, seed=0, **model_kw):
         rng = np.random.default_rng(seed)
         c = community_of([
-            household(f"h{i}", load=LoadSeries(
-                START, rng.uniform(0.1, 2.0, size=days * 24)))
+            household(f"h{i}", load=rng.uniform(0.1, 2.0, size=days * 24))
             for i in range(n)
         ])
         data = make_dataset(c, window=24, stride=12)
@@ -387,7 +384,7 @@ class TestTraining:
         for i in range(3):
             vals = 1.5 + np.sin(2 * np.pi * hours / 24 + i)
             vals += 0.05 * rng.normal(size=hours.size)
-            hs.append(household(f"h{i}", load=LoadSeries(START, np.maximum(vals, 0.0))))
+            hs.append(household(f"h{i}", load=np.maximum(vals, 0.0)))
         data = make_dataset(community_of(hs), window=24, stride=12)
         model = build_model(np.random.default_rng(1), hidden_size=4, head_count=2,
                             gcn_hidden=4, socio_width=7)
@@ -463,7 +460,7 @@ class TestTraining:
 def test_grad_check_small_model():
     rng = np.random.default_rng(0)
     c = community_of([
-        household(f"h{i}", load=LoadSeries(START, rng.uniform(0.1, 2.0, size=48)))
+        household(f"h{i}", load=rng.uniform(0.1, 2.0, size=48))
         for i in range(3)
     ])
     data = make_dataset(c, window=6, stride=6)

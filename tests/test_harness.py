@@ -7,7 +7,7 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -16,10 +16,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridflex import harness, selector
-from gridflex.cli import _write_similarity, main
-from gridflex.community import LoadSeries, ScenarioConfig, generate_community
+from gridflex.cli import _from_json, _read_similarity, _RunOptions, _write_similarity, main
+from gridflex.community import ScenarioConfig, daily_totals, generate_community
 from gridflex.errors import (
     CoverageError,
+    GridflexError,
     InvalidSpecError,
     ReferentialIntegrityError,
     ValidationError,
@@ -50,7 +51,7 @@ from gridflex.tariff import (
     price_offers,
     program_cost,
 )
-from tests.conftest import START, community_of, household
+from tests.conftest import community_of, household
 
 SMALL = CommunitySpec(counties=2, neighborhoods_per_county=1,
                       households_per_neighborhood=10, days=10)
@@ -101,7 +102,7 @@ class TestOracleTruth:
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), "seed"))
         hs = [household(f"h{i}", elasticity=data.draw(st.floats(-3.0, -0.02), "e"),
                         baseline_rate=data.draw(st.floats(0.05, 0.5), "rate"),
-                        load=LoadSeries(START, rng.uniform(0.0, 4.0, days * 24)))
+                        load=rng.uniform(0.0, 4.0, days * 24))
               for i in range(data.draw(st.integers(1, 6), "n"))]
         community = community_of(hs)
         priced = price_offers(community.daily, community.elasticity,
@@ -124,7 +125,7 @@ class TestOracleTruth:
     def test_short_load_raises_coverage_error(self):
         h = household(days=5)
         with pytest.raises(CoverageError):
-            price_offers(h.load.daily_totals()[None], np.array([h.elasticity]),
+            price_offers(daily_totals(h.load)[None], np.array([h.elasticity]),
                          np.array([h.baseline_rate]), 10.0, 10.0, (1,), 6)
         with pytest.raises(CoverageError):
             oracle_truth(community_of([h]), 10.0, 10.0, (1,), 6)
@@ -333,7 +334,7 @@ class TestRunScenario:
         nonparticipants = [h for h in community.households
                            if h.id not in set(details["participants"])]
         collected = sum(
-            h.load.daily_totals()[:SMALL_SCENARIO.cycle_days].sum() * report.r_extra
+            daily_totals(h.load)[:SMALL_SCENARIO.cycle_days].sum() * report.r_extra
             for h in nonparticipants
         )
         assert collected == pytest.approx(report.incentive_total, rel=1e-9)
@@ -441,6 +442,21 @@ class TestCli:
             main(["select", "--counties", "1", "--households", "4", "--days", "2",
                   "--similarity-csv", str(path), "--out-dir", str(tmp_path / "out")])
 
+    def test_select_on_loaded_loads_names_the_days_they_cover(self, tmp_path):
+        """Loads read from CSV cover their own number of days, not --days' 30."""
+        population = tmp_path / "population"
+        assert main(["generate", "--counties", "1", "--households", "8", "--days", "4",
+                     "--out-dir", str(population)]) == 0
+        ids, matrix = self._similarity()
+        _write_similarity(tmp_path / "sim.csv", ids, matrix)
+        argv = ["select", "--households-csv", str(population / "households.csv"),
+                "--loads-csv", str(population / "loads.csv"), "--incentive", "3",
+                "--similarity-csv", str(tmp_path / "sim.csv"), "--out-dir", str(tmp_path / "out")]
+        with pytest.raises(InvalidSpecError, match="--days 30 must lie between the 3 "
+                                                   "emergency days and the 4 days the loads"):
+            main(argv)
+        assert main([*argv, "--days", "4"]) == 0
+
     def test_select_rejects_unknown_similarity_id(self, tmp_path):
         ids, matrix = self._similarity()
         with pytest.raises(ReferentialIntegrityError):
@@ -487,6 +503,14 @@ class TestCli:
         path = self._write(tmp_path, {"hidden": 4})
         with pytest.raises(InvalidSpecError, match="'hidden'"):
             main(["run", "--config", path, "--out-dir", str(tmp_path)])
+
+    @pytest.mark.parametrize("flag", ["--config", "--spec"])
+    def test_malformed_json_names_the_file_line_and_column(self, tmp_path, flag):
+        path = tmp_path / "truncated.json"
+        path.write_text('{\n  "variable": "incentive",\n  "values": [1.0,')
+        command = "run" if flag == "--config" else "sweep"
+        with pytest.raises(InvalidSpecError, match="truncated.json line 3 column 18: Expecting value"):
+            main([command, flag, str(path), "--out-dir", str(tmp_path)])
 
     TINY = {"counties": 1, "households_per_neighborhood": 6, "days": 10}
     TINY_SCENARIO = {"cycle_days": 10, "emergency_day_count": 2}
@@ -562,3 +586,51 @@ class TestCli:
                 for name in ("report.json", "similarity.csv")
             })
         assert outputs[0] == outputs[1]
+
+
+# -- boundary fuzzing ------------------------------------------------------------
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner,
+                                                                 max_size=3),
+    max_leaves=8,
+)
+FIELD_VALUES = st.one_of(
+    st.integers(-3, 40), st.floats(-200.0, 200.0), st.floats(),
+    st.lists(st.floats(-1.0, 2.0), max_size=4), st.lists(st.integers(0, 30), max_size=4),
+    st.sampled_from(["incentive", "reduction_pct", "noise_level", "sweep.csv"]), JSON_VALUES,
+)
+
+
+@pytest.mark.parametrize("cls", [ScenarioConfig, CommunitySpec, Hyper, SweepSpec, _RunOptions])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_from_json_loads_or_raises_a_typed_error(cls, data):
+    keys = [f.name for f in fields(cls)]
+    raw = data.draw(st.one_of(
+        st.dictionaries(st.sampled_from(keys), FIELD_VALUES, max_size=len(keys)),
+        st.dictionaries(st.sampled_from(keys) | st.text(max_size=4), FIELD_VALUES, max_size=3),
+        JSON_VALUES,
+    ))
+    try:
+        loaded = _from_json(cls, raw, "spec")
+    except GridflexError:
+        return
+    assert isinstance(loaded, cls)
+
+
+SIMILARITY_TEXT = st.text(alphabet=list('ab,"\n\r .-+0123456789eEinfINF_x'), max_size=40)
+
+
+@settings(max_examples=300, deadline=None)
+@given(prefix=st.sampled_from(["", "a,b\n", "a,b\n0.5,0.5\n", "b,a\n0.5,0.5\n0.5,0.5\n"]),
+       text=SIMILARITY_TEXT)
+def test_read_similarity_loads_or_raises_a_typed_error(tmp_path_factory, prefix, text):
+    path = tmp_path_factory.mktemp("similarity") / "sim.csv"
+    path.write_text(prefix + text)
+    try:
+        matrix = _read_similarity(path, ("a", "b"))
+    except GridflexError:
+        return
+    assert matrix.shape == (2, 2)

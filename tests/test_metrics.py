@@ -6,7 +6,7 @@ import itertools
 import numpy as np
 import pytest
 
-from gridflex.community import Community, LoadSeries
+from gridflex.community import Community, daily_totals
 from gridflex.errors import InfeasibleAllocationError, UndefinedMetricError
 from gridflex.metrics import (
     acceptance_rate,
@@ -15,7 +15,7 @@ from gridflex.metrics import (
     total_demand_reduction,
 )
 from gridflex.tariff import accept_offer, make_offer, min_incentive
-from tests.conftest import START, community_of, household
+from tests.conftest import community_of, household
 
 
 def random_community(rng: np.random.Generator, n: int, days: int = 10) -> Community:
@@ -26,7 +26,7 @@ def random_community(rng: np.random.Generator, n: int, days: int = 10) -> Commun
             household(
                 hid=f"h{i:02d}",
                 elasticity=float(rng.uniform(-1.5, -0.05)),
-                load=LoadSeries(START, hourly),
+                load=hourly,
             )
         )
     return community_of(households)
@@ -45,7 +45,7 @@ def brute_force_allocation(
     contrib = {}
     cost = {}
     for h in community.households:
-        daily = h.load.daily_totals()
+        daily = daily_totals(h.load)
         contrib[h.id] = np.array([daily[d] * scale for d in days])
         offer = make_offer(h, 0.0, reduction_pct, days, cycle_days)
         cost[h.id] = min_incentive(h, offer)
@@ -113,20 +113,20 @@ class TestAllocator:
     def test_selection_is_feasible_and_minimal(self):
         rng = np.random.default_rng(2)
         c = random_community(rng, 10)
-        daily_total = sum(h.load.daily_totals() for h in c.households)
+        daily_total = sum(daily_totals(h.load) for h in c.households)
         shortfall = {1: 0.04 * daily_total[1], 6: 0.03 * daily_total[6]}
         selected, paid = allocate_budget(c, shortfall, 10.0, 10)
         assert selected == set(paid)
         for day, need in shortfall.items():
             covered = sum(
-                c.by_id(h).load.daily_totals()[day] * 0.10 for h in selected
+                daily_totals(c.by_id(h).load)[day] * 0.10 for h in selected
             )
             assert covered >= need - 1e-9
             # Minimality: dropping any one household breaks some constraint.
         for victim in selected:
             rest = selected - {victim}
             assert any(
-                sum(c.by_id(h).load.daily_totals()[day] * 0.10 for h in rest)
+                sum(daily_totals(c.by_id(h).load)[day] * 0.10 for h in rest)
                 < need - 1e-12
                 for day, need in shortfall.items()
             )
@@ -134,7 +134,7 @@ class TestAllocator:
     def test_payments_equal_min_incentives(self):
         rng = np.random.default_rng(3)
         c = random_community(rng, 8)
-        daily_total = sum(h.load.daily_totals() for h in c.households)
+        daily_total = sum(daily_totals(h.load) for h in c.households)
         shortfall = {4: 0.05 * daily_total[4]}
         selected, paid = allocate_budget(c, shortfall, 20.0, 10)
         days = tuple(sorted(shortfall))
@@ -148,7 +148,7 @@ class TestAllocator:
         rng = np.random.default_rng(100 + seed)
         n = int(rng.integers(4, 11))
         c = random_community(rng, n)
-        daily_total = sum(h.load.daily_totals() for h in c.households)
+        daily_total = sum(daily_totals(h.load) for h in c.households)
         days = sorted(rng.choice(10, size=2, replace=False))
         frac = rng.uniform(0.01, 0.08)
         shortfall = {int(d): frac * daily_total[d] for d in days}

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gridflex.community import daily_totals
 from gridflex.errors import (
     ContractViolation,
     CoverageError,
@@ -36,7 +37,7 @@ from gridflex.tariff import (
     program_cost,
     rate_hike,
 )
-from tests.conftest import START, LoadSeries, flat_load, household
+from tests.conftest import flat_load, household
 
 EMERGENCY_DAYS = (3, 11, 25)
 
@@ -115,16 +116,16 @@ class TestCosts:
 
     def test_program_cost_rejects_tampered_off_emergency_load(self, standard_household):
         offer = standard_offer(standard_household)
-        values = standard_household.load.values.copy()
+        values = standard_household.load.copy()
         values[0] *= 0.5  # day 0 is not an emergency day
         with pytest.raises(ContractViolation):
-            program_cost(standard_household, offer, LoadSeries(START, values))
+            program_cost(standard_household, offer, values)
 
 
 class TestApplyReduction:
     def test_scales_only_emergency_days(self, standard_household):
         reduced = apply_reduction(standard_household.load, (2,), 20.0)
-        daily = reduced.daily_totals()
+        daily = daily_totals(reduced)
         assert daily[2] == pytest.approx(24.0)
         untouched = np.delete(np.arange(30), 2)
         np.testing.assert_allclose(daily[untouched], 30.0)
@@ -132,10 +133,10 @@ class TestApplyReduction:
     def test_hourly_resolution(self, standard_household):
         reduced = apply_reduction(standard_household.load, (0,), 50.0)
         np.testing.assert_allclose(
-            reduced.values[:24], standard_household.load.values[:24] * 0.5
+            reduced[:24], standard_household.load[:24] * 0.5
         )
         np.testing.assert_array_equal(
-            reduced.values[24:], standard_household.load.values[24:]
+            reduced[24:], standard_household.load[24:]
         )
 
     def test_rejects_out_of_range(self, standard_household):
@@ -147,8 +148,8 @@ class TestApplyReduction:
     def test_total_reduction_matches_rate(self, pct):
         h = household(days=10)
         reduced = apply_reduction(h.load, (1, 4), pct)
-        expected = h.load.values.sum() - 2 * 30.0 * pct / 100.0
-        assert reduced.values.sum() == pytest.approx(expected)
+        expected = h.load.sum() - 2 * 30.0 * pct / 100.0
+        assert reduced.sum() == pytest.approx(expected)
 
 
 class TestMinIncentive:
@@ -206,7 +207,7 @@ class TestPriceOffers:
     def test_worked_example_on_two_rows(self, standard_household):
         # Row 0 is the standard household; row 1 has elasticity -2, so a 10%
         # cut needs a 5% price bump and the emergency bill falls below baseline.
-        daily = np.stack([standard_household.load.daily_totals()] * 2)
+        daily = np.stack([daily_totals(standard_household.load)] * 2)
         priced = price_offers(daily, np.array([-0.25, -2.0]), np.array([0.16, 0.16]),
                               3.744, 10.0, EMERGENCY_DAYS, 30)
         np.testing.assert_allclose(priced.emergency_rate, [0.224, 0.168])
@@ -216,7 +217,7 @@ class TestPriceOffers:
     @pytest.mark.parametrize(("incentive", "days"), [(-1.0, (3,)), (10.0, (30,))],
                              ids=["negative-incentive", "day-outside-cycle"])
     def test_rejects_bad_terms(self, standard_household, incentive, days):
-        daily = standard_household.load.daily_totals()[None]
+        daily = daily_totals(standard_household.load)[None]
         with pytest.raises(ValidationError):
             price_offers(daily, np.array([-0.25]), np.array([0.16]), incentive, 10.0, days, 30)
 
@@ -231,20 +232,20 @@ class TestRateHike:
         nonparticipants = [household(hid=f"h{i}", kwh_per_day=10.0 * (i + 1))
                            for i in range(4)]
         incentives = [100.0, 150.0]
-        daily = np.array([h.load.daily_totals() for h in nonparticipants])
+        daily = np.array([daily_totals(h.load) for h in nonparticipants])
         r = rate_hike(daily, incentives, cycle_days=30)
         collected = sum(
-            h.load.daily_totals()[:30].sum() * r for h in nonparticipants
+            daily_totals(h.load)[:30].sum() * r for h in nonparticipants
         )
         assert collected == pytest.approx(sum(incentives), rel=1e-12)
 
     def test_zero_incentives(self):
-        assert rate_hike(household().load.daily_totals()[None], [], cycle_days=30) == 0.0
+        assert rate_hike(daily_totals(household().load)[None], [], cycle_days=30) == 0.0
 
     def test_degenerate_population(self):
         zero_load = household(load=flat_load(0.0, 30))
         with pytest.raises(DegeneratePopulationError):
-            rate_hike(zero_load.load.daily_totals()[None], [100.0], cycle_days=30)
+            rate_hike(daily_totals(zero_load.load)[None], [100.0], cycle_days=30)
 
 
 class TestValidation:
