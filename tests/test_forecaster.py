@@ -1,5 +1,7 @@
 """Forecasting network: component oracles, invariants, training behavior."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -469,3 +471,50 @@ def test_grad_check_small_model():
     err = grad_check(model, data.windows[0], data.targets[0], data.socio,
                      epsilon=1e-5)
     assert err < 1e-4
+
+
+def _parameter_digest(model) -> str:
+    digest = hashlib.sha256()
+    for _, p in model.parameters():
+        digest.update(p.data.tobytes())
+    return digest.hexdigest()
+
+
+def _shapes(m, heads, gcn, socio):
+    dk = m // heads
+    return [
+        ("gru.w_update", (1, m)), ("gru.u_update", (m, m)), ("gru.b_update", (m,)),
+        ("gru.w_reset", (1, m)), ("gru.u_reset", (m, m)), ("gru.b_reset", (m,)),
+        ("gru.w_cand", (1, m)), ("gru.u_cand", (m, m)), ("gru.b_cand", (m,)),
+        ("self_attn.q", (m, m)), ("self_attn.k", (m, m)), ("self_attn.v", (m, m)),
+        ("mha.q", (heads, m, dk)), ("mha.k", (heads, m, dk)), ("mha.v", (heads, m, dk)),
+        ("mha.out", (heads * dk, m)), ("gcn.0", (m + socio, gcn)), ("gcn.1", (gcn, gcn)),
+        ("head.w", (gcn, 1)), ("head.b", (1,)),
+    ]
+
+
+class TestPinnedBytes:
+    """The initial parameters and a short training run, pinned to the byte."""
+
+    @pytest.mark.parametrize("kwargs, shapes, sha", [
+        ({}, _shapes(32, 4, 32, 7),
+         "964369204359400bc0170c71f40110760b6dece5fea8a12db650c1d8acc6e668"),
+        (dict(hidden_size=4, head_count=2, gcn_hidden=4, socio_width=2), _shapes(4, 2, 4, 2),
+         "0b46736e3aef02c55a31348778fb6226d02bf02402f6407544b01588a23db8c1"),
+    ])
+    def test_build_model(self, kwargs, shapes, sha):
+        model = build_model(np.random.default_rng(0), **kwargs)
+        assert [(name, p.shape) for name, p in model.parameters()] == shapes
+        assert _parameter_digest(model) == sha
+
+    def test_two_epochs_of_training(self):
+        rng = np.random.default_rng(0)
+        data = make_dataset(community_of([
+            household(f"h{i}", load=rng.uniform(0.1, 2.0, size=6 * 24)) for i in range(3)
+        ]), window=24, stride=12)
+        model = build_model(np.random.default_rng(0), hidden_size=4, head_count=2,
+                            gcn_hidden=4, socio_width=7)
+        result = train(model, data, Hyper(epochs=2, batch_size=4))
+        assert repr(result.val_mse) == "[1.3099867590495677, 1.3102949068388015]"
+        assert (_parameter_digest(model)
+                == "748248017fccc88a1338be5cc88c1d698d0988001194faac0c503e0d73de3e93")
