@@ -13,7 +13,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import NumericalError, ShapeError
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -32,7 +32,7 @@ class Tensor:
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         if not np.all(np.isfinite(self.data)):
-            raise ShapeError("tensor holds non-finite values")
+            raise NumericalError("tensor holds non-finite values")
         self.requires_grad = requires_grad
         self.grad: np.ndarray | None = None
         self._backward = None
@@ -57,7 +57,8 @@ class Tensor:
     def _lift(x) -> "Tensor":
         return x if isinstance(x, Tensor) else Tensor(x)
 
-    def _make(self, data: np.ndarray, parents: tuple["Tensor", ...], backward) -> "Tensor":
+    @staticmethod
+    def _make(data: np.ndarray, parents: tuple["Tensor", ...], backward) -> "Tensor":
         out = Tensor(data)
         if any(p.requires_grad for p in parents):
             out.requires_grad = True
@@ -264,12 +265,7 @@ class Tensor:
                 if t.requires_grad:
                     t._accumulate(piece)
 
-        dummy = Tensor(out_data)
-        if any(t.requires_grad for t in tensors):
-            dummy.requires_grad = True
-            dummy._parents = tuple(t for t in tensors if t.requires_grad)
-            dummy._backward = backward
-        return dummy
+        return Tensor._make(out_data, tuple(tensors), backward)
 
     @staticmethod
     def stack(tensors: list["Tensor"], axis: int = 0):
@@ -282,12 +278,7 @@ class Tensor:
                 if t.requires_grad:
                     t._accumulate(np.squeeze(piece, axis=axis))
 
-        dummy = Tensor(out_data)
-        if any(t.requires_grad for t in tensors):
-            dummy.requires_grad = True
-            dummy._parents = tuple(t for t in tensors if t.requires_grad)
-            dummy._backward = backward
-        return dummy
+        return Tensor._make(out_data, tuple(tensors), backward)
 
     # -- backward pass ---------------------------------------------------------
 

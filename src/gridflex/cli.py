@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import typing
 from dataclasses import MISSING, asdict, dataclass, fields
 from pathlib import Path
@@ -106,14 +107,15 @@ class _RunOptions:
 
 
 def _fits(value, hint) -> bool:
-    """Whether a JSON value can stand for a field annotated `hint`: an int for
-    a float, a list of numbers of the right length for a tuple of floats."""
+    """Whether a JSON value can stand for a field annotated `hint`: a finite int
+    or float for a float, a list of those of the right length for a tuple of floats."""
     if typing.get_origin(hint) is tuple:
         args = typing.get_args(hint)
         return (isinstance(value, list) and all(_fits(v, float) for v in value)
                 and (args[-1] is Ellipsis or len(value) == len(args)))
     if hint is float:
-        hint = (int, float)
+        return (isinstance(value, (int, float)) and not isinstance(value, bool)
+                and math.isfinite(value))
     return isinstance(value, hint) and not isinstance(value, bool)
 
 

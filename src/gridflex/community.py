@@ -149,6 +149,12 @@ class Community:
         return total
 
 
+def check_split_ratios(ratios: tuple[float, ...]) -> None:
+    """Train/validation/test shares: each positive, summing to 1."""
+    if any(not r > 0 for r in ratios) or abs(sum(ratios) - 1) > 1e-9:
+        raise InvalidSpecError(f"split_ratios must be positive and sum to 1, got {ratios}")
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     cycle_days: int = 30
@@ -162,14 +168,21 @@ class ScenarioConfig:
     participation_fraction: float = 0.25
 
     def __post_init__(self):
+        if self.cycle_days < 1:
+            raise InvalidSpecError(f"cycle_days must be >= 1, got {self.cycle_days}")
         if not 0 <= self.emergency_day_count <= self.cycle_days:
             raise InvalidSpecError("emergency day count exceeds cycle length")
         if not 0 < self.target_reduction_pct < 100:
             raise InvalidSpecError("target_reduction_pct must lie in (0, 100)")
-        if self.elasticity_mean >= 0:
+        if not 0 <= self.default_incentive < math.inf:
+            raise InvalidSpecError(f"default_incentive must be finite and >= 0, "
+                                   f"got {self.default_incentive}")
+        if not self.elasticity_mean < 0:
             raise InvalidSpecError("elasticity_mean must be negative")
-        if any(r <= 0 for r in self.split_ratios) or abs(sum(self.split_ratios) - 1) > 1e-9:
-            raise InvalidSpecError("split_ratios must be positive and sum to 1")
+        if not 0 < self.participation_fraction <= 1:
+            raise InvalidSpecError(f"participation_fraction must lie in (0, 1], "
+                                   f"got {self.participation_fraction}")
+        check_split_ratios(self.split_ratios)
 
 
 def sample_elasticity(rng: np.random.Generator, mean, std, size: int | None = None):
@@ -374,6 +387,7 @@ def load_community(households_csv: Path | str, loads_csv: Path | str) -> Communi
     start, load_row, loads = _read_loads(Path(loads_csv))
     neighborhoods: dict[str, list[str]] = {}
     counties: dict[str, set[str]] = {}
+    county_of: dict[str, str] = {}  # neighborhood id -> the county of its first row
     row_of: dict[str, int] = {}  # household id -> line, in file order
     numbers = []
     for line, (hid, nb_id, county, *fields) in _rows(households_csv, HOUSEHOLD_COLUMNS):
@@ -385,6 +399,9 @@ def load_community(households_csv: Path | str, loads_csv: Path | str) -> Communi
             raise ReferentialIntegrityError(f"{where}: household {hid} has no load rows")
         numbers.append([_number(text, where, column)
                         for text, column in zip(fields, HOUSEHOLD_COLUMNS[3:])])
+        if county_of.setdefault(nb_id, county) != county:
+            raise ValidationError(f"{where}: neighborhood {nb_id} is in county {county}, "
+                                  f"but in {county_of[nb_id]} on an earlier row")
         neighborhoods.setdefault(nb_id, []).append(hid)
         counties.setdefault(county, set()).add(nb_id)
     orphans = load_row.keys() - row_of.keys()

@@ -8,12 +8,13 @@ predicts the next hour of demand. Trained with MSE and RMSProp.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .autodiff import Tensor, no_grad, parameter
-from .community import Community, normalize_features
+from .community import Community, check_split_ratios, normalize_features
 from .errors import DomainError, InvalidSpecError, NumericalError, ShapeError
 
 
@@ -26,6 +27,19 @@ class Hyper:
     rmsprop_eps: float = 1e-8
     split_ratios: tuple[float, float, float] = (0.7, 0.2, 0.1)
 
+    def __post_init__(self):
+        rules = {  # field -> (holds, rule)
+            "epochs": (self.epochs >= 0, ">= 0"),
+            "batch_size": (self.batch_size >= 1, ">= 1"),
+            "learning_rate": (0 <= self.learning_rate < math.inf, "finite and >= 0"),
+            "rmsprop_decay": (0 <= self.rmsprop_decay < 1, "in [0, 1)"),
+            "rmsprop_eps": (0 <= self.rmsprop_eps < math.inf, "finite and >= 0"),
+        }
+        for name, (holds, rule) in rules.items():
+            if not holds:
+                raise InvalidSpecError(f"{name} must be {rule}, got {getattr(self, name)}")
+        check_split_ratios(self.split_ratios)
+
 
 def rmsprop_step(param: np.ndarray, grad: np.ndarray, cache: np.ndarray, hyper: Hyper):
     """One RMSProp update of `param` and its `cache`, in place."""
@@ -36,62 +50,34 @@ def rmsprop_step(param: np.ndarray, grad: np.ndarray, cache: np.ndarray, hyper: 
     param -= hyper.learning_rate * grad / (np.sqrt(cache) + hyper.rmsprop_eps)
 
 
-@dataclass
-class EncoderParams:
-    """GRU gates plus single-head self-attention projections."""
+def parameter_table(m: int, heads: int, gcn: int, socio: int) -> dict[str, tuple[tuple, int]]:
+    """Parameter name -> (shape, fan_in), in draw order; fan_in 0 is a zero bias.
 
-    hidden_size: int
-    w_update: Tensor
-    u_update: Tensor
-    b_update: Tensor
-    w_reset: Tensor
-    u_reset: Tensor
-    b_reset: Tensor
-    w_cand: Tensor
-    u_cand: Tensor
-    b_cand: Tensor
-    attn_q: Tensor
-    attn_k: Tensor
-    attn_v: Tensor
-
-
-@dataclass
-class AttentionParams:
-    """Per-head projections stacked on a leading head axis, plus output projection."""
-
-    head_count: int
-    w_q: Tensor  # (heads, M, dk)
-    w_k: Tensor
-    w_v: Tensor
-    w_out: Tensor  # (heads * dk, M)
+    m is the hidden size, split over `heads` attention heads; `socio` static
+    features join the cross-attention output before the `gcn`-wide layers.
+    """
+    table = {}
+    for gate in ("update", "reset", "cand"):
+        table |= {f"gru.w_{gate}": ((1, m), 1), f"gru.u_{gate}": ((m, m), m),
+                  f"gru.b_{gate}": ((m,), 0)}
+    table |= {f"self_attn.{x}": ((m, m), m) for x in "qkv"}
+    table |= {f"mha.{x}": ((heads, m, m // heads), m) for x in "qkv"}
+    return table | {
+        "mha.out": ((m, m), m),
+        "gcn.0": ((m + socio, gcn), m + socio),
+        "gcn.1": ((gcn, gcn), gcn),
+        "head.w": ((gcn, 1), gcn),
+        "head.b": ((1,), 0),
+    }
 
 
 @dataclass
 class PatternModel:
-    encoder: EncoderParams
-    attention: AttentionParams
-    gcn_weights: list[Tensor]
-    head_w: Tensor
-    head_b: Tensor
+    params: dict[str, Tensor]  # name -> parameter, in the order of parameter_table
     window: int = 24
-    socio_width: int = 7
 
     def parameters(self) -> list[tuple[str, Tensor]]:
-        enc = self.encoder
-        att = self.attention
-        named = [
-            ("gru.w_update", enc.w_update), ("gru.u_update", enc.u_update),
-            ("gru.b_update", enc.b_update), ("gru.w_reset", enc.w_reset),
-            ("gru.u_reset", enc.u_reset), ("gru.b_reset", enc.b_reset),
-            ("gru.w_cand", enc.w_cand), ("gru.u_cand", enc.u_cand),
-            ("gru.b_cand", enc.b_cand), ("self_attn.q", enc.attn_q),
-            ("self_attn.k", enc.attn_k), ("self_attn.v", enc.attn_v),
-            ("mha.q", att.w_q), ("mha.k", att.w_k), ("mha.v", att.w_v),
-            ("mha.out", att.w_out),
-        ]
-        named += [(f"gcn.{i}", w) for i, w in enumerate(self.gcn_weights)]
-        named += [("head.w", self.head_w), ("head.b", self.head_b)]
-        return named
+        return list(self.params.items())
 
 
 def build_model(
@@ -102,71 +88,40 @@ def build_model(
     socio_width: int = 7,
     window: int = 24,
 ) -> PatternModel:
-    m = hidden_size
-    if m % head_count != 0:
+    if hidden_size % head_count != 0:
         raise InvalidSpecError("hidden_size must be divisible by head_count")
-    dk = m // head_count
-    encoder = EncoderParams(
-        hidden_size=m,
-        w_update=parameter(rng, (1, m), 1), u_update=parameter(rng, (m, m), m),
-        b_update=Tensor(np.zeros(m), requires_grad=True),
-        w_reset=parameter(rng, (1, m), 1), u_reset=parameter(rng, (m, m), m),
-        b_reset=Tensor(np.zeros(m), requires_grad=True),
-        w_cand=parameter(rng, (1, m), 1), u_cand=parameter(rng, (m, m), m),
-        b_cand=Tensor(np.zeros(m), requires_grad=True),
-        attn_q=parameter(rng, (m, m), m),
-        attn_k=parameter(rng, (m, m), m),
-        attn_v=parameter(rng, (m, m), m),
-    )
-    attention = AttentionParams(
-        head_count=head_count,
-        w_q=parameter(rng, (head_count, m, dk), m),
-        w_k=parameter(rng, (head_count, m, dk), m),
-        w_v=parameter(rng, (head_count, m, dk), m),
-        w_out=parameter(rng, (head_count * dk, m), head_count * dk),
-    )
-    gcn_weights = [
-        parameter(rng, (m + socio_width, gcn_hidden), m + socio_width),
-        parameter(rng, (gcn_hidden, gcn_hidden), gcn_hidden),
-    ]
-    head_w = parameter(rng, (gcn_hidden, 1), gcn_hidden)
-    head_b = Tensor(np.zeros(1), requires_grad=True)
-    return PatternModel(encoder, attention, gcn_weights, head_w, head_b,
-                        window=window, socio_width=socio_width)
+    table = parameter_table(hidden_size, head_count, gcn_hidden, socio_width)
+    return PatternModel({
+        name: parameter(rng, shape, fan_in) if fan_in
+        else Tensor(np.zeros(shape), requires_grad=True)
+        for name, (shape, fan_in) in table.items()
+    }, window)
 
 
 # -- forward components --------------------------------------------------------
 
 
-def gru_forward(params: EncoderParams, sequence: Tensor | np.ndarray) -> Tensor:
-    """GRU over one or many series, as one autodiff node.
+def gru_forward(params: dict[str, Tensor], sequence: Tensor | np.ndarray) -> Tensor:
+    """GRU over a batch of series (n, s, input_dim), as one autodiff node.
 
-    Accepts (s, input_dim) for a single series or (n, s, input_dim) for a
-    batch; returns hidden states with shape matching the input convention
-    ((s, M) or (n, s, M)). Zero initial hidden state.
-
-    The input projections of all steps are one matmul before the time loop,
-    and the update and reset gates share one (M, 2M) recurrent matmul per
-    step (Appleyard et al. 2016, arXiv:1604.01946). Backpropagation through
-    time is a hand-written numpy loop over the gate activations kept here.
+    Returns the hidden states (n, s, M) from a zero initial state. The input
+    projections of all steps are one matmul before the time loop, and the
+    update and reset gates share one (M, 2M) recurrent matmul per step
+    (Appleyard et al. 2016, arXiv:1604.01946). Backpropagation through time is
+    a hand-written numpy loop over the gate activations kept here.
     """
     x = Tensor._lift(sequence)
-    width = params.w_update.shape[0]
-    single = x.data.ndim == 2
-    xs = x.data[None] if single else x.data
-    if xs.ndim != 3 or xs.shape[2] != width:
+    gate_params = tuple(params[f"gru.{kind}_{gate}"]
+                        for kind in "wub" for gate in ("update", "reset", "cand"))
+    width, m = gate_params[0].shape
+    if x.data.ndim != 3 or x.shape[2] != width:
         raise ShapeError(f"expected (n, s, {width}) input, got {x.shape}")
-    n, s, _ = xs.shape
-    m = params.hidden_size
-    gate_params = (params.w_update, params.w_reset, params.w_cand,
-                   params.u_update, params.u_reset, params.u_cand,
-                   params.b_update, params.b_reset, params.b_cand)
+    n, s, _ = x.shape
     w_x = np.concatenate([p.data for p in gate_params[:3]], axis=1)  # (d, 3M)
     u_zr = np.concatenate([p.data for p in gate_params[3:5]], axis=1)  # (M, 2M)
-    u_c = params.u_cand.data
-    x_steps = xs.transpose(1, 0, 2)  # (s, n, d)
+    u_c = gate_params[5].data
+    x_steps = x.data.transpose(1, 0, 2)  # (s, n, d)
     proj = x_steps @ w_x + np.concatenate([p.data for p in gate_params[6:]])  # (s, n, 3M)
-
     zr = np.empty((s, n, 2 * m))  # update gate z, then reset gate r
     cand = np.empty((s, n, m))
     rh = np.empty((s, n, m))  # r * h_{t-1}, the input of the candidate's matmul
@@ -188,7 +143,7 @@ def gru_forward(params: EncoderParams, sequence: Tensor | np.ndarray) -> Tensor:
         h_next += c
 
     def backward(g):
-        g_steps = (g[None] if single else g).transpose(1, 0, 2)  # (s, n, M)
+        g_steps = g.transpose(1, 0, 2)  # (s, n, M)
         d_proj = np.empty((s, n, 3 * m))  # gradient w.r.t. the gate pre-activations
         dh = np.zeros((n, m))
         for t in range(s - 1, -1, -1):
@@ -212,30 +167,24 @@ def gru_forward(params: EncoderParams, sequence: Tensor | np.ndarray) -> Tensor:
             if p.requires_grad:
                 p._accumulate(grad)
         if x.requires_grad:
-            d_x = (d_proj @ w_x.T).transpose(1, 0, 2)
-            x._accumulate(d_x[0] if single else d_x)
+            x._accumulate((d_proj @ w_x.T).transpose(1, 0, 2))
 
-    states = h[1:].transpose(1, 0, 2)
-    return x._make(states[0] if single else states, (x, *gate_params), backward)
+    return x._make(h[1:].transpose(1, 0, 2), (x, *gate_params), backward)
 
 
-def self_attention(params: EncoderParams, hidden: Tensor) -> Tensor:
-    """Single-head scaled dot-product attention over time steps.
-
-    Accepts (s, M) or batched (n, s, M); same shape out.
-    """
-    h = Tensor._lift(hidden)
-    m = params.hidden_size
-    if h.shape[-1] != m:
-        raise ShapeError(f"hidden width {h.shape[-1]} != {m}")
-    q = h @ params.attn_q
-    k = h @ params.attn_k
-    v = h @ params.attn_v
+def self_attention(params: dict[str, Tensor], hidden: Tensor) -> Tensor:
+    """Single-head scaled dot-product attention over the time steps of (n, s, M)."""
+    m = params["self_attn.q"].shape[0]
+    if hidden.data.ndim != 3 or hidden.shape[2] != m:
+        raise ShapeError(f"expected (n, s, {m}) hidden states, got {hidden.shape}")
+    q = hidden @ params["self_attn.q"]
+    k = hidden @ params["self_attn.k"]
+    v = hidden @ params["self_attn.v"]
     scores = (q @ k.mT) * (1.0 / np.sqrt(m))
     return scores.softmax(axis=-1) @ v
 
 
-def inter_series_attention(params: AttentionParams, embeddings: Tensor | np.ndarray):
+def inter_series_attention(params: dict[str, Tensor], embeddings: Tensor | np.ndarray):
     """Multi-head attention across households.
 
     Returns (similarity, projected): similarity is the head-averaged (n, n)
@@ -244,25 +193,15 @@ def inter_series_attention(params: AttentionParams, embeddings: Tensor | np.ndar
     e = Tensor._lift(embeddings)
     n, m = e.shape
     e3 = e.reshape(1, n, m)
-    q = e3 @ params.w_q  # (heads, n, dk)
-    k = e3 @ params.w_k
-    v = e3 @ params.w_v
+    q = e3 @ params["mha.q"]  # (heads, n, dk)
+    k = e3 @ params["mha.k"]
+    v = e3 @ params["mha.v"]
     weights = ((q @ k.mT) * (1.0 / np.sqrt(m))).softmax(axis=-1)  # (heads, n, n)
     head_out = weights @ v  # (heads, n, dv)
     merged = head_out.transpose(1, 0, 2).reshape(n, -1)
-    projected = merged @ params.w_out
+    projected = merged @ params["mha.out"]
     similarity = weights.mean(axis=0)
     return similarity, projected
-
-
-def concat_features(temporal: Tensor | np.ndarray, socio: Tensor | np.ndarray) -> Tensor:
-    temporal = Tensor._lift(temporal)
-    socio = Tensor._lift(socio)
-    if temporal.shape[0] != socio.shape[0]:
-        raise ShapeError("row count mismatch between temporal and static features")
-    if socio.shape[1] == 0:
-        return temporal
-    return Tensor.concat([temporal, socio], axis=1)
 
 
 def gcn_layer(
@@ -291,15 +230,15 @@ def forward(model: PatternModel, windows: np.ndarray, socio: np.ndarray):
     windows = np.asarray(windows, dtype=float)
     if windows.ndim != 2 or windows.shape[1] != model.window:
         raise ShapeError(f"expected (n, {model.window}) windows, got {windows.shape}")
-    hidden = gru_forward(model.encoder, windows[:, :, None])
-    encoded = self_attention(model.encoder, hidden)
-    embeddings = encoded[:, -1, :]
-    similarity, projected = inter_series_attention(model.attention, embeddings)
-    features = concat_features(projected, socio)
-    g = features
-    for w in model.gcn_weights:
-        g = gcn_layer(g, similarity, w)
-    predictions = g @ model.head_w + model.head_b
+    hidden = gru_forward(model.params, windows[:, :, None])
+    embeddings = self_attention(model.params, hidden)[:, -1, :]
+    similarity, projected = inter_series_attention(model.params, embeddings)
+    if np.shape(socio)[0] != projected.shape[0]:
+        raise ShapeError("row count mismatch between temporal and static features")
+    g = Tensor.concat([projected, socio], axis=1)
+    for name in ("gcn.0", "gcn.1"):
+        g = gcn_layer(g, similarity, model.params[name])
+    predictions = g @ model.params["head.w"] + model.params["head.b"]
     return predictions, similarity
 
 
@@ -369,7 +308,7 @@ class TrainResult:
 
 def _eval_mse(model: PatternModel, data: SampleSet) -> float:
     total = 0.0
-    with no_grad(p for _, p in model.parameters()):
+    with no_grad(model.params.values()):
         for i in range(data.windows.shape[0]):
             loss, _ = mse_loss(model, data.windows[i], data.targets[i], data.socio)
             total += float(loss.data)
@@ -380,7 +319,7 @@ def train(model: PatternModel, data: SampleSet, hyper: Hyper | None = None) -> T
     """RMSProp training on the MSE objective; deterministic for a fixed model init."""
     hyper = hyper or Hyper()
     train_set, val_set, _ = split_dataset(data, hyper.split_ratios)
-    params = [p for _, p in model.parameters()]
+    params = list(model.params.values())
     cache = [np.zeros_like(p.data) for p in params]
     result = TrainResult()
     result.initial_val_mse = _eval_mse(model, val_set)
@@ -389,18 +328,14 @@ def train(model: PatternModel, data: SampleSet, hyper: Hyper | None = None) -> T
         epoch_loss = 0.0
         for batch_start in range(0, k, hyper.batch_size):
             idx = range(batch_start, min(batch_start + hyper.batch_size, k))
-            grads = [np.zeros_like(p.data) for p in params]
-            for i in idx:
-                for p in params:
-                    p.grad = None
+            for p in params:
+                p.grad = None
+            for i in idx:  # each parameter's .grad gains one term per sample
                 loss, similarity = mse_loss(
                     model, train_set.windows[i], train_set.targets[i], train_set.socio
                 )
                 loss.backward()
                 epoch_loss += float(loss.data)
-                for g, p in zip(grads, params):
-                    if p.grad is not None:
-                        g += p.grad
                 result.similarity = similarity.data
                 result.max_row_sum_dev = max(
                     result.max_row_sum_dev,
@@ -410,9 +345,9 @@ def train(model: PatternModel, data: SampleSet, hyper: Hyper | None = None) -> T
                     min(result.similarity_range[0], float(similarity.data.min())),
                     max(result.similarity_range[1], float(similarity.data.max())),
                 )
-            for p, g, c in zip(params, grads, cache):
-                g /= len(idx)
-                rmsprop_step(p.data, g, c, hyper)
+            for p, c in zip(params, cache):
+                p.grad /= len(idx)
+                rmsprop_step(p.data, p.grad, c, hyper)
         result.train_mse.append(epoch_loss / k)
         result.val_mse.append(_eval_mse(model, val_set))
     if hyper.epochs == 0:
@@ -422,7 +357,7 @@ def train(model: PatternModel, data: SampleSet, hyper: Hyper | None = None) -> T
 
 def similarity_matrix(model: PatternModel, data: SampleSet) -> np.ndarray:
     """Attention matrix from a full-population forward pass on the last sample."""
-    with no_grad(p for _, p in model.parameters()):
+    with no_grad(model.params.values()):
         _, similarity = forward(model, data.windows[-1], data.socio)
     return similarity.data
 
@@ -440,7 +375,7 @@ def grad_check(model: PatternModel, windows: np.ndarray, targets: np.ndarray,
     """
     if not 1e-7 <= epsilon <= 1e-4:
         raise InvalidSpecError("epsilon must lie in [1e-7, 1e-4]")
-    params = [p for _, p in model.parameters()]
+    params = list(model.params.values())
     for p in params:
         p.grad = None
     loss, _ = mse_loss(model, windows, targets, socio)

@@ -162,7 +162,7 @@ def run_scenario(
 
     Returns the report plus a details dict with per-household raw outputs.
     """
-    hyper = hyper or Hyper(split_ratios=config.split_ratios)
+    hyper = replace(hyper or Hyper(), split_ratios=config.split_ratios)
     community = generate_community(
         community_spec.counties,
         community_spec.neighborhoods_per_county,

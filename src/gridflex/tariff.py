@@ -3,6 +3,7 @@ the acceptance oracle, and the revenue-neutral rate hike on non-participants."""
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -43,8 +44,8 @@ class Offer:
     schedule: TariffSchedule
 
     def __post_init__(self):
-        if self.incentive < 0:
-            raise ValidationError("incentive must be >= 0")
+        if not 0 <= self.incentive < math.inf:
+            raise ValidationError(f"incentive must be a finite number >= 0, got {self.incentive}")
         if not 0 < self.target_reduction_pct < 100:
             raise ValidationError("target_reduction_pct must lie in (0, 100)")
 
@@ -102,8 +103,8 @@ def price_offers(daily: np.ndarray, elasticity: np.ndarray, baseline_rate: np.nd
     (a reduced emergency-day bill can fall below the baseline one). The oracle
     accepts iff the incentive is at least the unclamped minimum.
     """
-    if incentive < 0:
-        raise ValidationError("incentive must be >= 0")
+    if not 0 <= incentive < math.inf:
+        raise ValidationError(f"incentive must be a finite number >= 0, got {incentive}")
     if any(not 0 <= d < cycle_days for d in emergency_days):
         raise ValidationError("emergency day index outside the cycle")
     daily = _cycle(daily, cycle_days)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from gridflex.autodiff import Tensor, no_grad, parameter
-from gridflex.errors import ShapeError
+from gridflex.errors import NumericalError, ShapeError
 
 RNG = np.random.default_rng(42)
 EPS = 1e-6
@@ -242,7 +242,7 @@ class TestGraph:
             (t * 2).backward()
 
     def test_non_finite_rejected(self):
-        with pytest.raises(ShapeError):
+        with pytest.raises(NumericalError):
             Tensor(np.array([1.0, np.inf]))
 
     def test_parents_get_unaliased_grads(self):

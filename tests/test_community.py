@@ -325,6 +325,17 @@ class TestCsvValidation:
         with pytest.raises(ValidationError, match="loads.csv row 6: kwh 'lots'"):
             load_community(hh, loads)
 
+    def test_neighborhood_under_two_counties(self, saved):
+        _, hh, loads = saved
+        header, rows = self.rows(hh)
+        fields = rows[1].split(",")
+        assert fields[:3] == ["c00-n00-h001", "c00-n00", "c00"]
+        rows[1] = ",".join([*fields[:2], "c01", *fields[3:]])
+        self.edit(hh, header, rows)
+        with pytest.raises(ValidationError, match="hh.csv row 3: neighborhood c00-n00 is in "
+                                                  "county c01, but in c00 on an earlier row"):
+            load_community(hh, loads)
+
     def test_non_numeric_household_field(self, saved):
         _, hh, loads = saved
         header, rows = self.rows(hh)
@@ -500,6 +511,16 @@ class TestScenarioConfig:
     ])
     def test_rejects_invalid(self, kwargs):
         with pytest.raises(InvalidSpecError):
+            ScenarioConfig(**kwargs)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"participation_fraction": -0.25}, {"participation_fraction": 0.0},
+        {"participation_fraction": 1.5}, {"default_incentive": -5.0},
+        {"default_incentive": float("nan")}, {"cycle_days": 0, "emergency_day_count": 0},
+        {"elasticity_mean": float("nan")},
+    ], ids=lambda kwargs: "-".join(f"{k}={v}" for k, v in kwargs.items()))
+    def test_names_a_bad_participation_incentive_cycle_or_nan(self, kwargs):
+        with pytest.raises(InvalidSpecError, match=next(iter(kwargs))):
             ScenarioConfig(**kwargs)
 
 

@@ -11,10 +11,8 @@ from gridflex import forecaster
 from gridflex.autodiff import Tensor
 from gridflex.errors import DomainError, InvalidSpecError, NumericalError, ShapeError
 from gridflex.forecaster import (
-    EncoderParams,
     Hyper,
     build_model,
-    concat_features,
     forward,
     gcn_layer,
     grad_check,
@@ -22,6 +20,7 @@ from gridflex.forecaster import (
     inter_series_attention,
     make_dataset,
     mse_loss,
+    parameter_table,
     rmsprop_step,
     self_attention,
     similarity_matrix,
@@ -31,56 +30,40 @@ from gridflex.forecaster import (
 from tests.conftest import community_of, household
 
 
-def household_embedding(params: EncoderParams, window: np.ndarray) -> np.ndarray:
-    """Final-step embedding of one household's load window (length s)."""
-    seq = np.asarray(window, dtype=float).reshape(-1, 1)
-    out = self_attention(params, gru_forward(params, seq))
-    return out.data[-1]
-
-
-def tiny_encoder(rng: np.random.Generator, m: int = 3) -> EncoderParams:
-    def p(shape):
-        return Tensor(rng.normal(scale=0.5, size=shape), requires_grad=True)
-
-    return EncoderParams(
-        hidden_size=m,
-        w_update=p((1, m)), u_update=p((m, m)), b_update=p((m,)),
-        w_reset=p((1, m)), u_reset=p((m, m)), b_reset=p((m,)),
-        w_cand=p((1, m)), u_cand=p((m, m)), b_cand=p((m,)),
-        attn_q=p((m, m)), attn_k=p((m, m)), attn_v=p((m, m)),
-    )
+def tiny_encoder(rng: np.random.Generator, m: int = 3) -> dict[str, Tensor]:
+    """The GRU and self-attention parameters of hidden size m, biases included,
+    drawn from N(0, 0.5^2)."""
+    return {name: Tensor(rng.normal(scale=0.5, size=shape), requires_grad=True)
+            for name, (shape, _) in parameter_table(m, 1, 1, 0).items()
+            if name.startswith(("gru.", "self_attn."))}
 
 
 def sigmoid(x):
     return 1.0 / (1.0 + np.exp(-x))
 
 
-def reference_gru_forward(params: EncoderParams, sequence) -> Tensor:
+def reference_gru_forward(params: dict[str, Tensor], sequence) -> Tensor:
     """Step-by-step GRU built from Tensor ops: the reference for the fused op."""
     x = Tensor._lift(sequence)
-    single = x.data.ndim == 2
-    if single:
-        x = x.reshape(1, *x.shape)
     n, s, _ = x.data.shape
-    h = Tensor(np.zeros((n, params.hidden_size)))
+    p = params
+    h = Tensor(np.zeros((n, p["gru.u_update"].shape[0])))
     states = []
     for t in range(s):
         x_t = x[:, t, :]
-        z = (x_t @ params.w_update + h @ params.u_update + params.b_update).sigmoid()
-        r = (x_t @ params.w_reset + h @ params.u_reset + params.b_reset).sigmoid()
-        cand = (x_t @ params.w_cand + (r * h) @ params.u_cand + params.b_cand).tanh()
+        z = (x_t @ p["gru.w_update"] + h @ p["gru.u_update"] + p["gru.b_update"]).sigmoid()
+        r = (x_t @ p["gru.w_reset"] + h @ p["gru.u_reset"] + p["gru.b_reset"]).sigmoid()
+        cand = (x_t @ p["gru.w_cand"] + (r * h) @ p["gru.u_cand"] + p["gru.b_cand"]).tanh()
         h = z * h + (1.0 - z) * cand
         states.append(h)
-    out = Tensor.stack(states, axis=1)
-    return out[0] if single else out
+    return Tensor.stack(states, axis=1)
 
 
-def gru_params(enc: EncoderParams) -> list[Tensor]:
-    return [enc.w_update, enc.u_update, enc.b_update, enc.w_reset, enc.u_reset,
-            enc.b_reset, enc.w_cand, enc.u_cand, enc.b_cand]
+def gru_params(enc: dict[str, Tensor]) -> list[Tensor]:
+    return [p for name, p in enc.items() if name.startswith("gru.")]
 
 
-def gru_grads(gru, enc: EncoderParams, x_data: np.ndarray, upstream: np.ndarray):
+def gru_grads(gru, enc: dict[str, Tensor], x_data: np.ndarray, upstream: np.ndarray):
     """Output and the gradients of sum(output * upstream) w.r.t. the nine GRU
     parameters and the input."""
     for p in gru_params(enc):
@@ -95,62 +78,72 @@ def relative_error(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.linalg.norm(a - b) / max(np.linalg.norm(b), 1e-300))
 
 
+def gate(enc, x, h, name, act):
+    """One GRU gate in plain numpy: act(x W + h U + b)."""
+    return act(x @ enc[f"gru.w_{name}"].data + h @ enc[f"gru.u_{name}"].data
+               + enc[f"gru.b_{name}"].data)
+
+
 class TestGru:
     def test_single_step_matches_hand_computation(self):
         enc = tiny_encoder(np.random.default_rng(0))
-        x = np.array([[0.7]])
+        x = np.array([[[0.7]]])  # one household, one step
         out = gru_forward(enc, x)
         # Independent numpy recomputation of one update from zero state.
-        z = sigmoid(x @ enc.w_update.data + enc.b_update.data)
-        r = sigmoid(x @ enc.w_reset.data + enc.b_reset.data)
-        cand = np.tanh(x @ enc.w_cand.data + enc.b_cand.data)
+        h0 = np.zeros((1, 3))
+        z = gate(enc, x[0], h0, "update", sigmoid)
+        cand = gate(enc, x[0], h0, "cand", np.tanh)
         expected = z * 0.0 + (1.0 - z) * cand
-        np.testing.assert_allclose(out.data, expected, atol=1e-12)
+        np.testing.assert_allclose(out.data[0], expected, atol=1e-12)
 
     def test_two_step_recurrence(self):
         enc = tiny_encoder(np.random.default_rng(1))
         xs = np.array([[0.3], [-0.9]])
-        out = gru_forward(enc, xs)
-        h = np.zeros(enc.hidden_size)
+        out = gru_forward(enc, xs[None])
+        h = np.zeros(3)
         for x in xs:
-            z = sigmoid(x @ enc.w_update.data + h @ enc.u_update.data + enc.b_update.data)
-            r = sigmoid(x @ enc.w_reset.data + h @ enc.u_reset.data + enc.b_reset.data)
-            cand = np.tanh(
-                x @ enc.w_cand.data + (r * h) @ enc.u_cand.data + enc.b_cand.data
-            )
+            z = gate(enc, x, h, "update", sigmoid)
+            r = gate(enc, x, h, "reset", sigmoid)
+            cand = np.tanh(x @ enc["gru.w_cand"].data + (r * h) @ enc["gru.u_cand"].data
+                           + enc["gru.b_cand"].data)
             h = z * h + (1 - z) * cand
-        np.testing.assert_allclose(out.data[-1], h, atol=1e-12)
+        np.testing.assert_allclose(out.data[0, -1], h, atol=1e-12)
 
     def test_batched_equals_per_series(self):
+        """Each row of a batch equals a batch of one."""
         enc = tiny_encoder(np.random.default_rng(2))
         rng = np.random.default_rng(3)
         batch = rng.normal(size=(4, 6, 1))
         batched = gru_forward(enc, batch)
         for i in range(4):
-            single = gru_forward(enc, batch[i])
-            np.testing.assert_allclose(batched.data[i], single.data, atol=1e-12)
+            single = gru_forward(enc, batch[i : i + 1])
+            np.testing.assert_allclose(batched.data[i], single.data[0], atol=1e-12)
 
     def test_zero_input_zero_bias_stays_zero(self):
         enc = tiny_encoder(np.random.default_rng(4))
-        for b in (enc.b_update, enc.b_reset, enc.b_cand):
-            b.data[:] = 0.0
-        out = gru_forward(enc, np.zeros((5, 1)))
+        for name in ("gru.b_update", "gru.b_reset", "gru.b_cand"):
+            enc[name].data[:] = 0.0
+        out = gru_forward(enc, np.zeros((1, 5, 1)))
         np.testing.assert_allclose(out.data, 0.0, atol=1e-15)
 
     def test_rejects_bad_width(self):
         enc = tiny_encoder(np.random.default_rng(5))
         with pytest.raises(ShapeError):
-            gru_forward(enc, np.zeros((4, 2)))
+            gru_forward(enc, np.zeros((1, 4, 2)))
+
+    def test_rejects_an_unbatched_series(self):
+        enc = tiny_encoder(np.random.default_rng(5))
+        with pytest.raises(ShapeError):
+            gru_forward(enc, np.zeros((4, 1)))
 
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(1, 6), s=st.integers(1, 10), m=st.integers(1, 6),
-           batched=st.booleans(), seed=st.integers(0, 2**32 - 1))
-    def test_fused_matches_step_by_step_reference(self, n, s, m, batched, seed):
+           seed=st.integers(0, 2**32 - 1))
+    def test_fused_matches_step_by_step_reference(self, n, s, m, seed):
         rng = np.random.default_rng(seed)
         enc = tiny_encoder(rng, m)
-        shape = (n, s, 1) if batched else (s, 1)
-        x_data = rng.normal(size=shape)
-        upstream = rng.normal(size=shape[:-1] + (m,))
+        x_data = rng.normal(size=(n, s, 1))
+        upstream = rng.normal(size=(n, s, m))
         out, grads = gru_grads(gru_forward, enc, x_data, upstream)
         ref_out, ref_grads = gru_grads(reference_gru_forward, enc, x_data, upstream)
         assert out.shape == ref_out.shape
@@ -196,26 +189,34 @@ class TestSelfAttention:
         # With one timestep the softmax weight is exactly 1, so the output is
         # just the value projection of the hidden state.
         enc = tiny_encoder(np.random.default_rng(6))
-        h = np.random.default_rng(7).normal(size=(1, enc.hidden_size))
+        h = np.random.default_rng(7).normal(size=(3, 1, 3))
         out = self_attention(enc, Tensor(h))
-        np.testing.assert_allclose(out.data, h @ enc.attn_v.data, atol=1e-12)
+        np.testing.assert_allclose(out.data, h @ enc["self_attn.v"].data, atol=1e-12)
 
     def test_hand_two_timestep_case(self):
         enc = tiny_encoder(np.random.default_rng(8))
-        h = np.random.default_rng(9).normal(size=(2, enc.hidden_size))
-        out = self_attention(enc, Tensor(h))
-        q, k, v = h @ enc.attn_q.data, h @ enc.attn_k.data, h @ enc.attn_v.data
-        scores = q @ k.T / np.sqrt(enc.hidden_size)
+        h = np.random.default_rng(9).normal(size=(2, 3))
+        out = self_attention(enc, Tensor(h[None]))
+        q, k, v = (h @ enc[f"self_attn.{x}"].data for x in "qkv")
+        scores = q @ k.T / np.sqrt(3)
         e = np.exp(scores - scores.max(axis=-1, keepdims=True))
         weights = e / e.sum(axis=-1, keepdims=True)
-        np.testing.assert_allclose(out.data, weights @ v, atol=1e-12)
+        np.testing.assert_allclose(out.data[0], weights @ v, atol=1e-12)
 
     def test_embedding_uses_final_step(self):
-        enc = tiny_encoder(np.random.default_rng(10))
-        window = np.random.default_rng(11).normal(size=8)
-        emb = household_embedding(enc, window)
-        full = self_attention(enc, gru_forward(enc, window.reshape(-1, 1)))
-        np.testing.assert_allclose(emb, full.data[-1], atol=1e-12)
+        """Cross attention sees each household's final self-attention step."""
+        model = build_model(np.random.default_rng(10), hidden_size=4, head_count=2,
+                            gcn_hidden=4, socio_width=2, window=8)
+        windows = np.random.default_rng(11).normal(size=(3, 8))
+        encoded = self_attention(model.params, gru_forward(model.params, windows[:, :, None]))
+        expected, _ = inter_series_attention(model.params, encoded.data[:, -1, :])
+        _, similarity = forward(model, windows, np.zeros((3, 2)))
+        np.testing.assert_array_equal(similarity.data, expected.data)
+
+    def test_rejects_an_unbatched_series(self):
+        enc = tiny_encoder(np.random.default_rng(12))
+        with pytest.raises(ShapeError):
+            self_attention(enc, Tensor(np.ones((2, 3))))
 
 
 class TestInterSeriesAttention:
@@ -227,7 +228,7 @@ class TestInterSeriesAttention:
     def test_row_stochastic_in_unit_interval(self):
         model = self._model()
         e = np.random.default_rng(1).normal(size=(5, 4))
-        similarity, projected = inter_series_attention(model.attention, e)
+        similarity, projected = inter_series_attention(model.params, e)
         np.testing.assert_allclose(similarity.data.sum(axis=1), 1.0, atol=1e-12)
         assert np.all(similarity.data >= 0) and np.all(similarity.data <= 1)
         assert projected.shape == (5, 4)
@@ -235,28 +236,28 @@ class TestInterSeriesAttention:
     def test_single_household_gives_identity(self):
         model = self._model()
         e = np.random.default_rng(2).normal(size=(1, 4))
-        similarity, _ = inter_series_attention(model.attention, e)
+        similarity, _ = inter_series_attention(model.params, e)
         np.testing.assert_allclose(similarity.data, [[1.0]], atol=1e-15)
 
     def test_permutation_equivariance(self):
         model = self._model(seed=3)
         e = np.random.default_rng(4).normal(size=(6, 4))
         perm = np.array([3, 0, 5, 1, 4, 2])
-        s_orig, _ = inter_series_attention(model.attention, e)
-        s_perm, _ = inter_series_attention(model.attention, e[perm])
+        s_orig, _ = inter_series_attention(model.params, e)
+        s_perm, _ = inter_series_attention(model.params, e[perm])
         np.testing.assert_allclose(
             s_perm.data, s_orig.data[np.ix_(perm, perm)], atol=1e-12
         )
 
     def test_head_average_matches_manual(self):
         model = self._model(seed=5)
-        att = model.attention
+        w_q, w_k = model.params["mha.q"].data, model.params["mha.k"].data
         e = np.random.default_rng(6).normal(size=(4, 4))
-        similarity, _ = inter_series_attention(att, e)
+        similarity, _ = inter_series_attention(model.params, e)
         per_head = []
-        for head in range(att.head_count):
-            q = e @ att.w_q.data[head]
-            k = e @ att.w_k.data[head]
+        for head in range(w_q.shape[0]):
+            q = e @ w_q[head]
+            k = e @ w_k[head]
             scores = q @ k.T / np.sqrt(e.shape[1])
             ex = np.exp(scores - scores.max(axis=-1, keepdims=True))
             per_head.append(ex / ex.sum(axis=-1, keepdims=True))
@@ -282,11 +283,26 @@ class TestGcnLayer:
             gcn_layer(np.ones((2, 2)), np.array([[0.0, -0.1], [0.1, 0.0]]),
                       Tensor(np.ones((2, 2))))
 
-    def test_concat_features_widths(self):
-        out = concat_features(np.ones((3, 4)), np.zeros((3, 2)))
-        assert out.shape == (3, 6)
+    def test_concat_features_widths(self, monkeypatch):
+        """forward feeds the first graph layer the (n, M) cross-attention output
+        followed by the (n, M_bar) static features, and needs one static row per
+        household."""
+        model = build_model(np.random.default_rng(0), hidden_size=4, head_count=2,
+                            gcn_hidden=4, socio_width=2, window=6)
+        windows = np.random.default_rng(1).normal(size=(3, 6))
+        socio = np.random.default_rng(2).normal(size=(3, 2))
+        seen = []
+
+        def recording_gcn(features, edge_weights, weight):
+            seen.append(features.data)
+            return gcn_layer(features, edge_weights, weight)
+
+        monkeypatch.setattr(forecaster, "gcn_layer", recording_gcn)
+        forward(model, windows, socio)
+        assert seen[0].shape == (3, 6)
+        np.testing.assert_array_equal(seen[0][:, 4:], socio)
         with pytest.raises(ShapeError):
-            concat_features(np.ones((3, 4)), np.zeros((2, 2)))
+            forward(model, windows, socio[:2])
 
 
 class TestDataset:
@@ -338,6 +354,22 @@ class TestDataset:
         data = make_dataset(c, window=24, stride=24)  # 1 sample
         with pytest.raises(InvalidSpecError):
             split_dataset(data, (0.7, 0.2, 0.1))
+
+
+class TestHyper:
+    @pytest.mark.parametrize("kwargs", [
+        {"epochs": -1}, {"batch_size": 0}, {"learning_rate": -1e-3},
+        {"learning_rate": float("nan")}, {"rmsprop_decay": 1.0}, {"rmsprop_decay": -0.1},
+        {"rmsprop_eps": -1e-8}, {"rmsprop_eps": float("inf")},
+        {"split_ratios": (0.9, 0.9, 0.9)}, {"split_ratios": (0.7, 0.3, 0.0)},
+    ], ids=lambda kwargs: "-".join(f"{k}={v}" for k, v in kwargs.items()))
+    def test_rejects_invalid(self, kwargs):
+        with pytest.raises(InvalidSpecError, match=next(iter(kwargs))):
+            Hyper(**kwargs)
+
+    def test_takes_a_frozen_model_and_textbook_rmsprop(self):
+        hyper = Hyper(epochs=0, learning_rate=0.0, rmsprop_decay=0.0, rmsprop_eps=0.0)
+        assert (hyper.epochs, hyper.learning_rate, hyper.rmsprop_eps) == (0, 0.0, 0.0)
 
 
 class TestRmspropStep:

@@ -343,6 +343,20 @@ class TestRunScenario:
         _, details = scenario_result
         check_similarity(details["similarity"])
 
+    def test_trains_on_the_scenario_split_ratios(self, monkeypatch):
+        ratios = []
+        real_train = harness.train
+
+        def recording_train(model, data, hyper):
+            ratios.append(hyper.split_ratios)
+            return real_train(model, data, hyper)
+
+        monkeypatch.setattr(harness, "train", recording_train)
+        run_scenario(replace(SMALL_SCENARIO, split_ratios=(0.5, 0.3, 0.2)), SMALL,
+                     hyper=Hyper(epochs=1, batch_size=4), hidden_size=4, head_count=2,
+                     stride=12)
+        assert ratios == [(0.5, 0.3, 0.2)]
+
 
 class TestOneClassifierPerSelection:
     """Each selection trains the classifier once, whatever reads its scores."""
@@ -530,6 +544,23 @@ class TestCli:
         path = self._write(tmp_path, spec)
         with pytest.raises(InvalidSpecError, match=key):
             main(["sweep", "--spec", path, "--out-dir", str(tmp_path)])
+
+    @pytest.mark.parametrize(("command", "spec", "key"), [
+        ("run", {"scenario": {"default_incentive": float("nan")}}, "'default_incentive'"),
+        ("run", {"scenario": {"split_ratios": [0.7, float("inf"), 0.1]}}, "'split_ratios'"),
+        ("run", {"hyper": {"batch_size": 0}}, "batch_size"),
+        ("sweep", {"variable": "incentive", "values": [1.0, float("-inf")]}, "'values'"),
+    ], ids=["nan-incentive", "infinite-split-ratio", "zero-batch-size", "infinite-value"])
+    def test_rejects_a_non_finite_or_out_of_range_value(self, tmp_path, command, spec, key):
+        path = self._write(tmp_path, spec)
+        flag = "--config" if command == "run" else "--spec"
+        with pytest.raises(InvalidSpecError, match=key):
+            main([command, flag, path, "--out-dir", str(tmp_path)])
+
+    def test_train_rejects_negative_epochs(self, tmp_path):
+        with pytest.raises(InvalidSpecError, match="epochs must be >= 0"):
+            main(["train", "--counties", "1", "--households", "4", "--days", "6",
+                  "--epochs", "-1", "--out-dir", str(tmp_path)])
 
     def test_sweep_takes_an_int_for_a_float(self, tmp_path):
         path = self._write(tmp_path, {"variable": "incentive", "values": [1, 20],

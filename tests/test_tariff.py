@@ -214,8 +214,9 @@ class TestPriceOffers:
         np.testing.assert_allclose(priced.min_incentive, [3.744, 0.0], atol=1e-12)
         assert priced.accepted.tolist() == [True, True]
 
-    @pytest.mark.parametrize(("incentive", "days"), [(-1.0, (3,)), (10.0, (30,))],
-                             ids=["negative-incentive", "day-outside-cycle"])
+    @pytest.mark.parametrize(("incentive", "days"), [(-1.0, (3,)), (10.0, (30,)),
+                                                     (float("nan"), (3,))],
+                             ids=["negative-incentive", "day-outside-cycle", "nan-incentive"])
     def test_rejects_bad_terms(self, standard_household, incentive, days):
         daily = daily_totals(standard_household.load)[None]
         with pytest.raises(ValidationError):
