@@ -122,6 +122,7 @@ def gru_forward(params: dict[str, Tensor], sequence: Tensor | np.ndarray) -> Ten
     u_c = gate_params[5].data
     x_steps = x.data.transpose(1, 0, 2)  # (s, n, d)
     proj = x_steps @ w_x + np.concatenate([p.data for p in gate_params[6:]])  # (s, n, 3M)
+
     zr = np.empty((s, n, 2 * m))  # update gate z, then reset gate r
     cand = np.empty((s, n, m))
     rh = np.empty((s, n, m))  # r * h_{t-1}, the input of the candidate's matmul

@@ -367,10 +367,6 @@ class TestHyper:
         with pytest.raises(InvalidSpecError, match=next(iter(kwargs))):
             Hyper(**kwargs)
 
-    def test_takes_a_frozen_model_and_textbook_rmsprop(self):
-        hyper = Hyper(epochs=0, learning_rate=0.0, rmsprop_decay=0.0, rmsprop_eps=0.0)
-        assert (hyper.epochs, hyper.learning_rate, hyper.rmsprop_eps) == (0, 0.0, 0.0)
-
 
 class TestRmspropStep:
     def test_one_step_by_hand(self):
