@@ -169,6 +169,9 @@ def cmd_train(args) -> int:
     data = make_dataset(community, window=24, stride=args.stride)
     hyper = Hyper(epochs=args.epochs, learning_rate=args.learning_rate,
                   batch_size=args.batch_size)
+    if hyper.epochs < 1:
+        raise InvalidSpecError(f"--epochs must be >= 1: loss_history.csv has one row per "
+                               f"epoch, got {args.epochs}")
     model = build_model(np.random.default_rng(args.seed), hidden_size=args.hidden,
                         head_count=args.heads, socio_width=data.socio.shape[1])
     result = train(model, data, hyper)

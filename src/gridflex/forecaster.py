@@ -1,9 +1,15 @@
 """Demand-forecasting network whose side product is the household similarity matrix.
 
-Per household, a GRU plus self-attention encodes the recent load window; a
-multi-head attention layer across households produces the row-stochastic
-similarity matrix used as edge weights of a two-layer graph convolution that
-predicts the next hour of demand. Trained with MSE and RMSProp.
+Per household, a GRU plus self-attention from the final step encodes the
+recent load window; a multi-head attention layer across households produces
+the row-stochastic similarity matrix used as edge weights of a two-layer graph
+convolution that predicts the next hour of demand. Trained with MSE and
+RMSProp.
+
+The GRU, the self-attention, the cross-household attention weights and
+output, and each graph layer are single autodiff nodes with hand-written numpy
+backward passes; only the feature concatenation, the linear head and the loss
+are composed from engine ops.
 """
 
 from __future__ import annotations
@@ -48,6 +54,16 @@ def rmsprop_step(param: np.ndarray, grad: np.ndarray, cache: np.ndarray, hyper: 
     cache *= hyper.rmsprop_decay
     cache += (1 - hyper.rmsprop_decay) * grad * grad
     param -= hyper.learning_rate * grad / (np.sqrt(cache) + hyper.rmsprop_eps)
+
+
+def degree_normalized(a: np.ndarray, deg: np.ndarray) -> np.ndarray:
+    """D^{-1/2} A D^{-1/2} for the degree vector `deg`."""
+    inv_sqrt = 1.0 / np.sqrt(deg)
+    # Scaled in place: numpy's check for a reusable temporary in `x * a * y`
+    # costs more than the product at n = 250.
+    out = inv_sqrt[:, None] * a
+    out *= inv_sqrt[None, :]
+    return out
 
 
 def parameter_table(m: int, heads: int, gcn: int, socio: int) -> dict[str, tuple[tuple, int]]:
@@ -174,51 +190,148 @@ def gru_forward(params: dict[str, Tensor], sequence: Tensor | np.ndarray) -> Ten
 
 
 def self_attention(params: dict[str, Tensor], hidden: Tensor) -> Tensor:
-    """Single-head scaled dot-product attention over the time steps of (n, s, M)."""
-    m = params["self_attn.q"].shape[0]
+    """Single-head scaled dot-product attention over the time steps of
+    (n, s, M), queried from the final step only, as one autodiff node.
+
+    Returns the (n, M) encoding of each household's last step. The key and
+    value projections are applied to the query and to the attention-weighted
+    states, not to every step: scores = H (W_k q) and out = (a H) W_v.
+    """
+    w_q, w_k, w_v = (params[f"self_attn.{x}"] for x in "qkv")
+    m = w_q.shape[0]
     if hidden.data.ndim != 3 or hidden.shape[2] != m:
         raise ShapeError(f"expected (n, s, {m}) hidden states, got {hidden.shape}")
-    q = hidden @ params["self_attn.q"]
-    k = hidden @ params["self_attn.k"]
-    v = hidden @ params["self_attn.v"]
-    scores = (q @ k.mT) * (1.0 / np.sqrt(m))
-    return scores.softmax(axis=-1) @ v
+    h = hidden.data
+    scale = 1.0 / np.sqrt(m)
+    last = h[:, -1, :]
+    q = last @ w_q.data  # (n, M)
+    r = (q @ w_k.data.T) * scale  # the query mapped back through the key projection
+    scores = (h @ r[:, :, None])[:, :, 0]  # (n, s)
+    e = np.exp(scores - scores.max(axis=1, keepdims=True))
+    att = e / e.sum(axis=1, keepdims=True)
+    ctx = (att[:, None, :] @ h)[:, 0, :]  # (n, M)
+
+    def backward(g):
+        if w_v.requires_grad:
+            w_v._accumulate(ctx.T @ g)
+        d_ctx = g @ w_v.data.T
+        d_att = (h @ d_ctx[:, :, None])[:, :, 0]
+        d_scores = att * (d_att - (d_att * att).sum(axis=1, keepdims=True))
+        d_r = (d_scores[:, None, :] @ h)[:, 0, :] * scale
+        if w_k.requires_grad:
+            w_k._accumulate(d_r.T @ q)
+        d_q = d_r @ w_k.data
+        if w_q.requires_grad:
+            w_q._accumulate(last.T @ d_q)
+        if hidden.requires_grad:
+            # att_t d_ctx + d_scores_t r for every step t, as one batched matmul.
+            d_h = np.stack([att, d_scores], axis=2) @ np.stack([d_ctx, r], axis=1)
+            d_h[:, -1, :] += d_q @ w_q.data.T
+            hidden._accumulate(d_h)
+
+    return hidden._make(ctx @ w_v.data, (hidden, w_q, w_k, w_v), backward)
 
 
 def inter_series_attention(params: dict[str, Tensor], embeddings: Tensor | np.ndarray):
-    """Multi-head attention across households.
+    """Multi-head attention across households, as two autodiff nodes.
 
     Returns (similarity, projected): similarity is the head-averaged (n, n)
-    row-stochastic attention matrix; projected is the (n, M) output.
+    row-stochastic attention matrix; projected is the (n, M) output. The
+    per-head weights are one node and the output projection another, so the
+    softmax backward runs once on the sum of both paths' gradients.
     """
     e = Tensor._lift(embeddings)
-    n, m = e.shape
-    e3 = e.reshape(1, n, m)
-    q = e3 @ params["mha.q"]  # (heads, n, dk)
-    k = e3 @ params["mha.k"]
-    v = e3 @ params["mha.v"]
-    weights = ((q @ k.mT) * (1.0 / np.sqrt(m))).softmax(axis=-1)  # (heads, n, n)
-    head_out = weights @ v  # (heads, n, dv)
-    merged = head_out.transpose(1, 0, 2).reshape(n, -1)
-    projected = merged @ params["mha.out"]
-    similarity = weights.mean(axis=0)
-    return similarity, projected
+    weights = _attention_weights(e, params["mha.q"], params["mha.k"])
+    projected = _attention_output(weights, e, params["mha.v"], params["mha.out"])
+    return weights.mean(axis=0), projected
+
+
+def _attention_weights(e: Tensor, w_q: Tensor, w_k: Tensor) -> Tensor:
+    """softmax(e W_q (e W_k)^T / sqrt(M)) per head: (heads, n, n)."""
+    x = e.data
+    scale = 1.0 / np.sqrt(x.shape[1])
+    q = x @ w_q.data  # (heads, n, dk)
+    k = x @ w_k.data
+    # In place: at n = 250 a fresh (heads, n, n) temporary per step costs more
+    # than the arithmetic on it.
+    att = (q * scale) @ k.transpose(0, 2, 1)
+    att -= att.max(axis=-1, keepdims=True)
+    np.exp(att, out=att)
+    att /= att.sum(axis=-1, keepdims=True)
+
+    def backward(g):
+        d_scores = g - np.einsum("hij,hij->hi", g, att)[:, :, None]
+        d_scores *= att
+        d_q = (d_scores @ k) * scale
+        d_k = d_scores.transpose(0, 2, 1) @ q * scale
+        if w_q.requires_grad:
+            w_q._accumulate(x.T @ d_q)
+        if w_k.requires_grad:
+            w_k._accumulate(x.T @ d_k)
+        if e.requires_grad:
+            e._accumulate((d_q @ w_q.data.transpose(0, 2, 1)).sum(axis=0)
+                          + (d_k @ w_k.data.transpose(0, 2, 1)).sum(axis=0))
+
+    return e._make(att, (e, w_q, w_k), backward)
+
+
+def _attention_output(weights: Tensor, e: Tensor, w_v: Tensor, w_out: Tensor) -> Tensor:
+    """The heads' weighted values, side by side, times W_out: (n, M)."""
+    att, x = weights.data, e.data
+    heads, n, _ = att.shape
+    v = x @ w_v.data  # (heads, n, dv)
+    merged = (att @ v).transpose(1, 0, 2).reshape(n, -1)
+
+    def backward(g):
+        if w_out.requires_grad:
+            w_out._accumulate(merged.T @ g)
+        d_heads = (g @ w_out.data.T).reshape(n, heads, -1).transpose(1, 0, 2)
+        if weights.requires_grad:
+            weights._accumulate(d_heads @ v.transpose(0, 2, 1))
+        d_v = att.transpose(0, 2, 1) @ d_heads
+        if w_v.requires_grad:
+            w_v._accumulate(x.T @ d_v)
+        if e.requires_grad:
+            e._accumulate((d_v @ w_v.data.transpose(0, 2, 1)).sum(axis=0))
+
+    return e._make(merged @ w_out.data, (weights, e, w_v, w_out), backward)
 
 
 def gcn_layer(
     features: Tensor | np.ndarray, edge_weights: Tensor | np.ndarray, weight: Tensor
 ) -> Tensor:
-    """Graph convolution with self-loops, symmetric degree normalization, ReLU."""
+    """Graph convolution with self-loops, symmetric degree normalization, ReLU,
+    as one autodiff node: relu(D^-1/2 (A+I) D^-1/2 X W), D the degrees of A+I.
+
+    The backward reaches the edge weights A both directly and through D.
+    """
     h = Tensor._lift(features)
     a = Tensor._lift(edge_weights)
     if np.any(a.data < 0):
         raise DomainError("edge weights must be non-negative")
-    n = a.shape[0]
-    a_hat = a + np.eye(n)
-    deg = a_hat.sum(axis=1, keepdims=True)  # (n, 1)
-    inv_sqrt = deg.pow_const(-0.5)
-    norm = a_hat * inv_sqrt * inv_sqrt.reshape(1, n)
-    return (norm @ h @ weight).relu()
+    a_hat = a.data + np.eye(a.shape[0])
+    deg = a_hat.sum(axis=1)
+    norm = degree_normalized(a_hat, deg)
+    mixed = norm @ h.data  # (n, F_in)
+    pre = mixed @ weight.data
+
+    def backward(g):
+        d_pre = g * (pre > 0)
+        if weight.requires_grad:
+            weight._accumulate(mixed.T @ d_pre)
+        d_mixed = d_pre @ weight.data.T
+        if h.requires_grad:
+            h._accumulate(norm.T @ d_mixed)
+        if a.requires_grad:
+            d_norm = d_mixed @ h.data.T
+            t = d_norm * norm
+            # norm_ij = a_hat_ij (deg_i deg_j)^-1/2 with deg_i = sum_j a_ij + 1.
+            d_deg = -0.5 * (t.sum(axis=1) + t.sum(axis=0)) / deg
+            d_a = degree_normalized(d_norm, deg)
+            d_a += d_deg[:, None]
+            a._accumulate(d_a)
+
+    return h._make(np.maximum(pre, 0.0), (h, a, weight), backward)
 
 
 def forward(model: PatternModel, windows: np.ndarray, socio: np.ndarray):
@@ -232,7 +345,7 @@ def forward(model: PatternModel, windows: np.ndarray, socio: np.ndarray):
     if windows.ndim != 2 or windows.shape[1] != model.window:
         raise ShapeError(f"expected (n, {model.window}) windows, got {windows.shape}")
     hidden = gru_forward(model.params, windows[:, :, None])
-    embeddings = self_attention(model.params, hidden)[:, -1, :]
+    embeddings = self_attention(model.params, hidden)
     similarity, projected = inter_series_attention(model.params, embeddings)
     if np.shape(socio)[0] != projected.shape[0]:
         raise ShapeError("row count mismatch between temporal and static features")
@@ -304,7 +417,7 @@ class TrainResult:
     initial_val_mse: float = float("nan")
     similarity: np.ndarray | None = None  # attention matrix of the last training sample
     max_row_sum_dev: float = 0.0  # worst |row sum - 1| seen across training
-    similarity_range: tuple[float, float] = (0.0, 1.0)  # entry min/max seen
+    similarity_range: tuple[float, float] = (math.inf, -math.inf)  # entry min/max seen
 
 
 def _eval_mse(model: PatternModel, data: SampleSet) -> float:

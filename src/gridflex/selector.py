@@ -25,7 +25,7 @@ from .errors import (
     ReferentialIntegrityError,
     UndefinedMetricError,
 )
-from .forecaster import Hyper, rmsprop_step
+from .forecaster import Hyper, degree_normalized, rmsprop_step
 
 ROW_SUM_TOL = 1e-6
 
@@ -55,12 +55,6 @@ def symmetrize(a: np.ndarray) -> np.ndarray:
     """(A + A^T) / 2; exact fixed point for already-symmetric input."""
     a = np.asarray(a, dtype=float)
     return (a + a.T) / 2.0
-
-
-def degree_normalized(a: np.ndarray, deg: np.ndarray) -> np.ndarray:
-    """D^{-1/2} A D^{-1/2} for the degree vector `deg`."""
-    inv_sqrt = 1.0 / np.sqrt(deg)
-    return inv_sqrt[:, None] * a * inv_sqrt[None, :]
 
 
 def normalized_laplacian(a_sym: np.ndarray) -> np.ndarray:

@@ -59,6 +59,42 @@ def reference_gru_forward(params: dict[str, Tensor], sequence) -> Tensor:
     return Tensor.stack(states, axis=1)
 
 
+def reference_self_attention(params: dict[str, Tensor], hidden: Tensor) -> Tensor:
+    """Self-attention over every query step, built from Tensor ops, keeping the
+    final step: the reference for the fused op."""
+    m = params["self_attn.q"].shape[0]
+    q = hidden @ params["self_attn.q"]
+    k = hidden @ params["self_attn.k"]
+    v = hidden @ params["self_attn.v"]
+    scores = (q @ k.mT) * (1.0 / np.sqrt(m))
+    return (scores.softmax(axis=-1) @ v)[:, -1, :]
+
+
+def reference_cross_attention(params: dict[str, Tensor], e: Tensor):
+    """Multi-head attention across households built from Tensor ops: the
+    reference for the fused weights and output nodes."""
+    n, m = e.shape
+    e3 = e.reshape(1, n, m)
+    q = e3 @ params["mha.q"]
+    k = e3 @ params["mha.k"]
+    v = e3 @ params["mha.v"]
+    weights = ((q @ k.mT) * (1.0 / np.sqrt(m))).softmax(axis=-1)
+    merged = (weights @ v).transpose(1, 0, 2).reshape(n, -1)
+    return weights.mean(axis=0), merged @ params["mha.out"]
+
+
+def reference_gcn_layer(features, edge_weights, weight: Tensor) -> Tensor:
+    """relu(D^-1/2 (A+I) D^-1/2 X W) built from Tensor ops: the reference for
+    the fused op."""
+    h = Tensor._lift(features)
+    a = Tensor._lift(edge_weights)
+    n = a.shape[0]
+    a_hat = a + np.eye(n)
+    inv_sqrt = a_hat.sum(axis=1, keepdims=True).pow_const(-0.5)
+    norm = a_hat * inv_sqrt * inv_sqrt.reshape(1, n)
+    return (norm @ h @ weight).relu()
+
+
 def gru_params(enc: dict[str, Tensor]) -> list[Tensor]:
     return [p for name, p in enc.items() if name.startswith("gru.")]
 
@@ -76,6 +112,42 @@ def gru_grads(gru, enc: dict[str, Tensor], x_data: np.ndarray, upstream: np.ndar
 
 def relative_error(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.linalg.norm(a - b) / max(np.linalg.norm(b), 1e-300))
+
+
+def layer_grads(layer, inputs: list[Tensor], upstreams: list[np.ndarray]):
+    """Outputs of layer(*inputs) (one Tensor or a tuple) and the gradients of
+    sum_i sum(output_i * upstream_i) w.r.t. each tensor in `inputs`, which
+    includes the parameters a layer reads from its table."""
+    for t in inputs:
+        t.grad = None
+    outs = layer()
+    outs = outs if isinstance(outs, tuple) else (outs,)
+    loss = (outs[0] * upstreams[0]).sum()
+    for out, upstream in zip(outs[1:], upstreams[1:]):
+        loss = loss + (out * upstream).sum()
+    loss.backward()
+    return [o.data for o in outs], [t.grad for t in inputs]
+
+
+def assert_layers_agree(fused, reference, inputs, upstreams):
+    """Forward within atol 1e-12, every gradient within relative error 1e-10."""
+    outs, grads = layer_grads(fused, inputs, upstreams)
+    ref_outs, ref_grads = layer_grads(reference, inputs, upstreams)
+    for out, ref in zip(outs, ref_outs):
+        assert out.shape == ref.shape
+        np.testing.assert_allclose(out, ref, rtol=0, atol=1e-12)
+    for grad, ref in zip(grads, ref_grads):
+        assert grad.shape == ref.shape
+        assert relative_error(grad, ref) <= 1e-10
+
+
+def ancestors(t: Tensor) -> list[Tensor]:
+    seen, stack = [], [t]
+    while stack:
+        node = stack.pop()
+        seen.append(node)
+        stack.extend(node._parents)
+    return seen
 
 
 def gate(enc, x, h, name, act):
@@ -191,7 +263,8 @@ class TestSelfAttention:
         enc = tiny_encoder(np.random.default_rng(6))
         h = np.random.default_rng(7).normal(size=(3, 1, 3))
         out = self_attention(enc, Tensor(h))
-        np.testing.assert_allclose(out.data, h @ enc["self_attn.v"].data, atol=1e-12)
+        assert out.shape == (3, 3)
+        np.testing.assert_allclose(out.data, h[:, 0] @ enc["self_attn.v"].data, atol=1e-12)
 
     def test_hand_two_timestep_case(self):
         enc = tiny_encoder(np.random.default_rng(8))
@@ -201,15 +274,18 @@ class TestSelfAttention:
         scores = q @ k.T / np.sqrt(3)
         e = np.exp(scores - scores.max(axis=-1, keepdims=True))
         weights = e / e.sum(axis=-1, keepdims=True)
-        np.testing.assert_allclose(out.data[0], weights @ v, atol=1e-12)
+        # Only the final step's query row is computed.
+        np.testing.assert_allclose(out.data[0], (weights @ v)[-1], atol=1e-12)
 
     def test_embedding_uses_final_step(self):
-        """Cross attention sees each household's final self-attention step."""
+        """Cross attention sees each household's self-attention encoding, which
+        attends from the final step."""
         model = build_model(np.random.default_rng(10), hidden_size=4, head_count=2,
                             gcn_hidden=4, socio_width=2, window=8)
         windows = np.random.default_rng(11).normal(size=(3, 8))
         encoded = self_attention(model.params, gru_forward(model.params, windows[:, :, None]))
-        expected, _ = inter_series_attention(model.params, encoded.data[:, -1, :])
+        assert encoded.shape == (3, 4)
+        expected, _ = inter_series_attention(model.params, encoded.data)
         _, similarity = forward(model, windows, np.zeros((3, 2)))
         np.testing.assert_array_equal(similarity.data, expected.data)
 
@@ -217,6 +293,25 @@ class TestSelfAttention:
         enc = tiny_encoder(np.random.default_rng(12))
         with pytest.raises(ShapeError):
             self_attention(enc, Tensor(np.ones((2, 3))))
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 6), s=st.integers(1, 8), m=st.integers(1, 6),
+           seed=st.integers(0, 2**32 - 1))
+    def test_fused_matches_reference(self, n, s, m, seed):
+        rng = np.random.default_rng(seed)
+        enc = tiny_encoder(rng, m)
+        hidden = Tensor(rng.normal(size=(n, s, m)), requires_grad=True)
+        inputs = [hidden] + [enc[f"self_attn.{x}"] for x in "qkv"]
+        assert_layers_agree(lambda: self_attention(enc, hidden),
+                            lambda: reference_self_attention(enc, hidden),
+                            inputs, [rng.normal(size=(n, m))])
+
+    def test_fused_op_builds_one_node(self):
+        enc = tiny_encoder(np.random.default_rng(14))
+        hidden = Tensor(np.ones((3, 4, 3)), requires_grad=True)
+        out = self_attention(enc, hidden)
+        expected = [hidden] + [enc[f"self_attn.{x}"] for x in "qkv"]
+        assert set(map(id, out._parents)) == set(map(id, expected))
 
 
 class TestInterSeriesAttention:
@@ -264,6 +359,32 @@ class TestInterSeriesAttention:
         np.testing.assert_allclose(similarity.data, np.mean(per_head, axis=0),
                                    atol=1e-12)
 
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 6), heads=st.integers(1, 3), dk=st.integers(1, 3),
+           seed=st.integers(0, 2**32 - 1))
+    def test_fused_matches_reference(self, n, heads, dk, seed):
+        rng = np.random.default_rng(seed)
+        m = heads * dk
+        params = {name: Tensor(rng.normal(scale=0.5, size=shape), requires_grad=True)
+                  for name, (shape, _) in parameter_table(m, heads, 1, 0).items()
+                  if name.startswith("mha.")}
+        e = Tensor(rng.normal(size=(n, m)), requires_grad=True)
+        assert_layers_agree(lambda: inter_series_attention(params, e),
+                            lambda: reference_cross_attention(params, e),
+                            [e, *params.values()],
+                            [rng.normal(size=(n, n)), rng.normal(size=(n, m))])
+
+    def test_weights_and_projection_are_two_nodes(self):
+        model = self._model(seed=7)
+        p = model.params
+        e = Tensor(np.random.default_rng(8).normal(size=(5, 4)), requires_grad=True)
+        similarity, projected = inter_series_attention(p, e)
+        weights = next(t for t in projected._parents if t.data.ndim == 3)
+        assert set(map(id, projected._parents)) == {id(weights), id(e), id(p["mha.v"]),
+                                                     id(p["mha.out"])}
+        assert set(map(id, weights._parents)) == {id(e), id(p["mha.q"]), id(p["mha.k"])}
+        assert any(t is weights for t in ancestors(similarity))
+
 
 class TestGcnLayer:
     def test_three_node_path_oracle(self):
@@ -277,6 +398,56 @@ class TestGcnLayer:
         d = np.diag(1.0 / np.sqrt(a_hat.sum(axis=1)))
         expected = np.maximum(d @ a_hat @ d @ x @ w.data, 0.0)
         np.testing.assert_allclose(out.data, expected, atol=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(2, 6), f_in=st.integers(1, 4), f_out=st.integers(1, 4),
+           seed=st.integers(0, 2**32 - 1))
+    def test_fused_matches_reference(self, n, f_in, f_out, seed):
+        # From n = 2: one node's normalized self-loop is 1 for every edge
+        # weight, so its edge gradient is zero and leaves only round-off to compare.
+        rng = np.random.default_rng(seed)
+        features = Tensor(rng.normal(size=(n, f_in)), requires_grad=True)
+        edges = Tensor(rng.uniform(0.0, 1.0, size=(n, n)), requires_grad=True)
+        weight = Tensor(rng.normal(size=(f_in, f_out)), requires_grad=True)
+        assert_layers_agree(lambda: gcn_layer(features, edges, weight),
+                            lambda: reference_gcn_layer(features, edges, weight),
+                            [features, edges, weight], [rng.normal(size=(n, f_out))])
+
+    def test_edge_weight_gradient_matches_finite_differences(self):
+        rng = np.random.default_rng(15)
+        features = rng.normal(size=(4, 3))
+        edges = Tensor(rng.uniform(0.1, 1.0, size=(4, 4)), requires_grad=True)
+        weight = Tensor(rng.normal(size=(3, 2)))
+        upstream = rng.normal(size=(4, 2))
+        (gcn_layer(features, edges, weight) * upstream).sum().backward()
+        eps = 1e-6
+
+        def loss():
+            return float((gcn_layer(features, edges.data, weight).data * upstream).sum())
+
+        flat = edges.data.reshape(-1)
+        numeric = np.zeros_like(flat)
+        for j in range(flat.size):
+            orig = flat[j]
+            flat[j] = orig + eps
+            up = loss()
+            flat[j] = orig - eps
+            down = loss()
+            flat[j] = orig
+            numeric[j] = (up - down) / (2 * eps)
+        analytic = edges.grad.reshape(-1)
+        assert np.linalg.norm(analytic) > 1e-3
+        err = np.linalg.norm(analytic - numeric) / (
+            np.linalg.norm(analytic) + np.linalg.norm(numeric))
+        assert err < 1e-7
+
+    def test_fused_op_builds_one_node(self):
+        rng = np.random.default_rng(16)
+        inputs = [Tensor(rng.normal(size=(3, 2)), requires_grad=True),
+                  Tensor(rng.uniform(size=(3, 3)), requires_grad=True),
+                  Tensor(rng.normal(size=(2, 2)), requires_grad=True)]
+        out = gcn_layer(*inputs)
+        assert set(map(id, out._parents)) == set(map(id, inputs))
 
     def test_rejects_negative_weights(self):
         with pytest.raises(DomainError):
@@ -437,6 +608,11 @@ class TestTraining:
         lo, hi = result.similarity_range
         assert 0.0 <= lo <= hi <= 1.0
         np.testing.assert_allclose(result.similarity.sum(axis=1), 1.0, atol=1e-9)
+
+    def test_similarity_range_reports_the_entries_seen(self):
+        model, data = self._setup(seed=6)
+        lo, hi = train(model, data, Hyper(epochs=1, batch_size=4)).similarity_range
+        assert 0.0 < lo <= hi < 1.0
 
     def test_evaluation_builds_no_graph(self, monkeypatch):
         model, data = self._setup(seed=4)

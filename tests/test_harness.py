@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridflex import harness, selector
+from gridflex import cli, harness, selector
 from gridflex.cli import _from_json, _read_similarity, _RunOptions, _write_similarity, main
 from gridflex.community import ScenarioConfig, daily_totals, generate_community
 from gridflex.errors import (
@@ -561,6 +561,15 @@ class TestCli:
         with pytest.raises(InvalidSpecError, match="epochs must be >= 0"):
             main(["train", "--counties", "1", "--households", "4", "--days", "6",
                   "--epochs", "-1", "--out-dir", str(tmp_path)])
+
+    def test_train_rejects_zero_epochs_before_training(self, tmp_path, monkeypatch):
+        def no_training(*args):
+            raise AssertionError("train() ran")
+
+        monkeypatch.setattr(cli, "train", no_training)
+        with pytest.raises(InvalidSpecError, match="--epochs must be >= 1"):
+            main(["train", "--counties", "1", "--households", "4", "--days", "6",
+                  "--epochs", "0", "--out-dir", str(tmp_path)])
 
     def test_sweep_takes_an_int_for_a_float(self, tmp_path):
         path = self._write(tmp_path, {"variable": "incentive", "values": [1, 20],
