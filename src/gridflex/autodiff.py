@@ -8,9 +8,6 @@ in the test suite.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
-from contextlib import contextmanager
-
 import numpy as np
 
 from .errors import NumericalError, ShapeError
@@ -304,24 +301,6 @@ class Tensor:
         for node in reversed(topo):
             if node._backward is not None:
                 node._backward(node.grad)
-
-
-@contextmanager
-def no_grad(tensors: Iterable[Tensor]):
-    """Build no backward graph through `tensors` inside the block.
-
-    Clears their `requires_grad` flags and puts them back on exit, also when
-    the block raises. For forward passes whose result is never differentiated.
-    """
-    tensors = list(tensors)
-    saved = [t.requires_grad for t in tensors]
-    for t in tensors:
-        t.requires_grad = False
-    try:
-        yield
-    finally:
-        for t, flag in zip(tensors, saved):
-            t.requires_grad = flag
 
 
 def parameter(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) -> Tensor:

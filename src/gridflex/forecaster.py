@@ -6,10 +6,11 @@ the row-stochastic similarity matrix used as edge weights of a two-layer graph
 convolution that predicts the next hour of demand. Trained with MSE and
 RMSProp.
 
-The GRU, the self-attention, the cross-household attention weights and
-output, and each graph layer are single autodiff nodes with hand-written numpy
-backward passes; only the feature concatenation, the linear head and the loss
-are composed from engine ops.
+The network is one plain-numpy forward and backward pass. Each layer function
+takes arrays and returns its output with a `backward` closure over the arrays
+it kept, which maps the output's gradient to its inputs' and parameters'
+gradients. The parameters sit in `Tensor` holders only for their seeded
+initial draw; the layers read their `.data`, and no autodiff graph is built.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Tensor, no_grad, parameter
+from .autodiff import Tensor, parameter
 from .community import Community, check_split_ratios, normalize_features
 from .errors import DomainError, InvalidSpecError, NumericalError, ShapeError
 
@@ -104,6 +105,11 @@ def build_model(
     socio_width: int = 7,
     window: int = 24,
 ) -> PatternModel:
+    for name, value, least in [("hidden_size", hidden_size, 1), ("head_count", head_count, 1),
+                               ("gcn_hidden", gcn_hidden, 1), ("window", window, 1),
+                               ("socio_width", socio_width, 0)]:
+        if value < least:
+            raise InvalidSpecError(f"{name} must be >= {least}, got {value}")
     if hidden_size % head_count != 0:
         raise InvalidSpecError("hidden_size must be divisible by head_count")
     table = parameter_table(hidden_size, head_count, gcn_hidden, socio_width)
@@ -117,27 +123,28 @@ def build_model(
 # -- forward components --------------------------------------------------------
 
 
-def gru_forward(params: dict[str, Tensor], sequence: Tensor | np.ndarray) -> Tensor:
-    """GRU over a batch of series (n, s, input_dim), as one autodiff node.
+def gru_forward(params: dict[str, Tensor], sequence: np.ndarray):
+    """GRU over a batch of series (n, s, input_dim).
 
-    Returns the hidden states (n, s, M) from a zero initial state. The input
+    Returns the hidden states (n, s, M) from a zero initial state, and their
+    backward, which maps d_hidden to the nine parameter gradients. The input
     projections of all steps are one matmul before the time loop, and the
     update and reset gates share one (M, 2M) recurrent matmul per step
     (Appleyard et al. 2016, arXiv:1604.01946). Backpropagation through time is
-    a hand-written numpy loop over the gate activations kept here.
+    a numpy loop over the gate activations kept here.
     """
-    x = Tensor._lift(sequence)
-    gate_params = tuple(params[f"gru.{kind}_{gate}"]
-                        for kind in "wub" for gate in ("update", "reset", "cand"))
+    x = np.asarray(sequence, dtype=float)
+    names = [f"gru.{kind}_{gate}" for kind in "wub" for gate in ("update", "reset", "cand")]
+    gate_params = [params[name].data for name in names]
     width, m = gate_params[0].shape
-    if x.data.ndim != 3 or x.shape[2] != width:
+    if x.ndim != 3 or x.shape[2] != width:
         raise ShapeError(f"expected (n, s, {width}) input, got {x.shape}")
     n, s, _ = x.shape
-    w_x = np.concatenate([p.data for p in gate_params[:3]], axis=1)  # (d, 3M)
-    u_zr = np.concatenate([p.data for p in gate_params[3:5]], axis=1)  # (M, 2M)
-    u_c = gate_params[5].data
-    x_steps = x.data.transpose(1, 0, 2)  # (s, n, d)
-    proj = x_steps @ w_x + np.concatenate([p.data for p in gate_params[6:]])  # (s, n, 3M)
+    w_x = np.concatenate(gate_params[:3], axis=1)  # (d, 3M)
+    u_zr = np.concatenate(gate_params[3:5], axis=1)  # (M, 2M)
+    u_c = gate_params[5]
+    x_steps = x.transpose(1, 0, 2)  # (s, n, d)
+    proj = x_steps @ w_x + np.concatenate(gate_params[6:])  # (s, n, 3M)
 
     zr = np.empty((s, n, 2 * m))  # update gate z, then reset gate r
     cand = np.empty((s, n, m))
@@ -177,189 +184,168 @@ def gru_forward(params: dict[str, Tensor], sequence: Tensor | np.ndarray) -> Ten
         d_u_zr = h[:-1].reshape(s * n, m).T @ flat[:, : 2 * m]
         d_u_c = rh.reshape(s * n, m).T @ flat[:, 2 * m :]
         d_b = flat.sum(axis=0)
-        grads = (d_w_x[:, :m], d_w_x[:, m : 2 * m], d_w_x[:, 2 * m :],
-                 d_u_zr[:, :m], d_u_zr[:, m:], d_u_c,
-                 d_b[:m], d_b[m : 2 * m], d_b[2 * m :])
-        for p, grad in zip(gate_params, grads):
-            if p.requires_grad:
-                p._accumulate(grad)
-        if x.requires_grad:
-            x._accumulate((d_proj @ w_x.T).transpose(1, 0, 2))
+        return dict(zip(names, (d_w_x[:, :m], d_w_x[:, m : 2 * m], d_w_x[:, 2 * m :],
+                                d_u_zr[:, :m], d_u_zr[:, m:], d_u_c,
+                                d_b[:m], d_b[m : 2 * m], d_b[2 * m :])))
 
-    return x._make(h[1:].transpose(1, 0, 2), (x, *gate_params), backward)
+    return h[1:].transpose(1, 0, 2), backward
 
 
-def self_attention(params: dict[str, Tensor], hidden: Tensor) -> Tensor:
+def self_attention(params: dict[str, Tensor], hidden: np.ndarray):
     """Single-head scaled dot-product attention over the time steps of
-    (n, s, M), queried from the final step only, as one autodiff node.
+    (n, s, M), queried from the final step only.
 
-    Returns the (n, M) encoding of each household's last step. The key and
-    value projections are applied to the query and to the attention-weighted
-    states, not to every step: scores = H (W_k q) and out = (a H) W_v.
+    Returns the (n, M) encoding of each household's last step, and its
+    backward, which maps d_encoding to (d_hidden, parameter gradients). The
+    key and value projections are applied to the query and to the
+    attention-weighted states, not to every step: scores = H (W_k q) and
+    out = (a H) W_v.
     """
-    w_q, w_k, w_v = (params[f"self_attn.{x}"] for x in "qkv")
+    w_q, w_k, w_v = (params[f"self_attn.{x}"].data for x in "qkv")
     m = w_q.shape[0]
-    if hidden.data.ndim != 3 or hidden.shape[2] != m:
-        raise ShapeError(f"expected (n, s, {m}) hidden states, got {hidden.shape}")
-    h = hidden.data
+    h = hidden
+    if h.ndim != 3 or h.shape[2] != m:
+        raise ShapeError(f"expected (n, s, {m}) hidden states, got {h.shape}")
     scale = 1.0 / np.sqrt(m)
     last = h[:, -1, :]
-    q = last @ w_q.data  # (n, M)
-    r = (q @ w_k.data.T) * scale  # the query mapped back through the key projection
+    q = last @ w_q  # (n, M)
+    r = (q @ w_k.T) * scale  # the query mapped back through the key projection
     scores = (h @ r[:, :, None])[:, :, 0]  # (n, s)
     e = np.exp(scores - scores.max(axis=1, keepdims=True))
     att = e / e.sum(axis=1, keepdims=True)
     ctx = (att[:, None, :] @ h)[:, 0, :]  # (n, M)
 
     def backward(g):
-        if w_v.requires_grad:
-            w_v._accumulate(ctx.T @ g)
-        d_ctx = g @ w_v.data.T
+        d_ctx = g @ w_v.T
         d_att = (h @ d_ctx[:, :, None])[:, :, 0]
         d_scores = att * (d_att - (d_att * att).sum(axis=1, keepdims=True))
         d_r = (d_scores[:, None, :] @ h)[:, 0, :] * scale
-        if w_k.requires_grad:
-            w_k._accumulate(d_r.T @ q)
-        d_q = d_r @ w_k.data
-        if w_q.requires_grad:
-            w_q._accumulate(last.T @ d_q)
-        if hidden.requires_grad:
-            # att_t d_ctx + d_scores_t r for every step t, as one batched matmul.
-            d_h = np.stack([att, d_scores], axis=2) @ np.stack([d_ctx, r], axis=1)
-            d_h[:, -1, :] += d_q @ w_q.data.T
-            hidden._accumulate(d_h)
+        d_q = d_r @ w_k
+        # att_t d_ctx + d_scores_t r for every step t, as one batched matmul.
+        d_h = np.stack([att, d_scores], axis=2) @ np.stack([d_ctx, r], axis=1)
+        d_h[:, -1, :] += d_q @ w_q.T
+        return d_h, {"self_attn.q": last.T @ d_q, "self_attn.k": d_r.T @ q,
+                     "self_attn.v": ctx.T @ g}
 
-    return hidden._make(ctx @ w_v.data, (hidden, w_q, w_k, w_v), backward)
+    return ctx @ w_v, backward
 
 
-def inter_series_attention(params: dict[str, Tensor], embeddings: Tensor | np.ndarray):
-    """Multi-head attention across households, as two autodiff nodes.
+def inter_series_attention(params: dict[str, Tensor], embeddings: np.ndarray):
+    """Multi-head attention across households.
 
-    Returns (similarity, projected): similarity is the head-averaged (n, n)
-    row-stochastic attention matrix; projected is the (n, M) output. The
-    per-head weights are one node and the output projection another, so the
-    softmax backward runs once on the sum of both paths' gradients.
+    Returns (similarity, projected, backward): similarity is the head-averaged
+    (n, n) row-stochastic attention matrix, projected the (n, M) output, and
+    backward maps (d_similarity, d_projected) to (d_embeddings, parameter
+    gradients). The per-head softmax backward runs once, on the sum of both
+    paths' gradients.
     """
-    e = Tensor._lift(embeddings)
-    weights = _attention_weights(e, params["mha.q"], params["mha.k"])
-    projected = _attention_output(weights, e, params["mha.v"], params["mha.out"])
-    return weights.mean(axis=0), projected
-
-
-def _attention_weights(e: Tensor, w_q: Tensor, w_k: Tensor) -> Tensor:
-    """softmax(e W_q (e W_k)^T / sqrt(M)) per head: (heads, n, n)."""
-    x = e.data
+    x = embeddings
+    w_q, w_k, w_v, w_out = (params[f"mha.{p}"].data for p in ("q", "k", "v", "out"))
+    heads, n = w_q.shape[0], x.shape[0]
     scale = 1.0 / np.sqrt(x.shape[1])
-    q = x @ w_q.data  # (heads, n, dk)
-    k = x @ w_k.data
+    q = x @ w_q  # (heads, n, dk)
+    k = x @ w_k
     # In place: at n = 250 a fresh (heads, n, n) temporary per step costs more
     # than the arithmetic on it.
     att = (q * scale) @ k.transpose(0, 2, 1)
     att -= att.max(axis=-1, keepdims=True)
     np.exp(att, out=att)
     att /= att.sum(axis=-1, keepdims=True)
+    v = x @ w_v  # (heads, n, dv)
+    merged = (att @ v).transpose(1, 0, 2).reshape(n, -1)  # the heads side by side
 
-    def backward(g):
-        d_scores = g - np.einsum("hij,hij->hi", g, att)[:, :, None]
+    def backward(d_similarity, d_projected):
+        d_heads = (d_projected @ w_out.T).reshape(n, heads, -1).transpose(1, 0, 2)
+        d_att = d_heads @ v.transpose(0, 2, 1)
+        d_att += d_similarity * (1.0 / heads)
+        d_scores = d_att - np.einsum("hij,hij->hi", d_att, att)[:, :, None]
         d_scores *= att
         d_q = (d_scores @ k) * scale
         d_k = d_scores.transpose(0, 2, 1) @ q * scale
-        if w_q.requires_grad:
-            w_q._accumulate(x.T @ d_q)
-        if w_k.requires_grad:
-            w_k._accumulate(x.T @ d_k)
-        if e.requires_grad:
-            e._accumulate((d_q @ w_q.data.transpose(0, 2, 1)).sum(axis=0)
-                          + (d_k @ w_k.data.transpose(0, 2, 1)).sum(axis=0))
-
-    return e._make(att, (e, w_q, w_k), backward)
-
-
-def _attention_output(weights: Tensor, e: Tensor, w_v: Tensor, w_out: Tensor) -> Tensor:
-    """The heads' weighted values, side by side, times W_out: (n, M)."""
-    att, x = weights.data, e.data
-    heads, n, _ = att.shape
-    v = x @ w_v.data  # (heads, n, dv)
-    merged = (att @ v).transpose(1, 0, 2).reshape(n, -1)
-
-    def backward(g):
-        if w_out.requires_grad:
-            w_out._accumulate(merged.T @ g)
-        d_heads = (g @ w_out.data.T).reshape(n, heads, -1).transpose(1, 0, 2)
-        if weights.requires_grad:
-            weights._accumulate(d_heads @ v.transpose(0, 2, 1))
         d_v = att.transpose(0, 2, 1) @ d_heads
-        if w_v.requires_grad:
-            w_v._accumulate(x.T @ d_v)
-        if e.requires_grad:
-            e._accumulate((d_v @ w_v.data.transpose(0, 2, 1)).sum(axis=0))
+        d_x = ((d_q @ w_q.transpose(0, 2, 1)).sum(axis=0)
+               + (d_k @ w_k.transpose(0, 2, 1)).sum(axis=0))
+        d_x += (d_v @ w_v.transpose(0, 2, 1)).sum(axis=0)
+        return d_x, {"mha.q": x.T @ d_q, "mha.k": x.T @ d_k, "mha.v": x.T @ d_v,
+                     "mha.out": merged.T @ d_projected}
 
-    return e._make(merged @ w_out.data, (weights, e, w_v, w_out), backward)
+    return att.sum(axis=0) * (1.0 / heads), merged @ w_out, backward
 
 
-def gcn_layer(
-    features: Tensor | np.ndarray, edge_weights: Tensor | np.ndarray, weight: Tensor
-) -> Tensor:
-    """Graph convolution with self-loops, symmetric degree normalization, ReLU,
-    as one autodiff node: relu(D^-1/2 (A+I) D^-1/2 X W), D the degrees of A+I.
+def gcn_layer(features: np.ndarray, edge_weights: np.ndarray, weight: np.ndarray):
+    """Graph convolution with self-loops, symmetric degree normalization, ReLU:
+    relu(D^-1/2 (A+I) D^-1/2 X W), D the degrees of A+I.
 
-    The backward reaches the edge weights A both directly and through D.
+    Returns the output and its backward, which maps d_output to
+    (d_features, d_edge_weights, d_weight). The edge gradient reaches A both
+    directly and through D.
     """
-    h = Tensor._lift(features)
-    a = Tensor._lift(edge_weights)
-    if np.any(a.data < 0):
+    if np.any(edge_weights < 0):
         raise DomainError("edge weights must be non-negative")
-    a_hat = a.data + np.eye(a.shape[0])
+    a_hat = edge_weights + np.eye(edge_weights.shape[0])
     deg = a_hat.sum(axis=1)
     norm = degree_normalized(a_hat, deg)
-    mixed = norm @ h.data  # (n, F_in)
-    pre = mixed @ weight.data
+    mixed = norm @ features  # (n, F_in)
+    pre = mixed @ weight
 
     def backward(g):
         d_pre = g * (pre > 0)
-        if weight.requires_grad:
-            weight._accumulate(mixed.T @ d_pre)
-        d_mixed = d_pre @ weight.data.T
-        if h.requires_grad:
-            h._accumulate(norm.T @ d_mixed)
-        if a.requires_grad:
-            d_norm = d_mixed @ h.data.T
-            t = d_norm * norm
-            # norm_ij = a_hat_ij (deg_i deg_j)^-1/2 with deg_i = sum_j a_ij + 1.
-            d_deg = -0.5 * (t.sum(axis=1) + t.sum(axis=0)) / deg
-            d_a = degree_normalized(d_norm, deg)
-            d_a += d_deg[:, None]
-            a._accumulate(d_a)
+        d_mixed = d_pre @ weight.T
+        d_norm = d_mixed @ features.T
+        t = d_norm * norm
+        # norm_ij = a_hat_ij (deg_i deg_j)^-1/2 with deg_i = sum_j a_ij + 1.
+        d_deg = -0.5 * (t.sum(axis=1) + t.sum(axis=0)) / deg
+        d_a = degree_normalized(d_norm, deg)
+        d_a += d_deg[:, None]
+        return norm.T @ d_mixed, d_a, mixed.T @ d_pre
 
-    return h._make(np.maximum(pre, 0.0), (h, a, weight), backward)
+    return np.maximum(pre, 0.0), backward
 
 
 def forward(model: PatternModel, windows: np.ndarray, socio: np.ndarray):
     """Full pipeline for one time sample.
 
     windows: (n, s) load windows sharing the same time span; socio: (n, M_bar)
-    z-scored static features. Returns (predictions Tensor (n, 1), similarity
-    Tensor (n, n)).
+    z-scored static features. Returns (predictions (n, 1), similarity (n, n),
+    backward), where backward maps d_predictions to every parameter's gradient.
     """
     windows = np.asarray(windows, dtype=float)
     if windows.ndim != 2 or windows.shape[1] != model.window:
         raise ShapeError(f"expected (n, {model.window}) windows, got {windows.shape}")
-    hidden = gru_forward(model.params, windows[:, :, None])
-    embeddings = self_attention(model.params, hidden)
-    similarity, projected = inter_series_attention(model.params, embeddings)
+    params = model.params
+    hidden, gru_backward = gru_forward(params, windows[:, :, None])
+    embeddings, self_backward = self_attention(params, hidden)
+    similarity, projected, cross_backward = inter_series_attention(params, embeddings)
     if np.shape(socio)[0] != projected.shape[0]:
         raise ShapeError("row count mismatch between temporal and static features")
-    g = Tensor.concat([projected, socio], axis=1)
-    for name in ("gcn.0", "gcn.1"):
-        g = gcn_layer(g, similarity, model.params[name])
-    predictions = g @ model.params["head.w"] + model.params["head.b"]
-    return predictions, similarity
+    g0, gcn0_backward = gcn_layer(np.concatenate([projected, socio], axis=1), similarity,
+                                  params["gcn.0"].data)
+    g1, gcn1_backward = gcn_layer(g0, similarity, params["gcn.1"].data)
+    head_w = params["head.w"].data
+    predictions = g1 @ head_w + params["head.b"].data
+    if not (np.all(np.isfinite(predictions)) and np.all(np.isfinite(similarity))):
+        raise NumericalError("non-finite forecaster output")
+
+    def backward(d_predictions):
+        d_g1, d_similarity, d_gcn1 = gcn1_backward(d_predictions @ head_w.T)
+        d_features, d_edges, d_gcn0 = gcn0_backward(d_g1)
+        d_similarity += d_edges
+        d_embeddings, grads = cross_backward(d_similarity, d_features[:, : projected.shape[1]])
+        d_hidden, self_grads = self_backward(d_embeddings)
+        return {**gru_backward(d_hidden), **self_grads, **grads, "gcn.0": d_gcn0,
+                "gcn.1": d_gcn1, "head.w": g1.T @ d_predictions,
+                "head.b": d_predictions.sum(axis=0)}
+
+    return predictions, similarity, backward
 
 
 def mse_loss(model: PatternModel, windows: np.ndarray, targets: np.ndarray, socio: np.ndarray):
-    predictions, similarity = forward(model, windows, socio)
+    """One sample's mean squared error: (loss, similarity, backward), where
+    backward() returns every parameter's gradient of the loss."""
+    predictions, similarity, backward = forward(model, windows, socio)
     diff = predictions - np.asarray(targets, dtype=float).reshape(-1, 1)
-    return (diff * diff).mean(), similarity
+    scale = 1.0 / diff.size
+    return float((diff * diff).sum() * scale), similarity, lambda: backward(2.0 * (diff * scale))
 
 
 # -- dataset construction ------------------------------------------------------
@@ -381,11 +367,14 @@ def make_dataset(community: Community, window: int = 24, stride: int = 24) -> Sa
     the MSE is scale-free.
     """
     series = community.loads  # (n, T)
+    t_total = series.shape[1]
+    if window < 1 or stride < 1 or t_total <= window:
+        raise InvalidSpecError(f"window {window} and stride {stride} must be >= 1, and the "
+                               f"{t_total} hours of loads must exceed the window")
     mean = series.mean(axis=1, keepdims=True)
     std = series.std(axis=1, keepdims=True)
     std[std == 0] = 1.0
     series = (series - mean) / std
-    t_total = series.shape[1]
     starts = range(0, t_total - window, stride)
     windows = np.stack([series[:, t : t + window] for t in starts])
     targets = np.stack([series[:, t + window] for t in starts])
@@ -422,10 +411,8 @@ class TrainResult:
 
 def _eval_mse(model: PatternModel, data: SampleSet) -> float:
     total = 0.0
-    with no_grad(model.params.values()):
-        for i in range(data.windows.shape[0]):
-            loss, _ = mse_loss(model, data.windows[i], data.targets[i], data.socio)
-            total += float(loss.data)
+    for i in range(data.windows.shape[0]):
+        total += mse_loss(model, data.windows[i], data.targets[i], data.socio)[0]
     return total / data.windows.shape[0]
 
 
@@ -433,8 +420,7 @@ def train(model: PatternModel, data: SampleSet, hyper: Hyper | None = None) -> T
     """RMSProp training on the MSE objective; deterministic for a fixed model init."""
     hyper = hyper or Hyper()
     train_set, val_set, _ = split_dataset(data, hyper.split_ratios)
-    params = list(model.params.values())
-    cache = [np.zeros_like(p.data) for p in params]
+    cache = {name: np.zeros_like(p.data) for name, p in model.params.items()}
     result = TrainResult()
     result.initial_val_mse = _eval_mse(model, val_set)
     k = train_set.windows.shape[0]
@@ -442,26 +428,29 @@ def train(model: PatternModel, data: SampleSet, hyper: Hyper | None = None) -> T
         epoch_loss = 0.0
         for batch_start in range(0, k, hyper.batch_size):
             idx = range(batch_start, min(batch_start + hyper.batch_size, k))
-            for p in params:
-                p.grad = None
-            for i in idx:  # each parameter's .grad gains one term per sample
-                loss, similarity = mse_loss(
+            sums = {}
+            for i in idx:  # each gradient sum gains one term per sample, in order
+                loss, similarity, backward = mse_loss(
                     model, train_set.windows[i], train_set.targets[i], train_set.socio
                 )
-                loss.backward()
-                epoch_loss += float(loss.data)
-                result.similarity = similarity.data
+                for name, grad in backward().items():
+                    if name in sums:
+                        sums[name] += grad
+                    else:
+                        sums[name] = grad.copy()
+                epoch_loss += loss
+                result.similarity = similarity
                 result.max_row_sum_dev = max(
                     result.max_row_sum_dev,
-                    float(np.abs(similarity.data.sum(axis=1) - 1).max()),
+                    float(np.abs(similarity.sum(axis=1) - 1).max()),
                 )
                 result.similarity_range = (
-                    min(result.similarity_range[0], float(similarity.data.min())),
-                    max(result.similarity_range[1], float(similarity.data.max())),
+                    min(result.similarity_range[0], float(similarity.min())),
+                    max(result.similarity_range[1], float(similarity.max())),
                 )
-            for p, c in zip(params, cache):
-                p.grad /= len(idx)
-                rmsprop_step(p.data, p.grad, c, hyper)
+            for name, p in model.params.items():
+                sums[name] /= len(idx)
+                rmsprop_step(p.data, sums[name], cache[name], hyper)
         result.train_mse.append(epoch_loss / k)
         result.val_mse.append(_eval_mse(model, val_set))
     if hyper.epochs == 0:
@@ -471,9 +460,7 @@ def train(model: PatternModel, data: SampleSet, hyper: Hyper | None = None) -> T
 
 def similarity_matrix(model: PatternModel, data: SampleSet) -> np.ndarray:
     """Attention matrix from a full-population forward pass on the last sample."""
-    with no_grad(model.params.values()):
-        _, similarity = forward(model, data.windows[-1], data.socio)
-    return similarity.data
+    return forward(model, data.windows[-1], data.socio)[1]
 
 
 GRAD_CHECK_FLOOR = 1e-6
@@ -489,31 +476,24 @@ def grad_check(model: PatternModel, windows: np.ndarray, targets: np.ndarray,
     """
     if not 1e-7 <= epsilon <= 1e-4:
         raise InvalidSpecError("epsilon must lie in [1e-7, 1e-4]")
-    params = list(model.params.values())
-    for p in params:
-        p.grad = None
-    loss, _ = mse_loss(model, windows, targets, socio)
-    loss.backward()
-    analytic = [p.grad.copy() if p.grad is not None else np.zeros_like(p.data)
-                for p in params]
-    if any(not np.all(np.isfinite(a)) for a in analytic):
+    analytic = mse_loss(model, windows, targets, socio)[2]()
+    if any(not np.all(np.isfinite(a)) for a in analytic.values()):
         raise NumericalError("non-finite analytic gradient")
     worst = 0.0
-    with no_grad(params):  # the central differences need losses only
-        for p, g_a in zip(params, analytic):
-            flat = p.data.reshape(-1)
-            g_n = np.zeros_like(flat)
-            for j in range(flat.size):
-                orig = flat[j]
-                flat[j] = orig + epsilon
-                up, _ = mse_loss(model, windows, targets, socio)
-                flat[j] = orig - epsilon
-                down, _ = mse_loss(model, windows, targets, socio)
-                flat[j] = orig
-                g_n[j] = (float(up.data) - float(down.data)) / (2 * epsilon)
-            num = float(np.linalg.norm(g_a.reshape(-1) - g_n))
-            denom = max(float(np.linalg.norm(g_a)) + float(np.linalg.norm(g_n)),
-                        GRAD_CHECK_FLOOR)
-            worst = max(worst, num / denom)
+    for name, p in model.params.items():
+        g_a = analytic[name]
+        flat = p.data.reshape(-1)
+        g_n = np.zeros_like(flat)
+        for j in range(flat.size):
+            orig = flat[j]
+            flat[j] = orig + epsilon
+            up = mse_loss(model, windows, targets, socio)[0]
+            flat[j] = orig - epsilon
+            down = mse_loss(model, windows, targets, socio)[0]
+            flat[j] = orig
+            g_n[j] = (up - down) / (2 * epsilon)
+        num = float(np.linalg.norm(g_a.reshape(-1) - g_n))
+        denom = max(float(np.linalg.norm(g_a)) + float(np.linalg.norm(g_n)),
+                    GRAD_CHECK_FLOOR)
+        worst = max(worst, num / denom)
     return worst
-

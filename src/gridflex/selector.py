@@ -64,7 +64,9 @@ def normalized_laplacian(a_sym: np.ndarray) -> np.ndarray:
     if np.any(deg <= 0):
         raise DomainError(f"isolated node (zero degree) at index {int(np.argmin(deg))}")
     lap = np.eye(a_sym.shape[0]) - degree_normalized(a_sym, deg)
-    return (lap + lap.T) / 2.0  # kill round-off asymmetry
+    lap = lap + lap.T  # kill round-off asymmetry
+    lap /= 2.0
+    return lap
 
 
 def spectral_embed(laplacian: np.ndarray, k: int) -> np.ndarray:

@@ -8,7 +8,7 @@ implementations.
 import numpy as np
 import pytest
 
-from gridflex.autodiff import Tensor, no_grad, parameter
+from gridflex.autodiff import Tensor, parameter
 from gridflex.errors import NumericalError, ShapeError
 
 RNG = np.random.default_rng(42)
@@ -271,17 +271,6 @@ class TestGraph:
         s = Tensor(np.zeros((2, 1)), requires_grad=True)
         s._accumulate(np.float64(0.5))
         np.testing.assert_array_equal(s.grad, [[0.5], [0.5]])
-
-    def test_no_grad_restores_flags_when_the_block_raises(self):
-        a = Tensor(np.ones(2), requires_grad=True)
-        b = Tensor(np.ones(2))
-        with pytest.raises(RuntimeError):
-            with no_grad([a, b]):
-                assert not a.requires_grad
-                out = a * 2.0
-                raise RuntimeError("inside")
-        assert a.requires_grad and not b.requires_grad
-        assert not out.requires_grad and out._backward is None
 
     def test_constant_parents_skipped(self):
         const = Tensor(np.ones(3))

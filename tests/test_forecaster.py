@@ -12,6 +12,7 @@ from gridflex.autodiff import Tensor
 from gridflex.errors import DomainError, InvalidSpecError, NumericalError, ShapeError
 from gridflex.forecaster import (
     Hyper,
+    PatternModel,
     build_model,
     forward,
     gcn_layer,
@@ -30,12 +31,18 @@ from gridflex.forecaster import (
 from tests.conftest import community_of, household
 
 
-def tiny_encoder(rng: np.random.Generator, m: int = 3) -> dict[str, Tensor]:
-    """The GRU and self-attention parameters of hidden size m, biases included,
-    drawn from N(0, 0.5^2)."""
+def random_params(rng: np.random.Generator, m: int, heads: int = 1, gcn: int = 1,
+                  socio: int = 0, prefixes: tuple[str, ...] = ("",)) -> dict[str, Tensor]:
+    """The parameters of parameter_table(m, heads, gcn, socio) whose names start
+    with one of `prefixes`, biases included, drawn from N(0, 0.5^2)."""
     return {name: Tensor(rng.normal(scale=0.5, size=shape), requires_grad=True)
-            for name, (shape, _) in parameter_table(m, 1, 1, 0).items()
-            if name.startswith(("gru.", "self_attn."))}
+            for name, (shape, _) in parameter_table(m, heads, gcn, socio).items()
+            if name.startswith(prefixes)}
+
+
+def tiny_encoder(rng: np.random.Generator, m: int = 3) -> dict[str, Tensor]:
+    """The GRU and self-attention parameters of hidden size m."""
+    return random_params(rng, m, prefixes=("gru.", "self_attn."))
 
 
 def sigmoid(x):
@@ -72,7 +79,7 @@ def reference_self_attention(params: dict[str, Tensor], hidden: Tensor) -> Tenso
 
 def reference_cross_attention(params: dict[str, Tensor], e: Tensor):
     """Multi-head attention across households built from Tensor ops: the
-    reference for the fused weights and output nodes."""
+    reference for the fused layer."""
     n, m = e.shape
     e3 = e.reshape(1, n, m)
     q = e3 @ params["mha.q"]
@@ -95,32 +102,33 @@ def reference_gcn_layer(features, edge_weights, weight: Tensor) -> Tensor:
     return (norm @ h @ weight).relu()
 
 
-def gru_params(enc: dict[str, Tensor]) -> list[Tensor]:
-    return [p for name, p in enc.items() if name.startswith("gru.")]
+def reference_forward(model: PatternModel, windows: np.ndarray, socio: np.ndarray):
+    """The whole network composed from Tensor ops and the reference layers:
+    (predictions, similarity)."""
+    p = model.params
+    hidden = reference_gru_forward(p, windows[:, :, None])
+    similarity, projected = reference_cross_attention(p, reference_self_attention(p, hidden))
+    g = Tensor.concat([projected, socio], axis=1)
+    for name in ("gcn.0", "gcn.1"):
+        g = reference_gcn_layer(g, similarity, p[name])
+    return g @ p["head.w"] + p["head.b"], similarity
 
 
-def gru_grads(gru, enc: dict[str, Tensor], x_data: np.ndarray, upstream: np.ndarray):
-    """Output and the gradients of sum(output * upstream) w.r.t. the nine GRU
-    parameters and the input."""
-    for p in gru_params(enc):
-        p.grad = None
-    x = Tensor(x_data.copy(), requires_grad=True)
-    out = gru(enc, x)
-    (out * upstream).sum().backward()
-    return out.data, [p.grad for p in gru_params(enc)] + [x.grad]
+def gru_names(enc: dict[str, Tensor]) -> list[str]:
+    return [name for name in enc if name.startswith("gru.")]
 
 
 def relative_error(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.linalg.norm(a - b) / max(np.linalg.norm(b), 1e-300))
 
 
-def layer_grads(layer, inputs: list[Tensor], upstreams: list[np.ndarray]):
-    """Outputs of layer(*inputs) (one Tensor or a tuple) and the gradients of
+def reference_grads(reference, inputs: list[Tensor], upstreams: list[np.ndarray]):
+    """Outputs of reference() (one Tensor or a tuple) and the gradients of
     sum_i sum(output_i * upstream_i) w.r.t. each tensor in `inputs`, which
     includes the parameters a layer reads from its table."""
     for t in inputs:
         t.grad = None
-    outs = layer()
+    outs = reference()
     outs = outs if isinstance(outs, tuple) else (outs,)
     loss = (outs[0] * upstreams[0]).sum()
     for out, upstream in zip(outs[1:], upstreams[1:]):
@@ -129,25 +137,33 @@ def layer_grads(layer, inputs: list[Tensor], upstreams: list[np.ndarray]):
     return [o.data for o in outs], [t.grad for t in inputs]
 
 
-def assert_layers_agree(fused, reference, inputs, upstreams):
-    """Forward within atol 1e-12, every gradient within relative error 1e-10."""
-    outs, grads = layer_grads(fused, inputs, upstreams)
-    ref_outs, ref_grads = layer_grads(reference, inputs, upstreams)
-    for out, ref in zip(outs, ref_outs):
+def assert_matches_reference(outs, grads, reference, inputs, upstreams):
+    """A layer's outputs and the gradients its backward gave for `upstreams`
+    against the engine reference's: forward within atol 1e-12, every gradient
+    within relative error 1e-10."""
+    ref_outs, ref_grads = reference_grads(reference, inputs, upstreams)
+    for out, ref in zip(outs, ref_outs, strict=True):
         assert out.shape == ref.shape
         np.testing.assert_allclose(out, ref, rtol=0, atol=1e-12)
-    for grad, ref in zip(grads, ref_grads):
+    for grad, ref in zip(grads, ref_grads, strict=True):
         assert grad.shape == ref.shape
         assert relative_error(grad, ref) <= 1e-10
 
 
-def ancestors(t: Tensor) -> list[Tensor]:
-    seen, stack = [], [t]
-    while stack:
-        node = stack.pop()
-        seen.append(node)
-        stack.extend(node._parents)
-    return seen
+def numeric_grad(loss, target: np.ndarray, eps: float = 1e-6) -> np.ndarray:
+    """Central differences of loss() w.r.t. each entry of `target`, which is
+    perturbed in place and restored."""
+    flat = target.reshape(-1)
+    numeric = np.zeros_like(flat)
+    for j in range(flat.size):
+        orig = flat[j]
+        flat[j] = orig + eps
+        up = loss()
+        flat[j] = orig - eps
+        down = loss()
+        flat[j] = orig
+        numeric[j] = (up - down) / (2 * eps)
+    return numeric.reshape(target.shape)
 
 
 def gate(enc, x, h, name, act):
@@ -160,18 +176,18 @@ class TestGru:
     def test_single_step_matches_hand_computation(self):
         enc = tiny_encoder(np.random.default_rng(0))
         x = np.array([[[0.7]]])  # one household, one step
-        out = gru_forward(enc, x)
+        out, _ = gru_forward(enc, x)
         # Independent numpy recomputation of one update from zero state.
         h0 = np.zeros((1, 3))
         z = gate(enc, x[0], h0, "update", sigmoid)
         cand = gate(enc, x[0], h0, "cand", np.tanh)
         expected = z * 0.0 + (1.0 - z) * cand
-        np.testing.assert_allclose(out.data[0], expected, atol=1e-12)
+        np.testing.assert_allclose(out[0], expected, atol=1e-12)
 
     def test_two_step_recurrence(self):
         enc = tiny_encoder(np.random.default_rng(1))
         xs = np.array([[0.3], [-0.9]])
-        out = gru_forward(enc, xs[None])
+        out, _ = gru_forward(enc, xs[None])
         h = np.zeros(3)
         for x in xs:
             z = gate(enc, x, h, "update", sigmoid)
@@ -179,24 +195,24 @@ class TestGru:
             cand = np.tanh(x @ enc["gru.w_cand"].data + (r * h) @ enc["gru.u_cand"].data
                            + enc["gru.b_cand"].data)
             h = z * h + (1 - z) * cand
-        np.testing.assert_allclose(out.data[0, -1], h, atol=1e-12)
+        np.testing.assert_allclose(out[0, -1], h, atol=1e-12)
 
     def test_batched_equals_per_series(self):
         """Each row of a batch equals a batch of one."""
         enc = tiny_encoder(np.random.default_rng(2))
         rng = np.random.default_rng(3)
         batch = rng.normal(size=(4, 6, 1))
-        batched = gru_forward(enc, batch)
+        batched, _ = gru_forward(enc, batch)
         for i in range(4):
-            single = gru_forward(enc, batch[i : i + 1])
-            np.testing.assert_allclose(batched.data[i], single.data[0], atol=1e-12)
+            single, _ = gru_forward(enc, batch[i : i + 1])
+            np.testing.assert_allclose(batched[i], single[0], atol=1e-12)
 
     def test_zero_input_zero_bias_stays_zero(self):
         enc = tiny_encoder(np.random.default_rng(4))
         for name in ("gru.b_update", "gru.b_reset", "gru.b_cand"):
             enc[name].data[:] = 0.0
-        out = gru_forward(enc, np.zeros((1, 5, 1)))
-        np.testing.assert_allclose(out.data, 0.0, atol=1e-15)
+        out, _ = gru_forward(enc, np.zeros((1, 5, 1)))
+        np.testing.assert_allclose(out, 0.0, atol=1e-15)
 
     def test_rejects_bad_width(self):
         enc = tiny_encoder(np.random.default_rng(5))
@@ -214,46 +230,27 @@ class TestGru:
     def test_fused_matches_step_by_step_reference(self, n, s, m, seed):
         rng = np.random.default_rng(seed)
         enc = tiny_encoder(rng, m)
-        x_data = rng.normal(size=(n, s, 1))
+        x = rng.normal(size=(n, s, 1))
         upstream = rng.normal(size=(n, s, m))
-        out, grads = gru_grads(gru_forward, enc, x_data, upstream)
-        ref_out, ref_grads = gru_grads(reference_gru_forward, enc, x_data, upstream)
-        assert out.shape == ref_out.shape
-        np.testing.assert_allclose(out, ref_out, rtol=0, atol=1e-12)
-        for grad, ref in zip(grads, ref_grads):
-            assert grad.shape == ref.shape
-            assert relative_error(grad, ref) <= 1e-10
+        out, backward = gru_forward(enc, x)
+        grads = backward(upstream)
+        names = gru_names(enc)
+        assert_matches_reference([out], [grads[name] for name in names],
+                                 lambda: reference_gru_forward(enc, x),
+                                 [enc[name] for name in names], [upstream])
 
     def test_fused_gradients_match_finite_differences(self):
         rng = np.random.default_rng(12)
         enc = tiny_encoder(rng, m=3)
-        x_data = rng.normal(size=(2, 5, 1))
+        x = rng.normal(size=(2, 5, 1))
         upstream = rng.normal(size=(2, 5, 3))
-        _, grads = gru_grads(gru_forward, enc, x_data, upstream)
-        eps = 1e-6
-
-        def loss(x):
-            return float((gru_forward(enc, x).data * upstream).sum())
-
-        for target, analytic in zip([p.data for p in gru_params(enc)] + [x_data], grads):
-            flat = target.reshape(-1)
-            numeric = np.zeros_like(flat)
-            for j in range(flat.size):
-                orig = flat[j]
-                flat[j] = orig + eps
-                up = loss(x_data)
-                flat[j] = orig - eps
-                down = loss(x_data)
-                flat[j] = orig
-                numeric[j] = (up - down) / (2 * eps)
-            err = np.linalg.norm(analytic.reshape(-1) - numeric) / max(
-                np.linalg.norm(analytic) + np.linalg.norm(numeric), 1e-6)
+        grads = gru_forward(enc, x)[1](upstream)
+        for name in gru_names(enc):
+            numeric = numeric_grad(lambda: float((gru_forward(enc, x)[0] * upstream).sum()),
+                                   enc[name].data)
+            err = np.linalg.norm(grads[name] - numeric) / max(
+                np.linalg.norm(grads[name]) + np.linalg.norm(numeric), 1e-6)
             assert err < 1e-7
-
-    def test_fused_op_builds_one_node(self):
-        enc = tiny_encoder(np.random.default_rng(13))
-        out = gru_forward(enc, np.ones((3, 4, 1)))
-        assert set(map(id, out._parents)) == set(map(id, gru_params(enc)))
 
 
 class TestSelfAttention:
@@ -262,20 +259,20 @@ class TestSelfAttention:
         # just the value projection of the hidden state.
         enc = tiny_encoder(np.random.default_rng(6))
         h = np.random.default_rng(7).normal(size=(3, 1, 3))
-        out = self_attention(enc, Tensor(h))
+        out, _ = self_attention(enc, h)
         assert out.shape == (3, 3)
-        np.testing.assert_allclose(out.data, h[:, 0] @ enc["self_attn.v"].data, atol=1e-12)
+        np.testing.assert_allclose(out, h[:, 0] @ enc["self_attn.v"].data, atol=1e-12)
 
     def test_hand_two_timestep_case(self):
         enc = tiny_encoder(np.random.default_rng(8))
         h = np.random.default_rng(9).normal(size=(2, 3))
-        out = self_attention(enc, Tensor(h[None]))
+        out, _ = self_attention(enc, h[None])
         q, k, v = (h @ enc[f"self_attn.{x}"].data for x in "qkv")
         scores = q @ k.T / np.sqrt(3)
         e = np.exp(scores - scores.max(axis=-1, keepdims=True))
         weights = e / e.sum(axis=-1, keepdims=True)
         # Only the final step's query row is computed.
-        np.testing.assert_allclose(out.data[0], (weights @ v)[-1], atol=1e-12)
+        np.testing.assert_allclose(out[0], (weights @ v)[-1], atol=1e-12)
 
     def test_embedding_uses_final_step(self):
         """Cross attention sees each household's self-attention encoding, which
@@ -283,16 +280,17 @@ class TestSelfAttention:
         model = build_model(np.random.default_rng(10), hidden_size=4, head_count=2,
                             gcn_hidden=4, socio_width=2, window=8)
         windows = np.random.default_rng(11).normal(size=(3, 8))
-        encoded = self_attention(model.params, gru_forward(model.params, windows[:, :, None]))
+        encoded, _ = self_attention(model.params,
+                                    gru_forward(model.params, windows[:, :, None])[0])
         assert encoded.shape == (3, 4)
-        expected, _ = inter_series_attention(model.params, encoded.data)
-        _, similarity = forward(model, windows, np.zeros((3, 2)))
-        np.testing.assert_array_equal(similarity.data, expected.data)
+        expected, _, _ = inter_series_attention(model.params, encoded)
+        _, similarity, _ = forward(model, windows, np.zeros((3, 2)))
+        np.testing.assert_array_equal(similarity, expected)
 
     def test_rejects_an_unbatched_series(self):
         enc = tiny_encoder(np.random.default_rng(12))
         with pytest.raises(ShapeError):
-            self_attention(enc, Tensor(np.ones((2, 3))))
+            self_attention(enc, np.ones((2, 3)))
 
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(1, 6), s=st.integers(1, 8), m=st.integers(1, 6),
@@ -301,17 +299,13 @@ class TestSelfAttention:
         rng = np.random.default_rng(seed)
         enc = tiny_encoder(rng, m)
         hidden = Tensor(rng.normal(size=(n, s, m)), requires_grad=True)
-        inputs = [hidden] + [enc[f"self_attn.{x}"] for x in "qkv"]
-        assert_layers_agree(lambda: self_attention(enc, hidden),
-                            lambda: reference_self_attention(enc, hidden),
-                            inputs, [rng.normal(size=(n, m))])
-
-    def test_fused_op_builds_one_node(self):
-        enc = tiny_encoder(np.random.default_rng(14))
-        hidden = Tensor(np.ones((3, 4, 3)), requires_grad=True)
-        out = self_attention(enc, hidden)
-        expected = [hidden] + [enc[f"self_attn.{x}"] for x in "qkv"]
-        assert set(map(id, out._parents)) == set(map(id, expected))
+        upstream = rng.normal(size=(n, m))
+        out, backward = self_attention(enc, hidden.data)
+        d_hidden, grads = backward(upstream)
+        names = [f"self_attn.{x}" for x in "qkv"]
+        assert_matches_reference([out], [d_hidden] + [grads[name] for name in names],
+                                 lambda: reference_self_attention(enc, hidden),
+                                 [hidden] + [enc[name] for name in names], [upstream])
 
 
 class TestInterSeriesAttention:
@@ -323,32 +317,30 @@ class TestInterSeriesAttention:
     def test_row_stochastic_in_unit_interval(self):
         model = self._model()
         e = np.random.default_rng(1).normal(size=(5, 4))
-        similarity, projected = inter_series_attention(model.params, e)
-        np.testing.assert_allclose(similarity.data.sum(axis=1), 1.0, atol=1e-12)
-        assert np.all(similarity.data >= 0) and np.all(similarity.data <= 1)
+        similarity, projected, _ = inter_series_attention(model.params, e)
+        np.testing.assert_allclose(similarity.sum(axis=1), 1.0, atol=1e-12)
+        assert np.all(similarity >= 0) and np.all(similarity <= 1)
         assert projected.shape == (5, 4)
 
     def test_single_household_gives_identity(self):
         model = self._model()
         e = np.random.default_rng(2).normal(size=(1, 4))
-        similarity, _ = inter_series_attention(model.params, e)
-        np.testing.assert_allclose(similarity.data, [[1.0]], atol=1e-15)
+        similarity, _, _ = inter_series_attention(model.params, e)
+        np.testing.assert_allclose(similarity, [[1.0]], atol=1e-15)
 
     def test_permutation_equivariance(self):
         model = self._model(seed=3)
         e = np.random.default_rng(4).normal(size=(6, 4))
         perm = np.array([3, 0, 5, 1, 4, 2])
-        s_orig, _ = inter_series_attention(model.params, e)
-        s_perm, _ = inter_series_attention(model.params, e[perm])
-        np.testing.assert_allclose(
-            s_perm.data, s_orig.data[np.ix_(perm, perm)], atol=1e-12
-        )
+        s_orig, _, _ = inter_series_attention(model.params, e)
+        s_perm, _, _ = inter_series_attention(model.params, e[perm])
+        np.testing.assert_allclose(s_perm, s_orig[np.ix_(perm, perm)], atol=1e-12)
 
     def test_head_average_matches_manual(self):
         model = self._model(seed=5)
         w_q, w_k = model.params["mha.q"].data, model.params["mha.k"].data
         e = np.random.default_rng(6).normal(size=(4, 4))
-        similarity, _ = inter_series_attention(model.params, e)
+        similarity, _, _ = inter_series_attention(model.params, e)
         per_head = []
         for head in range(w_q.shape[0]):
             q = e @ w_q[head]
@@ -356,8 +348,7 @@ class TestInterSeriesAttention:
             scores = q @ k.T / np.sqrt(e.shape[1])
             ex = np.exp(scores - scores.max(axis=-1, keepdims=True))
             per_head.append(ex / ex.sum(axis=-1, keepdims=True))
-        np.testing.assert_allclose(similarity.data, np.mean(per_head, axis=0),
-                                   atol=1e-12)
+        np.testing.assert_allclose(similarity, np.mean(per_head, axis=0), atol=1e-12)
 
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(1, 6), heads=st.integers(1, 3), dk=st.integers(1, 3),
@@ -365,25 +356,14 @@ class TestInterSeriesAttention:
     def test_fused_matches_reference(self, n, heads, dk, seed):
         rng = np.random.default_rng(seed)
         m = heads * dk
-        params = {name: Tensor(rng.normal(scale=0.5, size=shape), requires_grad=True)
-                  for name, (shape, _) in parameter_table(m, heads, 1, 0).items()
-                  if name.startswith("mha.")}
+        params = random_params(rng, m, heads, prefixes=("mha.",))
         e = Tensor(rng.normal(size=(n, m)), requires_grad=True)
-        assert_layers_agree(lambda: inter_series_attention(params, e),
-                            lambda: reference_cross_attention(params, e),
-                            [e, *params.values()],
-                            [rng.normal(size=(n, n)), rng.normal(size=(n, m))])
-
-    def test_weights_and_projection_are_two_nodes(self):
-        model = self._model(seed=7)
-        p = model.params
-        e = Tensor(np.random.default_rng(8).normal(size=(5, 4)), requires_grad=True)
-        similarity, projected = inter_series_attention(p, e)
-        weights = next(t for t in projected._parents if t.data.ndim == 3)
-        assert set(map(id, projected._parents)) == {id(weights), id(e), id(p["mha.v"]),
-                                                     id(p["mha.out"])}
-        assert set(map(id, weights._parents)) == {id(e), id(p["mha.q"]), id(p["mha.k"])}
-        assert any(t is weights for t in ancestors(similarity))
+        upstreams = [rng.normal(size=(n, n)), rng.normal(size=(n, m))]
+        similarity, projected, backward = inter_series_attention(params, e.data)
+        d_e, grads = backward(*upstreams)
+        assert_matches_reference([similarity, projected], [d_e, *grads.values()],
+                                 lambda: reference_cross_attention(params, e),
+                                 [e, *params.values()], upstreams)
 
 
 class TestGcnLayer:
@@ -392,12 +372,12 @@ class TestGcnLayer:
         # of ReLU(D^{-1/2} (A+I) D^{-1/2} X W).
         a = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
         x = np.random.default_rng(0).normal(size=(3, 2))
-        w = Tensor(np.random.default_rng(1).normal(size=(2, 2)), requires_grad=True)
-        out = gcn_layer(x, a, w)
+        w = np.random.default_rng(1).normal(size=(2, 2))
+        out, _ = gcn_layer(x, a, w)
         a_hat = a + np.eye(3)
         d = np.diag(1.0 / np.sqrt(a_hat.sum(axis=1)))
-        expected = np.maximum(d @ a_hat @ d @ x @ w.data, 0.0)
-        np.testing.assert_allclose(out.data, expected, atol=1e-12)
+        expected = np.maximum(d @ a_hat @ d @ x @ w, 0.0)
+        np.testing.assert_allclose(out, expected, atol=1e-12)
 
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(2, 6), f_in=st.integers(1, 4), f_out=st.integers(1, 4),
@@ -409,50 +389,29 @@ class TestGcnLayer:
         features = Tensor(rng.normal(size=(n, f_in)), requires_grad=True)
         edges = Tensor(rng.uniform(0.0, 1.0, size=(n, n)), requires_grad=True)
         weight = Tensor(rng.normal(size=(f_in, f_out)), requires_grad=True)
-        assert_layers_agree(lambda: gcn_layer(features, edges, weight),
-                            lambda: reference_gcn_layer(features, edges, weight),
-                            [features, edges, weight], [rng.normal(size=(n, f_out))])
+        upstream = rng.normal(size=(n, f_out))
+        out, backward = gcn_layer(features.data, edges.data, weight.data)
+        assert_matches_reference([out], list(backward(upstream)),
+                                 lambda: reference_gcn_layer(features, edges, weight),
+                                 [features, edges, weight], [upstream])
 
     def test_edge_weight_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(15)
         features = rng.normal(size=(4, 3))
-        edges = Tensor(rng.uniform(0.1, 1.0, size=(4, 4)), requires_grad=True)
-        weight = Tensor(rng.normal(size=(3, 2)))
+        edges = rng.uniform(0.1, 1.0, size=(4, 4))
+        weight = rng.normal(size=(3, 2))
         upstream = rng.normal(size=(4, 2))
-        (gcn_layer(features, edges, weight) * upstream).sum().backward()
-        eps = 1e-6
-
-        def loss():
-            return float((gcn_layer(features, edges.data, weight).data * upstream).sum())
-
-        flat = edges.data.reshape(-1)
-        numeric = np.zeros_like(flat)
-        for j in range(flat.size):
-            orig = flat[j]
-            flat[j] = orig + eps
-            up = loss()
-            flat[j] = orig - eps
-            down = loss()
-            flat[j] = orig
-            numeric[j] = (up - down) / (2 * eps)
-        analytic = edges.grad.reshape(-1)
+        _, analytic, _ = gcn_layer(features, edges, weight)[1](upstream)
+        numeric = numeric_grad(
+            lambda: float((gcn_layer(features, edges, weight)[0] * upstream).sum()), edges)
         assert np.linalg.norm(analytic) > 1e-3
         err = np.linalg.norm(analytic - numeric) / (
             np.linalg.norm(analytic) + np.linalg.norm(numeric))
         assert err < 1e-7
 
-    def test_fused_op_builds_one_node(self):
-        rng = np.random.default_rng(16)
-        inputs = [Tensor(rng.normal(size=(3, 2)), requires_grad=True),
-                  Tensor(rng.uniform(size=(3, 3)), requires_grad=True),
-                  Tensor(rng.normal(size=(2, 2)), requires_grad=True)]
-        out = gcn_layer(*inputs)
-        assert set(map(id, out._parents)) == set(map(id, inputs))
-
     def test_rejects_negative_weights(self):
         with pytest.raises(DomainError):
-            gcn_layer(np.ones((2, 2)), np.array([[0.0, -0.1], [0.1, 0.0]]),
-                      Tensor(np.ones((2, 2))))
+            gcn_layer(np.ones((2, 2)), np.array([[0.0, -0.1], [0.1, 0.0]]), np.ones((2, 2)))
 
     def test_concat_features_widths(self, monkeypatch):
         """forward feeds the first graph layer the (n, M) cross-attention output
@@ -465,7 +424,7 @@ class TestGcnLayer:
         seen = []
 
         def recording_gcn(features, edge_weights, weight):
-            seen.append(features.data)
+            seen.append(features)
             return gcn_layer(features, edge_weights, weight)
 
         monkeypatch.setattr(forecaster, "gcn_layer", recording_gcn)
@@ -474,6 +433,47 @@ class TestGcnLayer:
         np.testing.assert_array_equal(seen[0][:, 4:], socio)
         with pytest.raises(ShapeError):
             forward(model, windows, socio[:2])
+
+
+class TestForward:
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(2, 5), s=st.integers(1, 6), heads=st.integers(1, 3),
+           dk=st.integers(1, 3), gcn=st.integers(1, 4), socio=st.integers(0, 3),
+           seed=st.integers(0, 2**32 - 1))
+    def test_whole_pass_matches_engine_reference(self, n, s, heads, dk, gcn, socio, seed):
+        """Predictions, similarity, loss and all 20 parameter gradients of the
+        hand-written pass against the same network composed from engine ops."""
+        rng = np.random.default_rng(seed)
+        model = PatternModel(random_params(rng, heads * dk, heads, gcn, socio), window=s)
+        windows, targets = rng.normal(size=(n, s)), rng.normal(size=n)
+        static = rng.normal(size=(n, socio))
+        predictions, similarity, _ = forward(model, windows, static)
+        loss, _, backward = mse_loss(model, windows, targets, static)
+        grads = backward()
+
+        params = list(model.params.values())
+        for p in params:
+            p.grad = None
+        ref_predictions, ref_similarity = reference_forward(model, windows, static)
+        diff = ref_predictions - targets.reshape(-1, 1)
+        ref_loss = (diff * diff).mean()
+        ref_loss.backward()
+        for out, ref in [(predictions, ref_predictions), (similarity, ref_similarity),
+                         (np.array(loss), ref_loss)]:
+            assert out.shape == ref.shape
+            np.testing.assert_allclose(out, ref.data, rtol=0, atol=1e-12)
+        assert grads.keys() == model.params.keys()
+        for name, p in model.params.items():
+            assert grads[name].shape == p.shape
+            assert relative_error(grads[name], p.grad) <= 1e-10
+
+    def test_rejects_a_non_finite_window(self):
+        model = build_model(np.random.default_rng(0), hidden_size=4, head_count=2,
+                            gcn_hidden=4, socio_width=2, window=6)
+        windows = np.zeros((3, 6))
+        windows[1, 2] = np.nan
+        with pytest.raises(NumericalError):
+            forward(model, windows, np.zeros((3, 2)))
 
 
 class TestDataset:
@@ -508,6 +508,12 @@ class TestDataset:
         np.testing.assert_allclose(rebuilt.mean(axis=1), 0.0, atol=1e-10)
         np.testing.assert_allclose(rebuilt.std(axis=1), 1.0, atol=1e-10)
 
+    @pytest.mark.parametrize(("days", "window", "stride"), [
+        (4, 0, 24), (4, 24, 0), (4, 24, -1), (1, 24, 24), (4, 96, 1)])
+    def test_rejects_a_shape_that_leaves_no_sample(self, days, window, stride):
+        with pytest.raises(InvalidSpecError, match=f"window {window} and stride {stride}"):
+            make_dataset(self._community(days=days), window=window, stride=stride)
+
     def test_split_is_chronological(self):
         c = self._community(days=10, seed=2)
         data = make_dataset(c, window=24, stride=12)
@@ -537,6 +543,16 @@ class TestHyper:
     def test_rejects_invalid(self, kwargs):
         with pytest.raises(InvalidSpecError, match=next(iter(kwargs))):
             Hyper(**kwargs)
+
+
+class TestBuildModel:
+    @pytest.mark.parametrize("kwargs", [
+        {"hidden_size": 0}, {"head_count": 0}, {"gcn_hidden": 0}, {"window": 0},
+        {"socio_width": -1},
+    ], ids=lambda kwargs: "-".join(f"{k}={v}" for k, v in kwargs.items()))
+    def test_rejects_invalid(self, kwargs):
+        with pytest.raises(InvalidSpecError, match=next(iter(kwargs))):
+            build_model(np.random.default_rng(0), **kwargs)
 
 
 class TestRmspropStep:
@@ -614,48 +630,26 @@ class TestTraining:
         lo, hi = train(model, data, Hyper(epochs=1, batch_size=4)).similarity_range
         assert 0.0 < lo <= hi < 1.0
 
-    def test_evaluation_builds_no_graph(self, monkeypatch):
+    def test_training_and_evaluation_build_no_tensors(self, monkeypatch):
         model, data = self._setup(seed=4)
-        params = [p for _, p in model.parameters()]
         _, val_set, _ = split_dataset(data, Hyper().split_ratios)
         expected_mse = float(np.mean([
-            float(mse_loss(model, val_set.windows[i], val_set.targets[i],
-                           data.socio)[0].data)
+            mse_loss(model, val_set.windows[i], val_set.targets[i], data.socio)[0]
             for i in range(val_set.windows.shape[0])]))
-        _, expected_similarity = forward(model, data.windows[-1], data.socio)
-        for p in params:
-            p.grad = None
-        outputs = []
-        real_forward = forecaster.forward
+        _, expected_similarity, _ = forward(model, data.windows[-1], data.socio)
+        built = []
+        init = Tensor.__init__
 
-        def recording_forward(*args):
-            predictions, similarity = real_forward(*args)
-            outputs.extend([predictions, similarity])
-            return predictions, similarity
+        def counting_init(tensor, *args, **kwargs):
+            built.append(tensor)
+            init(tensor, *args, **kwargs)
 
-        monkeypatch.setattr(forecaster, "forward", recording_forward)
+        monkeypatch.setattr(Tensor, "__init__", counting_init)
         assert forecaster._eval_mse(model, val_set) == pytest.approx(expected_mse, rel=1e-12)
-        np.testing.assert_array_equal(similarity_matrix(model, data),
-                                      expected_similarity.data)
-        assert outputs and all(not t.requires_grad and t._backward is None
-                               for t in outputs)
-        assert all(p.grad is None and p.requires_grad for p in params)
-
-    def test_evaluation_restores_requires_grad_when_forward_raises(self, monkeypatch):
-        model, data = self._setup(seed=5)
-        params = [p for _, p in model.parameters()]
-        seen = []
-
-        def failing_forward(*args):
-            seen.append([p.requires_grad for p in params])
-            raise NumericalError("forward failed")
-
-        monkeypatch.setattr(forecaster, "forward", failing_forward)
-        for evaluate in (forecaster._eval_mse, similarity_matrix):
-            with pytest.raises(NumericalError):
-                evaluate(model, data)
-        assert seen == [[False] * len(params)] * 2
-        assert all(p.requires_grad and p.grad is None for p in params)
+        np.testing.assert_array_equal(similarity_matrix(model, data), expected_similarity)
+        train(model, data, Hyper(epochs=1, batch_size=4))
+        grad_check(model, data.windows[0], data.targets[0], data.socio)
+        assert built == []
 
     def test_forward_validates_window_shape(self):
         model, data = self._setup()

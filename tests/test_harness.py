@@ -550,7 +550,9 @@ class TestCli:
         ("run", {"scenario": {"split_ratios": [0.7, float("inf"), 0.1]}}, "'split_ratios'"),
         ("run", {"hyper": {"batch_size": 0}}, "batch_size"),
         ("sweep", {"variable": "incentive", "values": [1.0, float("-inf")]}, "'values'"),
-    ], ids=["nan-incentive", "infinite-split-ratio", "zero-batch-size", "infinite-value"])
+        ("run", {"stride": 0, "community": TINY, "scenario": TINY_SCENARIO}, "stride 0"),
+    ], ids=["nan-incentive", "infinite-split-ratio", "zero-batch-size", "infinite-value",
+            "zero-stride"])
     def test_rejects_a_non_finite_or_out_of_range_value(self, tmp_path, command, spec, key):
         path = self._write(tmp_path, spec)
         flag = "--config" if command == "run" else "--spec"
@@ -570,6 +572,18 @@ class TestCli:
         with pytest.raises(InvalidSpecError, match="--epochs must be >= 1"):
             main(["train", "--counties", "1", "--households", "4", "--days", "6",
                   "--epochs", "0", "--out-dir", str(tmp_path)])
+
+    @pytest.mark.parametrize(("flags", "message"), [
+        (["--days", "1"], "window 24 and stride 24 .* 24 hours"),
+        (["--stride", "-24"], "stride -24"),
+        (["--stride", "0"], "stride 0"),
+        (["--heads", "0"], "head_count must be >= 1"),
+        (["--hidden", "0", "--heads", "1"], "hidden_size must be >= 1"),
+    ], ids=["one-day", "negative-stride", "zero-stride", "zero-heads", "zero-hidden"])
+    def test_train_rejects_a_bad_shape(self, tmp_path, flags, message):
+        with pytest.raises(InvalidSpecError, match=message):
+            main(["train", "--counties", "1", "--households", "4", "--days", "6",
+                  "--epochs", "1", *flags, "--out-dir", str(tmp_path)])
 
     def test_sweep_takes_an_int_for_a_float(self, tmp_path):
         path = self._write(tmp_path, {"variable": "incentive", "values": [1, 20],
