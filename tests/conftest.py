@@ -1,3 +1,4 @@
+import threading
 from datetime import datetime
 
 import numpy as np
@@ -68,3 +69,13 @@ def community_of(households: list[Household]) -> Community:
 def standard_household() -> Household:
     """30 kWh/day over a 30-day cycle, rate 0.16, elasticity -0.25."""
     return household()
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_threads():
+    """Fail a test that leaves a non-daemon thread alive, such as a worker pool
+    that was never shut down."""
+    before = set(threading.enumerate())
+    yield
+    leaked = [t.name for t in threading.enumerate() if t not in before and not t.daemon]
+    assert not leaked, f"threads left alive: {leaked}"

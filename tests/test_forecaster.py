@@ -1,6 +1,9 @@
 """Forecasting network: component oracles, invariants, training behavior."""
 
 import hashlib
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -650,6 +653,68 @@ class TestTraining:
         train(model, data, Hyper(epochs=1, batch_size=4))
         grad_check(model, data.windows[0], data.targets[0], data.socio)
         assert built == []
+
+    def test_worker_count_does_not_change_a_bit(self, monkeypatch):
+        results = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
+        try:
+            for workers in (1, 2, 3):
+                monkeypatch.setattr(forecaster, "WORKERS", workers)
+                model, data = self._setup(days=8, seed=5)
+                _, val_set, _ = split_dataset(data, Hyper().split_ratios)
+                initial = forecaster._eval_mse(model, val_set)
+                result = train(model, data, Hyper(epochs=2, batch_size=4))
+                results.append((initial, result.train_mse, result.val_mse,
+                                result.similarity.tobytes(), _parameter_digest(model)))
+        finally:
+            sys.setswitchinterval(interval)
+        assert results[1] == results[0]
+        assert results[2] == results[0]
+
+    def test_the_caller_and_the_pool_share_the_samples(self, monkeypatch):
+        monkeypatch.setattr(forecaster, "WORKERS", 2)
+        threads = []
+        original = forecaster.forward
+
+        def recording_forward(*args):
+            threads.append(threading.current_thread())
+            return original(*args)
+
+        monkeypatch.setattr(forecaster, "forward", recording_forward)
+        model, data = self._setup()
+        train(model, data, Hyper(epochs=1, batch_size=4))
+        # 2 validation samples, minibatches of 4 and 3, 2 validation samples:
+        # the caller runs samples 0 and 2 of each, a pool thread the others.
+        caller = threading.main_thread()
+        assert threads.count(caller) == 1 + 2 + 2 + 1
+        assert len(threads) == 11
+
+    @pytest.mark.parametrize("bad", [0, 2])  # run by the caller, by a pool thread
+    def test_a_sample_error_surfaces_and_the_pool_is_joined(self, monkeypatch, bad):
+        monkeypatch.setattr(forecaster, "WORKERS", 3)
+        model, data = self._setup()
+        data.windows[bad, 1, 5] = np.nan  # a sample of the first minibatch
+        before = set(threading.enumerate())
+        with pytest.raises(NumericalError, match="^non-finite forecaster output$"):
+            train(model, data, Hyper(epochs=1, batch_size=4))
+        assert set(threading.enumerate()) == before
+
+    @pytest.mark.parametrize("env, expected", [
+        ({}, 1),  # BLAS left at its default uses every CPU
+        ({"OPENBLAS_NUM_THREADS": "1"}, 4),
+        ({"MKL_NUM_THREADS": "3"}, 1),
+        ({"OMP_NUM_THREADS": "2,1"}, 2),
+        ({"OPENBLAS_NUM_THREADS": "many", "OMP_NUM_THREADS": "1"}, 4),
+        ({"OPENBLAS_NUM_THREADS": "0"}, 4),
+    ])
+    def test_sample_threads_leave_blas_its_cpus(self, monkeypatch, env, expected):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+        for name in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
+            monkeypatch.delenv(name, raising=False)
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        assert forecaster._sample_threads() == expected
 
     def test_forward_validates_window_shape(self):
         model, data = self._setup()
