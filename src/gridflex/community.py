@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import math
+from array import array
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
@@ -313,11 +314,13 @@ def _number(text: str, where: str, column: str) -> float:
 def _read_loads(path: Path) -> tuple[datetime | None, dict[str, int], np.ndarray]:
     """The loads CSV as (start, household id -> row, hourly kWh of shape
     (households, hours)). Rows may come in any order, but every household must
-    have one row per hour of one shared timeline."""
+    have one row per hour of one shared timeline. Repeats, named by their second
+    and first rows, precede gaps, named by household and hour. Of several, the
+    earliest hour is named, then the household whose first row comes first."""
     code: dict[str, int] = {}  # household id -> index, in order of first row
     hour_of: dict[str, int] = {}  # timestamp string -> hours after `origin`
     origin = None
-    codes, hours, kwhs, lines = [], [], [], []
+    codes, hours, kwhs, lines = array("q"), array("q"), array("d"), array("q")
     for line, (hid, stamp, text) in _rows(path, LOAD_COLUMNS):
         if stamp not in hour_of:
             try:
@@ -343,40 +346,27 @@ def _read_loads(path: Path) -> tuple[datetime | None, dict[str, int], np.ndarray
         lines.append(line)
     if not code:
         return None, {}, np.zeros((0, 0))
-    ids = list(code)
-
-    def lacks(j: int, hour: int) -> ValidationError:
-        return ValidationError(f"{path.name}: household {ids[j]} has no row for "
-                               f"{(origin + int(hour) * HOUR).isoformat()}")
-
-    order = np.lexsort((hours, codes))  # by household, then hour; stable
-    household, hour = np.array(codes)[order], np.array(hours)[order]
-    same = household[1:] == household[:-1]
-    step = hour[1:] - hour[:-1]
-    repeats = np.flatnonzero(same & (step == 0))
-    if repeats.size:
-        i = repeats[0]
-        raise ValidationError(f"{path.name} row {lines[order[i + 1]]}: household "
-                              f"{ids[household[i]]} repeats the hour of row {lines[order[i]]}")
-    gaps = np.flatnonzero(same & (step > 1))
-    if gaps.size:
-        raise lacks(household[gaps[0]], hour[gaps[0]] + 1)
-    # Each household's hours are now contiguous; all must match the first's.
-    # Of a pair that differs, the one that lacks the earliest hour is named.
-    first = np.flatnonzero(np.r_[True, ~same])
-    starts, counts = hour[first], np.diff(np.r_[first, hour.size])
-    ends = starts + counts
-    odd = np.flatnonzero((starts != starts[0]) | (counts != counts[0]))
-    if odd.size:
-        j = odd[0]
-        if starts[j] != starts[0]:
-            raise lacks(j if starts[j] > starts[0] else 0, min(starts[j], starts[0]))
-        raise lacks(j if ends[j] < ends[0] else 0, min(ends[j], ends[0]))
-    if counts[0] % HOURS_PER_DAY:
-        raise ValidationError(f"{path.name}: {counts[0]} hourly rows per household "
+    ids, n = list(code), len(code)
+    first = min(hour_of.values())
+    # Cell k is hour first + k // n of household k % n: the timeline, hour by hour.
+    cell = (np.frombuffer(hours, np.int64) - first) * n + np.frombuffer(codes, np.int64)
+    cells, counts = np.unique(cell, return_counts=True)
+    if cells.size < cell.size:
+        twice = cells[np.argmax(counts > 1)]
+        once, again = np.frombuffer(lines, np.int64)[cell == twice][:2]
+        raise ValidationError(f"{path.name} row {again}: household {ids[twice % n]} "
+                              f"repeats the hour of row {once}")
+    if cells[-1] != cells.size - 1 or cells.size % n:
+        k = np.append(np.flatnonzero(cells != np.arange(cells.size)), cells.size)[0]
+        raise ValidationError(f"{path.name}: household {ids[k % n]} has no row for "
+                              f"{(origin + int(first + k // n) * HOUR).isoformat()}")
+    span = cells.size // n
+    if span % HOURS_PER_DAY:
+        raise ValidationError(f"{path.name}: {span} hourly rows per household "
                               f"are not a whole number of days")
-    values = np.array(kwhs)[order].reshape(len(ids), counts[0])
-    return origin + int(starts[0]) * HOUR, code, values
+    values = np.empty(cells.size)
+    values[cell] = np.frombuffer(kwhs)
+    return origin + first * HOUR, code, np.ascontiguousarray(values.reshape(span, n).T)
 
 
 def load_community(households_csv: Path | str, loads_csv: Path | str) -> Community:

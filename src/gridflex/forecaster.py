@@ -348,6 +348,8 @@ def forward(model: PatternModel, windows: np.ndarray, socio: np.ndarray):
     windows = np.asarray(windows, dtype=float)
     if windows.ndim != 2 or windows.shape[1] != model.window:
         raise ShapeError(f"expected (n, {model.window}) windows, got {windows.shape}")
+    if not np.all(np.isfinite(windows)):
+        raise NumericalError("non-finite load window")
     params = model.params
     hidden, gru_backward = gru_forward(params, windows[:, :, None])
     embeddings, self_backward = self_attention(params, hidden)

@@ -2,6 +2,8 @@
 
 import hashlib
 import random
+import re
+import tracemalloc
 from dataclasses import replace
 from datetime import datetime
 
@@ -281,6 +283,33 @@ def assert_same_community(a: Community, b: Community) -> None:
         np.testing.assert_array_equal(x.load, y.load)
 
 
+def scalar_loads(rows: list[tuple[str, datetime, str]]):
+    """The loader's rules for (id, timestamp, kwh) rows, one row at a time:
+    (None, (start, id -> hourly kWh)) when every household has one row per hour
+    of one shared span of whole days; otherwise the fault to name first,
+    ("repeat", (id, timestamp)), ("gap", (id, timestamp)) or ("days", None)."""
+    ids = list(dict.fromkeys(hid for hid, _, _ in rows))
+    kwh_at, repeats = {}, []
+    for hid, when, kwh in rows:
+        if (hid, when) in kwh_at:
+            repeats.append((hid, when))
+        else:
+            kwh_at[hid, when] = float(kwh)
+    if repeats:
+        return "repeat", min(repeats, key=lambda cell: (cell[1], ids.index(cell[0])))
+    first = min(when for _, when, _ in rows)
+    last = max(when for _, when, _ in rows)
+    hours = [first + k * community_module.HOUR
+             for k in range((last - first) // community_module.HOUR + 1)]
+    for when in hours:
+        for hid in ids:
+            if (hid, when) not in kwh_at:
+                return "gap", (hid, when)
+    if len(hours) % 24:
+        return "days", None
+    return None, (first, {hid: [kwh_at[hid, when] for when in hours] for hid in ids})
+
+
 class TestCsvValidation:
     """Malformed files fail in load_community with an error naming the file
     and the row, or the household and the hour it lacks."""
@@ -404,6 +433,16 @@ class TestCsvValidation:
                                  "2014-09-01T00:00:00"):
             load_community(hh, loads)
 
+    def test_dropped_last_hour_of_the_last_household(self, saved):
+        original, hh, loads = saved
+        header, rows = self.rows(loads)
+        assert rows[-1].startswith(f"{original.ids[2]},2014-09-03T23:00:00,")
+        self.edit(loads, header, rows[:-1])
+        with pytest.raises(ValidationError,
+                           match=f"loads.csv: household {original.ids[2]} has no row for "
+                                 "2014-09-03T23:00:00"):
+            load_community(hh, loads)
+
     def test_dropped_last_day_of_every_household_is_a_shorter_population(self, saved):
         original, hh, loads = saved
         header, rows = self.rows(loads)
@@ -438,6 +477,89 @@ class TestCsvValidation:
         monkeypatch.setattr(community_module, "datetime", Counting)
         load_community(hh, loads)
         assert len(calls) == len(set(calls)) == 3 * 24
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_loads_match_a_scalar_reference(self, tmp_path_factory, data):
+        n, days = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 3))
+        tmp = tmp_path_factory.mktemp("reference")
+        original = generate_community(1, 1, n, seed=6, days=days)
+        hh, loads = tmp / "hh.csv", tmp / "loads.csv"
+        save_community(original, hh, loads)
+        header, lines = self.rows(loads)
+        rows = [(hid, datetime.fromisoformat(stamp), kwh)
+                for hid, stamp, kwh in (line.rstrip("\r\n").split(",") for line in lines)]
+        hour = community_module.HOUR
+        # Whole days or a few hours off one end of every household.
+        cut = data.draw(st.integers(-(days - 1), days - 1).map(lambda d: d * 24)
+                        | st.integers(-3, 3))
+        span = range(max(cut, 0), days * 24 + min(cut, 0))
+        every = data.draw(st.integers(-30, 30))  # every stamp moves by this many hours
+        rows = [(hid, when + every * hour, kwh) for hid, when, kwh in rows
+                if (when - original.start) // hour in span]
+        for k, hours in data.draw(st.lists(st.tuples(st.integers(0, len(rows) - 1),
+                                                     st.integers(-30, 30).filter(bool)),
+                                           max_size=2)):
+            hid, when, kwh = rows[k]
+            rows[k] = hid, when + hours * hour, kwh
+        rows += [rows[k] for k in data.draw(st.lists(st.integers(0, len(rows) - 1),
+                                                     max_size=2))]
+        dropped = data.draw(st.lists(st.integers(0, len(rows) - 1), max_size=2, unique=True))
+        rows = data.draw(st.permutations([r for k, r in enumerate(rows) if k not in dropped]))
+        self.edit(loads, header, [f"{hid},{when.isoformat()},{kwh}\n" for hid, when, kwh in rows])
+        fault, found = scalar_loads(rows)
+        if fault is None:
+            start, expected = found
+            restored = load_community(hh, loads)
+            assert restored.start == start
+            np.testing.assert_array_equal(restored.loads, [expected[hid] for hid in original.ids])
+            return
+        with pytest.raises(ValidationError) as caught:
+            load_community(hh, loads)
+        message = str(caught.value)
+        if fault == "repeat":
+            again, hid, once = re.fullmatch(r"loads.csv row (\d+): household (\S+) repeats "
+                                            r"the hour of row (\d+)", message).groups()
+            # Rows are lines 2, 3, ...: the named two are the cell's first two rows.
+            cell = [k + 2 for k, (h, when, _) in enumerate(rows) if (h, when) == found]
+            assert (hid, [int(once), int(again)]) == (found[0], cell[:2])
+        elif fault == "gap":
+            hid, stamp = re.fullmatch(r"loads.csv: household (\S+) has no row for (\S+)",
+                                      message).groups()
+            assert (hid, datetime.fromisoformat(stamp)) == found
+            assert not any((h, when) == found for h, when, _ in rows)
+        else:
+            assert re.fullmatch(r"loads.csv: \d+ hourly rows per household are not a whole "
+                                r"number of days", message)
+
+    def test_traced_peak_is_under_100_bytes_per_load_row(self, tmp_path):
+        hh, loads = tmp_path / "hh.csv", tmp_path / "loads.csv"
+        save_community(generate_community(1, 1, 20, seed=0, days=30), hh, loads)
+        tracemalloc.start()
+        try:
+            load_community(hh, loads)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / (20 * 30 * 24) < 100
+
+    def test_a_stray_row_years_away_allocates_no_dense_timeline(self, tmp_path):
+        original = generate_community(1, 1, 50, seed=0, days=1)
+        hh, loads = tmp_path / "hh.csv", tmp_path / "loads.csv"
+        save_community(original, hh, loads)
+        header, rows = self.rows(loads)
+        later = original.start + 10 * 365 * 24 * community_module.HOUR
+        self.edit(loads, header, rows + [f"{original.ids[3]},{later.isoformat()},1.0\n"])
+        tracemalloc.start()
+        try:
+            # A 50 x 87,600-hour grid would take 35 MB; the first hole is hour 24 of h000.
+            with pytest.raises(ValidationError, match=f"loads.csv: household {original.ids[0]} "
+                                                      "has no row for 2014-09-02T00:00:00$"):
+                load_community(hh, loads)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())

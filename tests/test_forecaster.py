@@ -470,12 +470,13 @@ class TestForward:
             assert grads[name].shape == p.shape
             assert relative_error(grads[name], p.grad) <= 1e-10
 
-    def test_rejects_a_non_finite_window(self):
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_a_non_finite_window(self, bad):
         model = build_model(np.random.default_rng(0), hidden_size=4, head_count=2,
                             gcn_hidden=4, socio_width=2, window=6)
         windows = np.zeros((3, 6))
-        windows[1, 2] = np.nan
-        with pytest.raises(NumericalError):
+        windows[1, 2] = bad
+        with pytest.raises(NumericalError, match="^non-finite load window$"):
             forward(model, windows, np.zeros((3, 2)))
 
 
@@ -696,7 +697,7 @@ class TestTraining:
         model, data = self._setup()
         data.windows[bad, 1, 5] = np.nan  # a sample of the first minibatch
         before = set(threading.enumerate())
-        with pytest.raises(NumericalError, match="^non-finite forecaster output$"):
+        with pytest.raises(NumericalError, match="^non-finite load window$"):
             train(model, data, Hyper(epochs=1, batch_size=4))
         assert set(threading.enumerate()) == before
 
