@@ -2,17 +2,25 @@
 
 from __future__ import annotations
 
-import argparse
-import csv
-import json
-import math
-import typing
-from dataclasses import MISSING, asdict, dataclass, fields
-from pathlib import Path
+import os
 
-import numpy as np
+# One BLAS thread per matmul unless the user chose otherwise, set before numpy
+# loads the library: training then runs one sample per CPU (forecaster.WORKERS),
+# and the bytes it writes do not depend on the host's core count.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
-from .community import (
+import argparse  # noqa: E402
+import csv  # noqa: E402
+import json  # noqa: E402
+import math  # noqa: E402
+import typing  # noqa: E402
+from dataclasses import MISSING, asdict, dataclass, fields  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+import numpy as np  # noqa: E402
+
+from .community import (  # noqa: E402
     Community,
     ScenarioConfig,
     emergency_schedule,
@@ -20,15 +28,15 @@ from .community import (
     load_community,
     save_community,
 )
-from .errors import InvalidSpecError, ReferentialIntegrityError, ValidationError
-from .forecaster import (
+from .errors import InvalidSpecError, ReferentialIntegrityError, ValidationError  # noqa: E402
+from .forecaster import (  # noqa: E402
     Hyper,
     build_model,
     make_dataset,
     similarity_matrix,
     train,
 )
-from .harness import (
+from .harness import (  # noqa: E402
     CommunitySpec,
     PlantedSpec,
     RunManifest,
@@ -41,7 +49,7 @@ from .harness import (
     sweep_rate_hike,
     sweep_reduction,
 )
-from .selector import export_selection, run_selection
+from .selector import export_selection, run_selection  # noqa: E402
 
 
 def _write_similarity(path: Path, ids: tuple[str, ...], matrix: np.ndarray) -> None:

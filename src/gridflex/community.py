@@ -3,13 +3,13 @@
 from __future__ import annotations
 
 import csv
+import io
 import math
-from array import array
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
 from functools import cached_property
-from itertools import chain, repeat
+from itertools import chain, compress
 from operator import itemgetter
 from pathlib import Path
 from typing import NamedTuple
@@ -281,16 +281,21 @@ def generate_community(
                      np.full(n, baseline_rate, dtype=float), profiles)
 
 
+def _columns(path: Path, header: list[str], columns: tuple[str, ...]) -> list[int]:
+    """The position of each of `columns` in `header`; a missing one raises ValidationError."""
+    missing = [c for c in columns if c not in header]
+    if missing:
+        raise ValidationError(f"{path.name}: missing column(s) {', '.join(missing)}")
+    return [header.index(c) for c in columns]
+
+
 def _rows(path: Path, columns: tuple[str, ...]):
     """(line number, fields of `columns`) per non-blank row of the CSV at `path`;
     a missing column or a row of the wrong width raises ValidationError."""
-    with path.open(newline="") as f:
+    with path.open(newline="", encoding="utf-8") as f:
         reader = csv.reader(f)
         header = next(reader, [])
-        missing = [c for c in columns if c not in header]
-        if missing:
-            raise ValidationError(f"{path.name}: missing column(s) {', '.join(missing)}")
-        pick = itemgetter(*(header.index(c) for c in columns))
+        pick = itemgetter(*_columns(path, header, columns))
         for row in reader:
             if not row:
                 continue
@@ -300,15 +305,57 @@ def _rows(path: Path, columns: tuple[str, ...]):
             yield reader.line_num, pick(row)
 
 
+def _float_or_nan(text: str) -> float:
+    """float(text), or nan where float() rejects `text`."""
+    try:
+        return float(text)
+    except ValueError:
+        return math.nan
+
+
 def _number(text: str, where: str, column: str) -> float:
     """`text` as a finite float; anything else raises ValidationError at `where`."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
+    value = _float_or_nan(text)
     if not math.isfinite(value):
         raise ValidationError(f"{where}: {column} {text!r} is not a finite number")
     return value
+
+
+# Bytes of loads.csv lines read and tokenized at once. It bounds what a load
+# holds beyond its 32 bytes per row.
+_BLOCK = 1 << 16
+_BLANK = frozenset(("\n", "\r\n", "\r"))  # lines csv.reader reads as empty rows
+
+
+def _tokenize(lines: list[str]) -> np.ndarray:
+    """The fields of CSV `lines` by csv.reader's rules, as an object array of
+    (rows, fields). A quoted field left open at the end of a line runs on into
+    the next line, so one row can span lines."""
+    return np.loadtxt(lines, dtype=object, delimiter=",", quotechar='"', comments=None, ndmin=2)
+
+
+def _runs_on(row) -> bool:
+    """Whether a field of `row` holds a line end, that is, a quote was open at the end of a line."""
+    return any("\n" in text or "\r" in text for text in row)
+
+
+def _records(lines: list[str], width: int) -> tuple[np.ndarray, tuple[int, str] | None]:
+    """The fields of non-blank CSV `lines`, one record of `width` fields per
+    line, as an object array (rows, width). The rows stop at the first line
+    that is not such a record; its index and fault come second."""
+    if not lines:
+        return np.empty((0, width), dtype=object), None
+    try:
+        cells = _tokenize(lines)
+        if cells.shape == (len(lines), width) and not _runs_on(cells[-1]):
+            return cells, None
+    except ValueError:  # rows of different widths
+        pass
+    k, row = next((k, row) for k, row in enumerate(_tokenize([line])[0] for line in lines)
+                  if len(row) != width or _runs_on(row))
+    return _records(lines[:k], width)[0], (k, "a quoted field runs past the end of its line"
+                                           if _runs_on(row) else
+                                           f"{len(row)} fields, the header has {width}")
 
 
 def _read_loads(path: Path) -> tuple[datetime | None, dict[str, int], np.ndarray]:
@@ -316,44 +363,76 @@ def _read_loads(path: Path) -> tuple[datetime | None, dict[str, int], np.ndarray
     (households, hours)). Rows may come in any order, but every household must
     have one row per hour of one shared timeline. Repeats, named by their second
     and first rows, precede gaps, named by household and hour. Of several, the
-    earliest hour is named, then the household whose first row comes first."""
+    earliest hour is named, then the household whose first row comes first.
+
+    The file is read and checked in blocks of lines, each with one numpy
+    tokenizer call; a faulty row is still the first in file order, as a
+    reader taking one row at a time would name it. Each record must be one
+    line: a quoted field that runs past the end of its line is rejected."""
     code: dict[str, int] = {}  # household id -> index, in order of first row
     hour_of: dict[str, int] = {}  # timestamp string -> hours after `origin`
     origin = None
-    codes, hours, kwhs, lines = array("q"), array("q"), array("d"), array("q")
-    for line, (hid, stamp, text) in _rows(path, LOAD_COLUMNS):
-        if stamp not in hour_of:
+    with path.open("rb") as f:  # a row per line at most; a \r\n split between reads counts 2
+        most = sum(len(chunk.splitlines()) for chunk in iter(lambda: f.read(_BLOCK), b""))
+    # Filled in place: arrays grown block by block left the heap fragmented.
+    codes, hours, lines = (np.empty(most, np.int64) for _ in range(3))
+    kwhs = np.empty(most)
+    rows = 0
+    with path.open(newline="", encoding="utf-8") as f:
+        header = next(csv.reader([f.readline()]), [])
+        if _runs_on(header):
+            raise ValidationError(f"{path.name} row 1: a quoted field runs past the end "
+                                  f"of its line")
+        id_at, stamp_at, kwh_at = _columns(path, header, LOAD_COLUMNS)
+        next_line = 2
+        while block := f.readlines(_BLOCK):
+            line = np.arange(next_line, next_line + len(block))
+            next_line += len(block)
+            if not _BLANK.isdisjoint(block):
+                keep = [text not in _BLANK for text in block]
+                block, line = list(compress(block, keep)), line[keep]
+            cells, fault = _records(block, len(header))
+            ids, stamps = cells[:, id_at].tolist(), cells[:, stamp_at].tolist()
+            for hid in dict.fromkeys(ids):
+                code.setdefault(hid, len(code))
+            for stamp in [s for s in dict.fromkeys(stamps) if s not in hour_of]:  # by first row
+                try:
+                    when = datetime.fromisoformat(stamp)
+                    origin = origin or when
+                    offset = when - origin
+                except (TypeError, ValueError):
+                    fault = stamps.index(stamp), f"bad timestamp {stamp!r}"
+                    break
+                if offset % HOUR:
+                    fault = stamps.index(stamp), (f"{stamp} is not a whole number of hours "
+                                                  f"after {origin.isoformat()}")
+                    break
+                hour_of[stamp] = offset // HOUR
+            texts = cells[:, kwh_at]
             try:
-                when = datetime.fromisoformat(stamp)
-                origin = origin or when
-                offset = when - origin
-            except (TypeError, ValueError):
-                raise ValidationError(f"{path.name} row {line}: bad timestamp {stamp!r}") from None
-            if offset % HOUR:
-                raise ValidationError(f"{path.name} row {line}: {stamp} is not a whole "
-                                      f"number of hours after {origin.isoformat()}")
-            hour_of[stamp] = offset // HOUR
-        try:
-            kwh = float(text)
-        except ValueError:
-            kwh = math.nan
-        if not 0 <= kwh < math.inf:
-            raise ValidationError(f"{path.name} row {line}: kwh {text!r} is not a "
-                                  f"finite number >= 0")
-        codes.append(code.setdefault(hid, len(code)))
-        hours.append(hour_of[stamp])
-        kwhs.append(kwh)
-        lines.append(line)
+                kwh = texts.astype(float)
+            except ValueError:  # some text is no number: find it as nan
+                kwh = np.array([_float_or_nan(text) for text in texts])
+            bad = np.flatnonzero(~((kwh >= 0) & (kwh < math.inf)))
+            if bad.size and (fault is None or bad[0] < fault[0]):
+                fault = bad[0], f"kwh {texts[bad[0]]!r} is not a finite number >= 0"
+            if fault is not None:
+                raise ValidationError(f"{path.name} row {line[fault[0]]}: {fault[1]}")
+            end = rows + len(ids)
+            codes[rows:end] = np.fromiter(map(code.__getitem__, ids), np.int64, len(ids))
+            hours[rows:end] = np.fromiter(map(hour_of.__getitem__, stamps), np.int64, len(ids))
+            lines[rows:end], kwhs[rows:end], rows = line, kwh, end
+            del block, cells, ids, stamps, texts  # free this block before reading the next
     if not code:
         return None, {}, np.zeros((0, 0))
     ids, n = list(code), len(code)
     first = min(hour_of.values())
     # Cell k is hour first + k // n of household k % n: the timeline, hour by hour.
-    cell = (np.frombuffer(hours, np.int64) - first) * n + np.frombuffer(codes, np.int64)
+    cell = (hours[:rows] - first) * n + codes[:rows]
     cells, counts = np.unique(cell, return_counts=True)
     if cells.size < cell.size:
         twice = cells[np.argmax(counts > 1)]
-        once, again = np.frombuffer(lines, np.int64)[cell == twice][:2]
+        once, again = lines[:rows][cell == twice][:2]
         raise ValidationError(f"{path.name} row {again}: household {ids[twice % n]} "
                               f"repeats the hour of row {once}")
     if cells[-1] != cells.size - 1 or cells.size % n:
@@ -365,7 +444,7 @@ def _read_loads(path: Path) -> tuple[datetime | None, dict[str, int], np.ndarray
         raise ValidationError(f"{path.name}: {span} hourly rows per household "
                               f"are not a whole number of days")
     values = np.empty(cells.size)
-    values[cell] = np.frombuffer(kwhs)
+    values[cell] = kwhs[:rows]
     return origin + first * HOUR, code, np.ascontiguousarray(values.reshape(span, n).T)
 
 
@@ -411,6 +490,14 @@ def load_community(households_csv: Path | str, loads_csv: Path | str) -> Communi
         raise ValidationError(f"{households_csv.name} row {row_of[ids[exc.row]]}: {exc}") from None
 
 
+def _csv_cell(text: str) -> str:
+    """`text` as csv.writer writes it in a row of several fields: in quotes,
+    its quotes doubled, when it holds a comma, a quote or a line end."""
+    row = io.StringIO()
+    csv.writer(row).writerow((text, ""))
+    return row.getvalue()[:-len(",\r\n")]
+
+
 def save_community(
     community: Community, households_csv: Path | str, loads_csv: Path | str
 ) -> None:
@@ -418,17 +505,18 @@ def save_community(
     county_of = {nb: county for county, nbs in community.counties.items() for nb in nbs}
     home = community.neighborhood_of
     numbers = np.column_stack([community.baseline_rate, community.elasticity, community.profiles])
-    with Path(households_csv).open("w", newline="") as f:
+    with Path(households_csv).open("w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f)
         writer.writerow(HOUSEHOLD_COLUMNS)
         writer.writerows([hid, home[hid], county_of.get(home[hid], "na"), *map(repr, row)]
                          for hid, row in zip(community.ids, numbers.tolist()))
     stamps = [(community.start + k * HOUR).isoformat() for k in range(community.loads.shape[1])]
-    with Path(loads_csv).open("w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(LOAD_COLUMNS)
+    with Path(loads_csv).open("w", newline="", encoding="utf-8") as f:
+        csv.writer(f).writerow(LOAD_COLUMNS)
         for hid, load in zip(community.ids, community.loads):
-            writer.writerows(zip(repeat(hid), stamps, map(repr, load.tolist())))
+            cell = _csv_cell(hid)
+            f.write("".join([f"{cell},{stamp},{kwh!r}\r\n"
+                             for stamp, kwh in zip(stamps, load.tolist())]))
 
 
 def normalize_features(community: Community) -> np.ndarray:

@@ -1,10 +1,17 @@
-import threading
-from datetime import datetime
+import os
 
-import numpy as np
-import pytest
+# One BLAS thread per matmul unless the variable is set already, before a test
+# module loads numpy: training then runs one sample per CPU, as under the CLI.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
-from gridflex.community import FEATURE_COLUMNS, Community, Household
+import threading  # noqa: E402
+from datetime import datetime  # noqa: E402
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+from gridflex.community import FEATURE_COLUMNS, Community, Household  # noqa: E402
 
 START = datetime(2014, 9, 1)
 

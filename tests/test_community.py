@@ -5,7 +5,8 @@ import random
 import re
 import tracemalloc
 from dataclasses import replace
-from datetime import datetime
+from datetime import datetime, timedelta, timezone
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,7 +18,9 @@ from gridflex.community import (
     ELASTICITY_CEIL,
     ELASTICITY_FLOOR,
     FEATURE_COLUMNS,
+    HOUR,
     HOUSEHOLD_COLUMNS,
+    LOAD_COLUMNS,
     Community,
     ScenarioConfig,
     daily_totals,
@@ -35,7 +38,8 @@ from gridflex.errors import (
     ReferentialIntegrityError,
     ValidationError,
 )
-from tests.conftest import community_of, household, profile
+from tests import csv_reference
+from tests.conftest import START, community_of, household, profile
 
 
 class TestLoadSeries:
@@ -261,6 +265,16 @@ class TestCsvRoundtrip:
             "loads.csv": "af92fabd898011a259e5008a6d4309541f4869c19fc18473d128f01e04772b65",
         }
 
+    def test_non_ascii_ids_round_trip_as_utf8(self, tmp_path):
+        ids = ('Zoë "Ünal", Łódź', "東京,1", 'say "hi"')
+        original = replace(community_of([household(hid, days=1) for hid in ids]),
+                           counties={"c0": ("n0",)})
+        hh, loads = tmp_path / "hh.csv", tmp_path / "loads.csv"
+        save_community(original, hh, loads)
+        assert '"Zoë ""Ünal"", Łódź",'.encode() in loads.read_bytes()
+        assert '"東京,1",'.encode() in hh.read_bytes()
+        assert_same_community(load_community(hh, loads), original)
+
     def test_load_rejects_missing_load_rows(self, tmp_path):
         c = generate_community(1, 1, 2, seed=0, days=1)
         save_community(c, tmp_path / "hh.csv", tmp_path / "loads.csv")
@@ -399,6 +413,16 @@ class TestCsvValidation:
         with pytest.raises(ValidationError, match="loads.csv row 9: bad timestamp 'yesterday'"):
             load_community(hh, loads)
 
+    def test_names_the_first_of_two_bad_timestamps(self, saved):
+        _, hh, loads = saved
+        header, rows = self.rows(loads)
+        for k, stamp in ((3, "tomorrow"), (7, "yesterday")):
+            hid, _, kwh = rows[k].split(",")
+            rows[k] = f"{hid},{stamp},{kwh}"
+        self.edit(loads, header, rows)
+        with pytest.raises(ValidationError, match="loads.csv row 5: bad timestamp 'tomorrow'"):
+            load_community(hh, loads)
+
     def test_household_shifted_by_a_day(self, saved):
         original, hh, loads = saved
         header, rows = self.rows(loads)
@@ -477,6 +501,39 @@ class TestCsvValidation:
         monkeypatch.setattr(community_module, "datetime", Counting)
         load_community(hh, loads)
         assert len(calls) == len(set(calls)) == 3 * 24
+
+    @pytest.mark.parametrize("block", [1, 100, 1 << 16])
+    def test_a_quoted_field_spanning_two_lines_names_its_row(self, saved, block):
+        """csv.reader would read rows 6 and 7 as one record; each record must be one line."""
+        _, hh, loads = saved
+        header, rows = self.rows(loads)
+        hid, rest = rows[4].split(",", 1)
+        rows[4] = f'"{hid}\n{hid}",{rest}'
+        self.edit(loads, header, rows)
+        with pytest.raises(ValidationError, match="^loads.csv row 6: a quoted field runs past "
+                                                  "the end of its line$"):
+            with mock.patch.object(community_module, "_BLOCK", block):
+                load_community(hh, loads)
+
+    def test_a_quote_left_open_on_the_last_line_names_its_row(self, saved):
+        """csv.reader takes the last kwh as '0.5\\r\\n', which float() reads; a field
+        holding a line end is rejected instead."""
+        _, hh, loads = saved
+        header, rows = self.rows(loads)
+        rows[-1] = rows[-1].rsplit(",", 1)[0] + ',"0.5\r\n'
+        self.edit(loads, header, rows)
+        assert csv_reference.read_loads(loads)[2][-1, -1] == 0.5
+        with pytest.raises(ValidationError, match=f"^loads.csv row {len(rows) + 1}: a quoted "
+                                                  "field runs past the end of its line$"):
+            load_community(hh, loads)
+
+    def test_a_header_spanning_two_lines_names_row_1(self, saved):
+        _, hh, loads = saved
+        header, rows = self.rows(loads)
+        self.edit(loads, '"note\n",' + header, rows)
+        with pytest.raises(ValidationError, match="^loads.csv row 1: a quoted field runs past "
+                                                  "the end of its line$"):
+            load_community(hh, loads)
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
@@ -594,6 +651,117 @@ class TestCsvValidation:
             assert kind != "none"
         else:
             assert_same_community(restored, original)
+
+
+# Household ids and extra-column texts: commas, quotes, spaces and non-ASCII,
+# but no line end, since each record is one line.
+CSV_TEXT = st.text(st.sampled_from(list('ab0 ,"\'éüß東-')), max_size=4)
+# kWh texts float() reads or rejects in ways a tokenizer could get wrong.
+ODD_KWH = ["", "x", "-1", "nan", "inf", " 1.5", "1_0"]
+LINE_ENDS = ["\n", "\r\n", "\r"]
+
+
+def csv_field(text: str, quote: bool) -> str:
+    """`text` as one CSV field: quoted, doubling its quotes, when it must be or when `quote`."""
+    if quote or any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+class TestCsvAgainstRowReference:
+    """The block reader and writer against the csv.reader and csv.writer loops
+    they replaced (tests/csv_reference.py)."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_writer_bytes_match_the_reference_and_load_back(self, tmp_path_factory, data):
+        ids = data.draw(st.lists(CSV_TEXT, min_size=1, max_size=4, unique=True))
+        days = data.draw(st.integers(1, 2))
+        kwh = (st.sampled_from([0.0, 5e-324, 1e-05, 1e+16])
+               | st.floats(0, 1e6, allow_nan=False, allow_infinity=False))
+        loads = np.array(data.draw(st.lists(kwh, min_size=len(ids) * days * 24,
+                                            max_size=len(ids) * days * 24)))
+        zone = data.draw(st.sampled_from([None, timezone.utc, timezone(timedelta(hours=-5))]))
+        start = START.replace(tzinfo=zone) + data.draw(st.integers(-1000, 1000)) * HOUR
+        original = Community(tuple(ids), {"n0": tuple(ids)}, {"c0": ("n0",)}, start,
+                             loads.reshape(len(ids), -1), np.full(len(ids), -0.25),
+                             np.full(len(ids), 0.16), np.tile(profile(), (len(ids), 1)))
+        tmp = tmp_path_factory.mktemp("writer")
+        save_community(original, tmp / "hh.csv", tmp / "loads.csv")
+        csv_reference.write_loads(original, tmp / "reference.csv")
+        assert (tmp / "loads.csv").read_bytes() == (tmp / "reference.csv").read_bytes()
+        assert_same_community(load_community(tmp / "hh.csv", tmp / "loads.csv"), original)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_reader_matches_the_reference(self, tmp_path_factory, data):
+        """Same arrays where the reference accepts; where it raises, the same
+        error type and message. Block sizes down to one line per block."""
+        rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+        ids = data.draw(st.lists(CSV_TEXT, min_size=1, max_size=3, unique=True))
+        extra = data.draw(st.lists(CSV_TEXT.filter(lambda c: c not in LOAD_COLUMNS),
+                                   max_size=2, unique=True))
+        header = data.draw(st.permutations([*LOAD_COLUMNS, *extra]))
+        if rng.random() < 0.05:
+            header.remove(rng.choice(LOAD_COLUMNS))
+        column = {name: header.index(name) for name in LOAD_COLUMNS if name in header}
+        hours = data.draw(st.sampled_from([24, 48]) | st.integers(1, 30))
+        start = START + data.draw(st.integers(-30, 30)) * HOUR
+        rows = []
+        for k in range(hours):
+            for hid in ids:
+                row = [rng.choice(["", "x", "a,b", '"', "é"]) for _ in header]
+                values = {"id": hid, "timestamp_iso8601": (start + k * HOUR).isoformat(),
+                          "kwh": repr(rng.random() * 3)}
+                for name, j in column.items():
+                    row[j] = values[name]
+                rows.append(row)
+        odd = {"kwh": st.sampled_from(ODD_KWH),
+               "timestamp_iso8601": st.sampled_from(["yesterday", "", "2014-09-01T00:30:00",
+                                                      "2014-09-01T00:00:00+00:00"])
+               | st.integers(-30, 60).map(lambda h: (start + h * HOUR).isoformat())}
+        for kind, k in data.draw(st.lists(st.tuples(st.sampled_from(
+                ["kwh", "timestamp_iso8601", "short", "long", "repeat", "drop"]),
+                st.integers(0, 2) | st.integers(0, 2**16)), max_size=4)):
+            row = rows[k % len(rows)]
+            if kind in odd and column.get(kind, len(row)) < len(row):
+                row[column[kind]] = data.draw(odd[kind])
+            elif kind == "short" and row:
+                del row[-1]
+            elif kind == "long":
+                row.append("x")
+            elif kind == "repeat":
+                rows.append(list(row))
+            elif kind == "drop" and len(rows) > 1:
+                rows.remove(row)
+        if data.draw(st.booleans()):
+            rng.shuffle(rows)
+        lines = [",".join(csv_field(text, rng.random() < 0.2) for text in row)
+                 for row in [header, *rows]]
+        for _ in range(data.draw(st.integers(0, 3))):
+            lines.insert(rng.randrange(len(lines) + 1), "")
+        end = data.draw(st.sampled_from([*LINE_ENDS, "mixed"]))
+        text = "".join(line + (rng.choice(LINE_ENDS) if end == "mixed" else end)
+                       for line in lines)
+        if data.draw(st.booleans()):
+            text = text.rstrip("\r\n")
+        path = tmp_path_factory.mktemp("reader") / "loads.csv"
+        path.write_bytes(text.encode())
+        try:
+            expected = csv_reference.read_loads(path)
+        except ValidationError as exc:
+            expected = exc
+        block = data.draw(st.sampled_from([1, 40, 200, 1 << 16]))
+        with mock.patch.object(community_module, "_BLOCK", block):
+            if isinstance(expected, ValidationError):
+                with pytest.raises(ValidationError) as caught:
+                    community_module._read_loads(path)
+                assert type(caught.value) is type(expected)
+                assert str(caught.value) == str(expected)
+                return
+            got = community_module._read_loads(path)
+        assert got[:2] == expected[:2]
+        assert got[2].shape == expected[2].shape and got[2].tobytes() == expected[2].tobytes()
 
 
 class TestNormalizeFeatures:

@@ -301,6 +301,27 @@ def test_reduction_sweep_is_free_of_hash_order():
     assert outputs[0] == outputs[1]
 
 
+@pytest.mark.parametrize("preset", [None, "2"])
+def test_cli_sets_one_blas_thread_per_sample_thread(preset):
+    """Importing gridflex.cli sets each BLAS thread variable that is not set
+    to 1, before numpy loads, so WORKERS is every CPU; a value set stays."""
+    blas = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    code = ("import json, os\n"
+            "import gridflex.cli\n"
+            "from gridflex import forecaster\n"
+            f"print(json.dumps([[os.environ[v] for v in {blas!r}], forecaster.WORKERS]))\n")
+    env = {k: v for k, v in os.environ.items() if k not in blas}
+    env["PYTHONPATH"] = str(Path(harness.__file__).resolve().parents[1])
+    if preset:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    run = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    blas_threads = preset or "1"
+    cpus = len(os.sched_getaffinity(0))
+    assert json.loads(run.stdout) == [[blas_threads, "1", "1"],
+                                      max(cpus // int(blas_threads), 1)]
+
+
 @pytest.fixture(scope="module")
 def scenario_result():
     return run_scenario(
