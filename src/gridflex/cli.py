@@ -12,6 +12,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import argparse  # noqa: E402
 import csv  # noqa: E402
+import hashlib  # noqa: E402
 import json  # noqa: E402
 import math  # noqa: E402
 import typing  # noqa: E402
@@ -20,6 +21,7 @@ from pathlib import Path  # noqa: E402
 
 import numpy as np  # noqa: E402
 
+from . import __version__  # noqa: E402
 from .community import (  # noqa: E402
     Community,
     ScenarioConfig,
@@ -39,25 +41,35 @@ from .forecaster import (  # noqa: E402
 from .harness import (  # noqa: E402
     CommunitySpec,
     PlantedSpec,
-    RunManifest,
     SweepSpec,
     noise_experiment,
     oracle_truth,
-    rows_to_csv,
     run_scenario,
     sweep_incentive,
     sweep_rate_hike,
     sweep_reduction,
 )
-from .selector import export_selection, run_selection  # noqa: E402
+from .selector import run_selection  # noqa: E402
+
+
+def _write_table(path: Path, header, rows) -> None:
+    """A UTF-8 CSV table: the header, then `rows`, each cell as its caller formatted it."""
+    with path.open("w", encoding="utf-8", newline="") as f:
+        writer = csv.writer(f)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def rows_to_csv(rows: list[dict], path: Path) -> None:
+    """The rows as a CSV table under the first row's keys, floats as %.10g."""
+    if not rows:
+        raise InvalidSpecError("no rows to write")
+    _write_table(path, rows[0], ([f"{r[c]:.10g}" if isinstance(r[c], float) else r[c]
+                                  for c in rows[0]] for r in rows))
 
 
 def _write_similarity(path: Path, ids: tuple[str, ...], matrix: np.ndarray) -> None:
-    with path.open("w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(ids)
-        for row in matrix:
-            writer.writerow([repr(float(v)) for v in row])
+    _write_table(path, ids, (map(repr, row) for row in matrix.tolist()))
 
 
 def _read_similarity(path: Path, ids: tuple[str, ...]) -> np.ndarray:
@@ -213,7 +225,11 @@ def cmd_select(args) -> int:
     truth = oracle_truth(community, args.incentive, args.reduction,
                          emergency_days, args.days)
     result = run_selection(community, similarity, truth, seed=args.seed)
-    export_selection(result, truth, out / "selection.csv")
+    _write_table(out / "selection.csv",
+                 ("household_id", "cluster", "queried", "true_label", "predicted_label"),
+                 ((hid, int(cluster), int(hid in result.queried), int(truth[hid]), int(label))
+                  for hid, cluster, label in zip(result.household_ids, result.clusters,
+                                                 result.predicted)))
     _write_manifest(out, vars_serializable(args), [args.seed], "selection.csv")
     print(f"selection accuracy on unqueried households: {result.accuracy_pct:.2f}%")
     return 0
@@ -229,9 +245,8 @@ def cmd_run(args) -> int:
     hyper = _from_json(Hyper, raw.get("hyper", {}), "hyper",
                        split_ratios=scenario.split_ratios)
     report, details = run_scenario(scenario, community_spec, hyper, **asdict(options))
-    (out / "report.json").write_text(
-        json.dumps(asdict(report), indent=2, sort_keys=True) + "\n"
-    )
+    text = json.dumps(asdict(report), indent=2, sort_keys=True) + "\n"
+    (out / "report.json").write_text(text)
     _write_similarity(out / "similarity.csv", details["community"].ids, details["similarity"])
     outputs = ["report.json", "similarity.csv"]
     if details["outcomes"]:
@@ -241,7 +256,7 @@ def cmd_run(args) -> int:
                     out / "offers.csv")
         outputs.append("offers.csv")
     _write_manifest(out, raw, [scenario.rng_seed], *outputs)
-    print(json.dumps(asdict(report), indent=2, sort_keys=True))
+    print(text, end="")
     return 0
 
 
@@ -281,11 +296,13 @@ def cmd_noise(args) -> int:
 
 
 def _write_manifest(out: Path, config: dict, seeds, *outputs: str) -> None:
-    """`out/manifest.json`: the config, the seeds and each output file's digest."""
-    manifest = RunManifest(config=config, seeds=list(seeds))
-    for name in outputs:
-        manifest.record(out / name)
-    manifest.write(out / "manifest.json")
+    """`out/manifest.json`: the config, the seeds, the package version and each
+    output file's sha256."""
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in outputs}
+    manifest = {"config": config, "seeds": list(seeds), "version": __version__,
+                "digests": digests}
+    (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n",
+                                       encoding="utf-8")
 
 
 def vars_serializable(args) -> dict:

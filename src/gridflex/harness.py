@@ -1,18 +1,13 @@
 """Experiment harness: end-to-end scenario runs, seeded sweeps, and the
-noise-robustness study, all emitting deterministic CSV tables plus a manifest."""
+noise-robustness study. Each returns its results as values; the CLI writes them."""
 
 from __future__ import annotations
 
-import csv
-import hashlib
-import json
 from collections.abc import Iterator
-from dataclasses import asdict, dataclass, field, replace
-from pathlib import Path
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import __version__
 from .community import (Community, ScenarioConfig, emergency_schedule,
                         generate_community, sample_elasticity)
 from .errors import InvalidSpecError
@@ -54,21 +49,6 @@ class SweepSpec:
             raise InvalidSpecError("values must be a nonempty strictly increasing ladder")
         if self.repetitions < 1:
             raise InvalidSpecError("repetitions must be >= 1")
-
-
-@dataclass
-class RunManifest:
-    config: dict
-    seeds: list[int]
-    version: str = __version__
-    digests: dict[str, str] = field(default_factory=dict)
-
-    def record(self, path: Path | str) -> None:
-        path = Path(path)
-        self.digests[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
-
-    def write(self, path: Path | str) -> None:
-        Path(path).write_text(json.dumps(asdict(self), indent=2, sort_keys=True) + "\n")
 
 
 # -- shared plumbing -----------------------------------------------------------
@@ -402,13 +382,3 @@ def noise_experiment(
         for level, accs in per_level.items()
     ]
 
-
-def rows_to_csv(rows: list[dict], path: Path | str) -> None:
-    """The rows as a CSV table under the first row's keys, floats as %.10g."""
-    if not rows:
-        raise InvalidSpecError("no rows to write")
-    with Path(path).open("w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(rows[0])
-        writer.writerows([f"{r[c]:.10g}" if isinstance(r[c], float) else r[c] for c in rows[0]]
-                         for r in rows)

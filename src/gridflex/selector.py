@@ -8,9 +8,7 @@ everyone else.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -254,15 +252,3 @@ def run_selection(community: Community, similarity: np.ndarray,
         scores=scores,
     )
 
-
-def export_selection(result: SelectionResult, truth: dict[str, bool],
-                     path: Path | str) -> None:
-    with Path(path).open("w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["household_id", "cluster", "queried", "true_label",
-                         "predicted_label"])
-        for i, hid in enumerate(result.household_ids):
-            writer.writerow([
-                hid, int(result.clusters[i]), int(hid in result.queried),
-                int(truth[hid]), int(result.predicted[i]),
-            ])

@@ -16,7 +16,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridflex import cli, harness, selector
-from gridflex.cli import _from_json, _read_similarity, _RunOptions, _write_similarity, main
+from gridflex.cli import (
+    _from_json,
+    _read_similarity,
+    _RunOptions,
+    _write_manifest,
+    _write_similarity,
+    main,
+    rows_to_csv,
+)
 from gridflex.community import ScenarioConfig, daily_totals, generate_community
 from gridflex.errors import (
     CoverageError,
@@ -29,14 +37,12 @@ from gridflex.forecaster import Hyper
 from gridflex.harness import (
     CommunitySpec,
     PlantedSpec,
-    RunManifest,
     SweepSpec,
     label_similarity,
     noise_experiment,
     oracle_truth,
     planted_community,
     resample_elasticities,
-    rows_to_csv,
     run_scenario,
     sweep_incentive,
     sweep_rate_hike,
@@ -70,9 +76,7 @@ class TestSpecs:
     def test_manifest_records_digests(self, tmp_path):
         target = tmp_path / "x.csv"
         target.write_text("a,b\n1,2\n")
-        manifest = RunManifest(config={"k": 1}, seeds=[0])
-        manifest.record(target)
-        manifest.write(tmp_path / "manifest.json")
+        _write_manifest(tmp_path, {"k": 1}, [0], "x.csv")
         blob = json.loads((tmp_path / "manifest.json").read_text())
         assert blob["seeds"] == [0]
         assert len(blob["digests"]["x.csv"]) == 64

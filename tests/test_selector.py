@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 
 from gridflex import harness, selector
 from gridflex.autodiff import Tensor, parameter
+from gridflex.cli import _write_similarity, main
+from gridflex.community import ScenarioConfig, emergency_schedule, save_community
 from gridflex.errors import (
     DegenerateClusteringError,
     DegenerateSupervisionError,
@@ -27,7 +29,6 @@ from gridflex.selector import (
     classify,
     degree_normalized,
     evaluate_accuracy,
-    export_selection,
     inject_noise,
     kmeans,
     normalized_laplacian,
@@ -496,15 +497,27 @@ class TestRunSelection:
         assert result.predicted.all()
 
     def test_export_roundtrip(self, tmp_path):
-        community, similarity, truth = self._fixture(seed=1)
-        result = run_selection(community, similarity, truth, seed=1,
-                               hyper=Hyper(epochs=30))
-        path = tmp_path / "selection.csv"
-        export_selection(result, truth, path)
-        with path.open(newline="") as f:
+        """`gridflex select` writes one selection.csv row per household, as
+        run_selection labels it on the same population, matrix and oracle."""
+        community, similarity, _ = self._fixture(seed=1)
+        save_community(community, tmp_path / "households.csv", tmp_path / "loads.csv")
+        _write_similarity(tmp_path / "sim.csv", community.ids, similarity)
+        assert main(["select", "--households-csv", str(tmp_path / "households.csv"),
+                     "--loads-csv", str(tmp_path / "loads.csv"),
+                     "--similarity-csv", str(tmp_path / "sim.csv"), "--days", "30",
+                     "--incentive", "5", "--seed", "1", "--out-dir", str(tmp_path / "out")]) == 0
+        config = ScenarioConfig(cycle_days=30, rng_seed=1, default_incentive=5.0,
+                                target_reduction_pct=10.0)
+        days = emergency_schedule(config, np.random.default_rng(1))
+        truth = harness.oracle_truth(community, 5.0, 10.0, days, 30)
+        result = run_selection(community, similarity, truth, seed=1)
+        with (tmp_path / "out" / "selection.csv").open(newline="", encoding="utf-8") as f:
             rows = list(csv.DictReader(f))
-        assert len(rows) == len(community)
-        for row in rows:
-            i = result.household_ids.index(row["household_id"])
-            assert int(row["predicted_label"]) == int(result.predicted[i])
-            assert int(row["true_label"]) == int(truth[row["household_id"]])
+        assert [row["household_id"] for row in rows] == list(result.household_ids)
+        assert len(set(truth.values())) == 2
+        for i, row in enumerate(rows):
+            hid = row["household_id"]
+            assert int(row["cluster"]) == result.clusters[i]
+            assert int(row["queried"]) == (hid in result.queried)
+            assert int(row["true_label"]) == truth[hid]
+            assert int(row["predicted_label"]) == result.predicted[i]
