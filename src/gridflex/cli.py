@@ -29,6 +29,7 @@ from .community import (  # noqa: E402
     generate_community,
     load_community,
     save_community,
+    utf8_lines,
 )
 from .errors import InvalidSpecError, ReferentialIntegrityError, ValidationError  # noqa: E402
 from .forecaster import (  # noqa: E402
@@ -74,7 +75,7 @@ def _write_similarity(path: Path, ids: tuple[str, ...], matrix: np.ndarray) -> N
 
 def _read_similarity(path: Path, ids: tuple[str, ...]) -> np.ndarray:
     """The similarity CSV's matrix, its rows and columns put in the order of `ids`."""
-    with path.open(newline="") as f:
+    with utf8_lines(path), path.open(newline="", encoding="utf-8") as f:
         reader = csv.reader(f)
         header = next(reader, None)
         if header is None:
@@ -141,8 +142,10 @@ def _fits(value, hint) -> bool:
 
 def _read_json(path: Path):
     """The file's JSON value; malformed JSON raises InvalidSpecError naming the spot."""
+    with utf8_lines(path, InvalidSpecError):
+        text = path.read_text(encoding="utf-8")
     try:
-        return json.loads(path.read_text())
+        return json.loads(text)
     except json.JSONDecodeError as e:
         raise InvalidSpecError(f"{path.name} line {e.lineno} column {e.colno}: {e.msg}") from None
 
@@ -246,7 +249,7 @@ def cmd_run(args) -> int:
                        split_ratios=scenario.split_ratios)
     report, details = run_scenario(scenario, community_spec, hyper, **asdict(options))
     text = json.dumps(asdict(report), indent=2, sort_keys=True) + "\n"
-    (out / "report.json").write_text(text)
+    (out / "report.json").write_text(text, encoding="utf-8")
     _write_similarity(out / "similarity.csv", details["community"].ids, details["similarity"])
     outputs = ["report.json", "similarity.csv"]
     if details["outcomes"]:

@@ -5,7 +5,8 @@ from __future__ import annotations
 import csv
 import io
 import math
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
 from functools import cached_property
@@ -17,6 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (
+    GridflexError,
     InsufficientPopulationError,
     InvalidSpecError,
     ReferentialIntegrityError,
@@ -85,6 +87,10 @@ class Community:
         if len(index) != n:
             twice = next(hid for i, hid in enumerate(self.ids) if index[hid] != i)
             raise ValidationError(f"duplicate household id {twice}")
+        broken = next((i for i, hid in enumerate(self.ids) if "\n" in hid or "\r" in hid), None)
+        if broken is not None:  # a CSV record of loads.csv must be one line
+            raise ValidationError(f"household id {self.ids[broken]!r} holds a line break",
+                                  row=broken)
         if sorted(chain.from_iterable(self.neighborhoods.values())) != sorted(self.ids):
             raise ValidationError("neighborhoods do not partition the household set")
         row_shapes = {"loads": np.shape(self.loads)[-1:], "elasticity": (),
@@ -281,6 +287,22 @@ def generate_community(
                      np.full(n, baseline_rate, dtype=float), profiles)
 
 
+@contextmanager
+def utf8_lines(path: Path, error: type[GridflexError] = ValidationError) -> Iterator[None]:
+    """Raise a UnicodeDecodeError from reading the file at `path` inside the
+    block as `error`, naming the file's first line that is not UTF-8."""
+    try:
+        yield
+    except UnicodeDecodeError:
+        for line, text in enumerate(path.read_bytes().splitlines(), start=1):
+            try:
+                text.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise error(f"{path.name} line {line}: byte {text[exc.start]:#04x} "
+                            f"is not UTF-8") from None
+        raise
+
+
 def _columns(path: Path, header: list[str], columns: tuple[str, ...]) -> list[int]:
     """The position of each of `columns` in `header`; a missing one raises ValidationError."""
     missing = [c for c in columns if c not in header]
@@ -292,7 +314,7 @@ def _columns(path: Path, header: list[str], columns: tuple[str, ...]) -> list[in
 def _rows(path: Path, columns: tuple[str, ...]):
     """(line number, fields of `columns`) per non-blank row of the CSV at `path`;
     a missing column or a row of the wrong width raises ValidationError."""
-    with path.open(newline="", encoding="utf-8") as f:
+    with utf8_lines(path), path.open(newline="", encoding="utf-8") as f:
         reader = csv.reader(f)
         header = next(reader, [])
         pick = itemgetter(*_columns(path, header, columns))
@@ -378,7 +400,7 @@ def _read_loads(path: Path) -> tuple[datetime | None, dict[str, int], np.ndarray
     codes, hours, lines = (np.empty(most, np.int64) for _ in range(3))
     kwhs = np.empty(most)
     rows = 0
-    with path.open(newline="", encoding="utf-8") as f:
+    with utf8_lines(path), path.open(newline="", encoding="utf-8") as f:
         header = next(csv.reader([f.readline()]), [])
         if _runs_on(header):
             raise ValidationError(f"{path.name} row 1: a quoted field runs past the end "

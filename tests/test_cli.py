@@ -1,10 +1,23 @@
-"""The files the six commands write under --out-dir, byte for byte."""
+"""The files the six commands write under --out-dir, byte for byte; the
+encoding of every file the CLI reads and writes; and which modules touch files."""
 
+import ast
 import hashlib
 import json
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
-from gridflex.cli import main
+import numpy as np
+import pytest
+
+import gridflex
+from gridflex.cli import _write_similarity, main
+from gridflex.community import save_community
+from gridflex.errors import InvalidSpecError, ValidationError
+from tests.conftest import community_of, household
 
 TINY_COMMUNITY = {"counties": 1, "households_per_neighborhood": 8, "days": 8}
 TINY_SCENARIO = {"cycle_days": 8, "emergency_day_count": 2, "default_incentive": 3.0}
@@ -81,3 +94,116 @@ def test_every_command_writes_the_pinned_bytes(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     run_every_command()
     assert output_digests(tmp_path) == OUTPUT_DIGESTS
+
+
+def _non_ascii_population(directory: Path) -> None:
+    """households.csv and loads.csv of 8 households over 6 days whose ids and
+    neighborhood ids hold non-ASCII letters."""
+    rng = np.random.default_rng(5)
+    names = ("Zoë", "Łódź", "東京", "Ünal", "façade", "Straße", "naïve", "Åsa")
+    community = community_of([
+        household(f"{name}-{i}", elasticity=-0.5 if i % 2 else -0.05,
+                  neighborhood_id=f"nörd-{i % 2}", load=rng.uniform(0.2, 3.0, 6 * 24))
+        for i, name in enumerate(names)])
+    directory.mkdir()
+    save_community(community, directory / "households.csv", directory / "loads.csv")
+
+
+def test_train_and_select_write_utf8_under_an_ascii_locale(tmp_path):
+    """Under the C locale, where open() would encode as ASCII, train and select
+    read and write the same bytes as under the default environment."""
+    src = str(Path(gridflex.__file__).resolve().parents[1])
+    population = ["--households-csv", "households.csv", "--loads-csv", "loads.csv"]
+    commands = [
+        ["train", *population, "--epochs", "2", "--hidden", "4", "--heads", "2",
+         "--stride", "12", "--out-dir", "train"],
+        ["select", *population, "--similarity-csv", "train/similarity.csv", "--days", "6",
+         "--incentive", "3", "--out-dir", "select"],
+    ]
+    default = {**os.environ, "PYTHONPATH": src}
+    ascii_locale = {**default, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+    written = []
+    for name, env in (("default", default), ("c-locale", ascii_locale)):
+        directory = tmp_path / name
+        _non_ascii_population(directory)
+        for argv in commands:
+            run = subprocess.run([sys.executable, "-m", "gridflex.cli", *argv], cwd=directory,
+                                 env=env, capture_output=True, text=True)
+            assert run.returncode == 0, run.stderr
+        written.append(output_digests(directory))
+    assert "Zoë-0".encode() in (tmp_path / "default/train/similarity.csv").read_bytes()
+    assert "Zoë-0".encode() in (tmp_path / "default/select/selection.csv").read_bytes()
+    assert len(written[0]) == 7
+    assert written[1] == written[0]
+
+
+SPEC = '{"variable": "incentive",\n "values": [1.0],\n "outputs": "café.csv"}\n'
+
+
+@pytest.mark.parametrize(("name", "argv", "error"), [
+    ("households.csv", ["select"], ValidationError),
+    ("loads.csv", ["select"], ValidationError),
+    ("similarity.csv", ["select"], ValidationError),
+    ("config.json", ["run", "--config", "config.json"], InvalidSpecError),
+    ("spec.json", ["sweep", "--spec", "spec.json"], InvalidSpecError),
+])
+def test_input_that_is_not_utf8_names_the_file_and_line(tmp_path, monkeypatch, name, argv,
+                                                        error):
+    """A 0xff byte where an id's first letter should be raises the package's
+    error naming the file and the line, not a bare UnicodeDecodeError."""
+    monkeypatch.chdir(tmp_path)
+    community = community_of([household(hid, days=1) for hid in ("a", "é", "b")])
+    save_community(community, "households.csv", "loads.csv")
+    _write_similarity(Path("similarity.csv"), community.ids, np.full((3, 3), 1 / 3))
+    Path("config.json").write_text(SPEC, encoding="utf-8")
+    Path("spec.json").write_text(SPEC, encoding="utf-8")
+    data = Path(name).read_bytes().replace("é".encode(), b"\xff")
+    Path(name).write_bytes(data)
+    line = data[:data.index(b"\xff")].count(b"\n") + 1
+    if argv == ["select"]:
+        argv = ["select", "--households-csv", "households.csv", "--loads-csv", "loads.csv",
+                "--similarity-csv", "similarity.csv", "--days", "1"]
+    with pytest.raises(error, match=re.escape(f"{name} line {line}: byte 0xff is not UTF-8")):
+        main([*argv, "--out-dir", "out"])
+
+
+# Only these modules may read or write files; the rest compute and return values.
+FILE_MODULES = {"cli.py", "community.py"}
+FILE_IMPORTS = {"csv", "hashlib", "json"}
+FILE_CALLS = {"open", "read_text", "write_text", "read_bytes", "write_bytes"}
+
+
+def file_io(source: str) -> list[str]:
+    """The imports of FILE_IMPORTS and the calls of FILE_CALLS in Python `source`."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            modules = [node.module]
+        else:
+            modules = []
+        found += [f"import {m}" for m in modules if m.split(".")[0] in FILE_IMPORTS]
+        if isinstance(node, ast.Call):
+            called = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            if called in FILE_CALLS:
+                found.append(f"{called}() on line {node.lineno}")
+    return found
+
+
+def test_file_io_finds_each_import_and_call():
+    source = ("import csv\nimport json.decoder\nfrom hashlib import sha256\n"
+              "from .errors import ValidationError\nopen('x')\np.open()\n"
+              "p.read_text()\np.write_text('')\np.read_bytes()\np.write_bytes(b'')\n")
+    assert file_io(source) == [
+        "import csv", "import json.decoder", "import hashlib", "open() on line 5",
+        "open() on line 6", "read_text() on line 7", "write_text() on line 8",
+        "read_bytes() on line 9", "write_bytes() on line 10"]
+
+
+@pytest.mark.parametrize("module", sorted(
+    path.name for path in Path(gridflex.__file__).parent.glob("*.py")
+    if path.name not in FILE_MODULES))
+def test_only_cli_and_community_touch_files(module):
+    source = (Path(gridflex.__file__).parent / module).read_text(encoding="utf-8")
+    assert file_io(source) == []

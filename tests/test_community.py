@@ -98,6 +98,14 @@ class TestCommunityInvariants:
         with pytest.raises(ValidationError, match="duplicate household id h0"):
             community_of(hs)
 
+    @pytest.mark.parametrize(("ids", "row"), [(("a\nb", "c"), 0), (("c", "a\rb"), 1)])
+    def test_rejects_an_id_holding_a_line_break(self, ids, row):
+        """Each loads.csv record is one line, so save_community could write such
+        an id but load_community could not read it back."""
+        with pytest.raises(ValidationError, match="holds a line break") as info:
+            community_of([household(hid) for hid in ids])
+        assert info.value.row == row
+
     def test_rejects_partition_mismatch(self):
         c = community_of([household("h0"), household("h1")])
         with pytest.raises(ValidationError):
