@@ -138,19 +138,21 @@ def test_train_and_select_write_utf8_under_an_ascii_locale(tmp_path):
 
 
 SPEC = '{"variable": "incentive",\n "values": [1.0],\n "outputs": "café.csv"}\n'
+SELECT = ["select", "--households-csv", "households.csv", "--loads-csv", "loads.csv",
+          "--similarity-csv", "similarity.csv", "--days", "1"]
 
 
 @pytest.mark.parametrize(("name", "argv", "error"), [
-    ("households.csv", ["select"], ValidationError),
-    ("loads.csv", ["select"], ValidationError),
-    ("similarity.csv", ["select"], ValidationError),
+    ("households.csv", SELECT, ValidationError),
+    ("loads.csv", SELECT, ValidationError),
+    ("similarity.csv", SELECT, ValidationError),
     ("config.json", ["run", "--config", "config.json"], InvalidSpecError),
     ("spec.json", ["sweep", "--spec", "spec.json"], InvalidSpecError),
 ])
 def test_input_that_is_not_utf8_names_the_file_and_line(tmp_path, monkeypatch, name, argv,
                                                         error):
-    """A 0xff byte where an id's first letter should be raises the package's
-    error naming the file and the line, not a bare UnicodeDecodeError."""
+    """A 0xff byte in place of each "é" raises the package's error naming the
+    file and the line, not a bare UnicodeDecodeError."""
     monkeypatch.chdir(tmp_path)
     community = community_of([household(hid, days=1) for hid in ("a", "é", "b")])
     save_community(community, "households.csv", "loads.csv")
@@ -160,9 +162,6 @@ def test_input_that_is_not_utf8_names_the_file_and_line(tmp_path, monkeypatch, n
     data = Path(name).read_bytes().replace("é".encode(), b"\xff")
     Path(name).write_bytes(data)
     line = data[:data.index(b"\xff")].count(b"\n") + 1
-    if argv == ["select"]:
-        argv = ["select", "--households-csv", "households.csv", "--loads-csv", "loads.csv",
-                "--similarity-csv", "similarity.csv", "--days", "1"]
     with pytest.raises(error, match=re.escape(f"{name} line {line}: byte 0xff is not UTF-8")):
         main([*argv, "--out-dir", "out"])
 
