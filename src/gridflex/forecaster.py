@@ -155,13 +155,15 @@ def gru_forward(params: dict[str, Tensor], sequence: np.ndarray):
     """GRU over a batch of series (n, s, input_dim).
 
     Returns the hidden states (n, s, M) from a zero initial state, and their
-    backward, which maps d_hidden to the nine parameter gradients. Each step
-    projects its input for all three gates in one matmul, and the update and
-    reset gates share one (M, 2M) recurrent matmul (Appleyard et al. 2016,
-    arXiv:1604.01946). The gates z, r and the candidate of every step sit side
-    by side in one (s, n, 3M) buffer; backpropagation through time, a numpy
-    loop, overwrites step t of it with the gradients of that step's gate
-    pre-activations once it has read the step.
+    backward, which maps d_hidden to the nine parameter gradients. The gates
+    are stored gate-major, in one (3, s, n, M) buffer of update gate z, reset
+    gate r and candidate, so that each step's gates are contiguous (n, M)
+    blocks and every elementwise op runs on contiguous memory. The input
+    projection x W + b of every step is written into the buffer before the
+    recurrence, which then adds h_{t-1} U, one matmul per gate (Appleyard et
+    al. 2016, arXiv:1604.01946). Backpropagation through time, a numpy loop,
+    overwrites step t's gates with the gradients of their pre-activations once
+    it has read them.
     """
     x = np.asarray(sequence, dtype=float)
     names = [f"gru.{kind}_{gate}" for kind in "wub" for gate in ("update", "reset", "cand")]
@@ -170,57 +172,66 @@ def gru_forward(params: dict[str, Tensor], sequence: np.ndarray):
     if x.ndim != 3 or x.shape[2] != width:
         raise ShapeError(f"expected (n, s, {width}) input, got {x.shape}")
     n, s, _ = x.shape
-    w_x = np.concatenate(gate_params[:3], axis=1)  # (d, 3M)
-    u_zr = np.concatenate(gate_params[3:5], axis=1)  # (M, 2M)
-    u_c = gate_params[5]
-    bias = np.concatenate(gate_params[6:])
-    x_steps = x.transpose(1, 0, 2)  # (s, n, d)
+    w, u, b = (np.stack(gate_params[i : i + 3]) for i in (0, 3, 6))  # gate-major
+    x_flat = x.transpose(1, 0, 2).reshape(s * n, width)  # row t * n + i: step t of series i
 
-    gates = np.empty((s, n, 3 * m))  # update gate z, reset gate r, candidate
-    proj = np.empty((n, 3 * m))  # the step's input projection
+    gates = np.empty((3, s, n, m))  # z, r, candidate; gates[g, t] is an (n, M) block
+    for gate, w_gate in zip(gates, w):
+        np.einsum("ik,kj->ij", x_flat, w_gate, out=gate.reshape(s * n, m))
+    gates += np.repeat(b[:, None, None, :], n, axis=2)  # whole (n, M) blocks, not rows
     rh = np.empty((s, n, m))  # r * h_{t-1}, the input of the candidate's matmul
     h = np.zeros((s + 1, n, m))  # h[t] is the state before step t
+    hu = np.empty((2, n, m))  # h_{t-1} U for z and r, then (r * h_{t-1}) U_c
     for t in range(s):  # in place: each step writes only into the arrays above
-        zr, c, h_prev, h_next = gates[t, :, : 2 * m], gates[t, :, 2 * m :], h[t], h[t + 1]
-        np.matmul(x_steps[t], w_x, out=proj)
-        proj += bias
-        np.matmul(h_prev, u_zr, out=zr)
-        zr += proj[:, : 2 * m]
-        np.negative(zr, out=zr)  # sigmoid
+        zr, (z, r, c), h_prev, h_next = gates[:2, t], gates[:, t], h[t], h[t + 1]
+        np.matmul(h_prev, u[:2], out=hu)
+        zr += hu
+        np.multiply(zr, -1.0, out=zr)  # sigmoid; np.negative misreads a (2, n, 1) view
         np.exp(zr, out=zr)
         zr += 1.0
         np.reciprocal(zr, out=zr)
-        np.multiply(zr[:, m:], h_prev, out=rh[t])
-        np.matmul(rh[t], u_c, out=c)
-        c += proj[:, 2 * m :]
+        np.multiply(r, h_prev, out=rh[t])
+        np.matmul(rh[t], u[2], out=hu[0])
+        c += hu[0]
         np.tanh(c, out=c)
         np.subtract(h_prev, c, out=h_next)  # h = z * h_prev + (1 - z) * c
-        h_next *= zr[:, :m]
+        h_next *= z
         h_next += c
 
     def backward(g):
-        g_steps = g.transpose(1, 0, 2)  # (s, n, M)
         dh = np.zeros((n, m))
+        one_minus_z, hc, tmp = np.empty((3, n, m))
+        d_zr = np.empty((n, 2 * m))  # [d_z d_r], for one matmul with [U_z U_r]^T
+        u_zr_t = np.concatenate(gate_params[3:5], axis=1).T
         for t in range(s - 1, -1, -1):
-            dh += g_steps[t]
-            step = gates[t]
-            z, r, c = step[:, :m], step[:, m : 2 * m], step[:, 2 * m :]
-            d_c = dh * (1.0 - z)
-            d_c *= 1.0 - c * c
-            d_rh = d_c @ u_c.T
-            d_z = dh * (h[t] - c) * z * (1.0 - z)
-            d_r = d_rh * h[t] * r * (1.0 - r)
-            dh = dh * z + d_rh * r
-            step[:, :m], step[:, m : 2 * m], step[:, 2 * m :] = d_z, d_r, d_c
-            dh += step[:, : 2 * m] @ u_zr.T
-        flat = gates.reshape(s * n, 3 * m)  # now the pre-activation gradients
-        d_w_x = x_steps.reshape(s * n, -1).T @ flat
-        d_u_zr = h[:-1].reshape(s * n, m).T @ flat[:, : 2 * m]
-        d_u_c = rh.reshape(s * n, m).T @ flat[:, 2 * m :]
-        d_b = flat.sum(axis=0)
-        return dict(zip(names, (d_w_x[:, :m], d_w_x[:, m : 2 * m], d_w_x[:, 2 * m :],
-                                d_u_zr[:, :m], d_u_zr[:, m:], d_u_c,
-                                d_b[:m], d_b[m : 2 * m], d_b[2 * m :])))
+            (z, r, c), h_prev = gates[:, t], h[t]
+            dh += g[:, t]
+            np.multiply(c, c, out=tmp)
+            np.subtract(1.0, tmp, out=tmp)  # 1 - c^2
+            np.subtract(h_prev, c, out=hc)
+            np.subtract(1.0, z, out=one_minus_z)
+            np.multiply(dh, one_minus_z, out=c)
+            c *= tmp  # d_c
+            hc *= dh
+            hc *= z
+            dh *= z
+            np.multiply(hc, one_minus_z, out=z)  # d_z
+            np.matmul(c, u[2].T, out=tmp)  # d_rh
+            np.multiply(tmp, h_prev, out=hc)
+            hc *= r
+            tmp *= r
+            dh += tmp  # dh z + d_rh r
+            np.subtract(1.0, r, out=r)
+            r *= hc  # d_r
+            np.copyto(d_zr.reshape(n, 2, m), gates[:2, t].transpose(1, 0, 2))
+            np.matmul(d_zr, u_zr_t, out=tmp)
+            dh += tmp
+        flat = gates.reshape(3, s * n, m)  # now the pre-activation gradients
+        d_u_zr = h[:-1].reshape(s * n, m).T @ flat[:2]
+        d_u_c = rh.reshape(s * n, m).T @ flat[2]
+        d_w = x_flat.T @ flat
+        d_b = flat.sum(axis=1)
+        return dict(zip(names, (*d_w, *d_u_zr, d_u_c, *d_b)))
 
     return h[1:].transpose(1, 0, 2), backward
 
