@@ -284,10 +284,22 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+def _levels(text: str) -> tuple[float, ...]:
+    """The --levels list: comma-separated finite numbers."""
+    levels = []
+    for entry in text.split(","):
+        try:
+            levels.append(float(entry))
+        except ValueError:
+            levels.append(math.nan)
+        if not math.isfinite(levels[-1]):
+            raise InvalidSpecError(f"--levels: {entry!r} is not a finite number")
+    return tuple(levels)
+
+
 def cmd_noise(args) -> int:
     out = args.out_dir
-    spec = SweepSpec(variable="noise_level",
-                     values=tuple(float(v) for v in args.levels.split(",")),
+    spec = SweepSpec(variable="noise_level", values=_levels(args.levels),
                      repetitions=args.seeds, outputs="noise.csv")
     rows = noise_experiment(spec, PlantedSpec())
     rows_to_csv(rows, out / spec.outputs)

@@ -43,6 +43,8 @@ class SweepSpec:
         allowed = {"incentive", "reduction_pct", "participation_pct", "noise_level"}
         if self.variable not in allowed:
             raise InvalidSpecError(f"unknown sweep variable {self.variable!r}")
+        if not np.isfinite(self.values).all():
+            raise InvalidSpecError(f"values must be finite, got {self.values}")
         if not self.values or any(
             b <= a for a, b in zip(self.values, self.values[1:])
         ):

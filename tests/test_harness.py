@@ -73,6 +73,11 @@ class TestSpecs:
         with pytest.raises(InvalidSpecError):
             SweepSpec(variable="incentive", values=(10.0, 10.0))
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_sweep_spec_rejects_a_non_finite_value(self, bad):
+        with pytest.raises(InvalidSpecError, match="values must be finite"):
+            SweepSpec(variable="noise_level", values=(0.0, bad))
+
     def test_manifest_records_digests(self, tmp_path):
         target = tmp_path / "x.csv"
         target.write_text("a,b\n1,2\n")
@@ -623,6 +628,14 @@ class TestCli:
                                       else {"counties": 1}})
         with pytest.raises(InvalidSpecError, match=f"'{section}'"):
             main(["sweep", "--spec", path, "--out-dir", str(tmp_path)])
+
+    @pytest.mark.parametrize(("levels", "entry"), [
+        ("0,x", "'x'"), ("", "''"), ("0,inf", "'inf'"), ("0,nan", "'nan'"),
+    ], ids=["non-numeric", "empty", "inf", "nan"])
+    def test_noise_rejects_a_level_that_is_not_a_finite_number(self, tmp_path, levels, entry):
+        with pytest.raises(InvalidSpecError, match=f"^--levels: {entry} is not a finite number$"):
+            main(["noise", "--levels", levels, "--seeds", "1", "--out-dir", str(tmp_path)])
+        assert list(tmp_path.iterdir()) == []
 
     def test_noise_sweep_records_the_seeds_it_ran(self, tmp_path, monkeypatch):
         monkeypatch.setattr("gridflex.cli.noise_experiment", lambda spec: [{"seeds": 2}])
