@@ -109,7 +109,8 @@ class Community:
             "load values must be finite and >= 0":
                 (self.loads.min(axis=1) >= 0) & (self.loads.max(axis=1) < math.inf),
             "elasticity must be negative": self.elasticity < 0,
-            "baseline_rate must be > 0": self.baseline_rate > 0,
+            "baseline_rate must be > 0 and finite":
+                (self.baseline_rate > 0) & (self.baseline_rate < math.inf),
             **{f"{c} must lie in [{lo}, {hi}]": (lo <= feature[c]) & (feature[c] <= hi)
                for c, lo, hi in (("unemployment_pct", 0, 100), ("act_score", 1, 36),
                                  ("college_pct", 0, 100))},
@@ -192,59 +193,37 @@ class ScenarioConfig:
         check_split_ratios(self.split_ratios)
 
 
-def sample_elasticity(rng: np.random.Generator, mean, std, size: int | None = None):
-    """Gaussian elasticity draws clamped into [-5.0, -0.01]: one float, or an
-    array of `size` whose means and stds may be arrays. One draw of std 0 is its
-    mean and takes nothing from `rng`; an array takes a normal per element."""
-    if np.any(np.asarray(mean) >= 0):
-        raise InvalidSpecError(f"elasticity mean must be negative, got {mean}")
-    if np.any(np.asarray(std) < 0):
-        raise InvalidSpecError(f"elasticity std must be >= 0, got {std}")
-    if size is not None:
-        return np.clip(rng.normal(mean, std, size), ELASTICITY_FLOOR, ELASTICITY_CEIL)
-    draw = mean if std == 0 else rng.normal(mean, std)
-    return float(min(max(draw, ELASTICITY_FLOOR), ELASTICITY_CEIL))
+def _check_elasticity(mean, std) -> None:
+    """Elasticity means (a float or an array) must be finite and negative, stds
+    finite and >= 0; anything else raises InvalidSpecError."""
+    mean, std = np.asarray(mean, dtype=float), np.asarray(std, dtype=float)
+    if not ((-math.inf < mean) & (mean < 0)).all():
+        raise InvalidSpecError(f"elasticity mean must be finite and negative, got {mean}")
+    if not ((0 <= std) & (std < math.inf)).all():
+        raise InvalidSpecError(f"elasticity std must be finite and >= 0, got {std}")
 
 
-def _county_profile_base(rng: np.random.Generator) -> dict[str, float]:
-    """County-level means the household profiles jitter around."""
-    return {
-        "median_income": rng.uniform(35_000, 95_000),
-        "unemployment_pct": rng.uniform(2.5, 12.0),
-        "act_score": rng.uniform(16.0, 28.0),
-        "college_pct": rng.uniform(15.0, 60.0),
-        "avg_temperature": rng.uniform(40.0, 80.0),
-        "precipitation": rng.uniform(0.5, 6.0),
-    }
+def sample_elasticity(rng: np.random.Generator, mean, std, size: int) -> np.ndarray:
+    """`size` Gaussian elasticity draws clamped into [-5.0, -0.01], one normal
+    per element; `mean` and `std` may be floats or arrays of `size`."""
+    _check_elasticity(mean, std)
+    return np.clip(rng.normal(mean, std, size), ELASTICITY_FLOOR, ELASTICITY_CEIL)
 
 
-def _sample_profile(rng: np.random.Generator, base: dict[str, float]) -> tuple[float, ...]:
-    """One household's features, in FEATURE_COLUMNS order."""
-    return (
-        max(10_000.0, base["median_income"] * rng.lognormal(0.0, 0.25)),
-        min(max(base["unemployment_pct"] + rng.normal(0, 1.0), 0.0), 100.0),
-        min(max(base["act_score"] + rng.normal(0, 2.0), 1.0), 36.0),
-        min(max(base["college_pct"] + rng.normal(0, 5.0), 0.0), 100.0),
-        base["avg_temperature"] + rng.normal(0, 2.0),
-        max(0.0, base["precipitation"] + rng.normal(0, 0.5)),
-        rng.uniform(700, 3_500),
-    )
-
+# Each county's base profile, median_income .. precipitation in FEATURE_COLUMNS
+# order, is one uniform draw per column between these bounds.
+_COUNTY_LOW = np.array([35_000.0, 2.5, 16.0, 15.0, 40.0, 0.5])
+_COUNTY_HIGH = np.array([95_000.0, 12.0, 28.0, 60.0, 80.0, 6.0])
+# Each household's unemployment_pct .. precipitation is its county's value plus
+# a normal of these stds, clamped into these bounds.
+_JITTER_STD = np.array([1.0, 2.0, 5.0, 2.0, 0.5])
+_JITTER_LOW = np.array([0.0, 1.0, 0.0, -math.inf, 0.0])
+_JITTER_HIGH = np.array([100.0, 36.0, 100.0, math.inf, math.inf])
 
 _HOURS = np.arange(HOURS_PER_DAY)
 # Daily double-peak consumption shape: morning and evening.
 _DAY_SHAPE = (0.35 + 0.8 * np.exp(-0.5 * ((_HOURS - 7.5) / 1.8) ** 2)
               + 1.3 * np.exp(-0.5 * ((_HOURS - 19.0) / 2.5) ** 2))
-
-
-def _synthetic_load(rng: np.random.Generator, days: int, dwelling_size: float,
-                    income_percentile: float) -> np.ndarray:
-    """The day shape scaled by dwelling size and income, plus seeded noise."""
-    scale = (dwelling_size / 1_800.0) * (0.7 + 0.6 * income_percentile)
-    day_wiggle = 1.0 + 0.1 * rng.normal(size=days)  # day-to-day variation
-    series = (day_wiggle[:, None] * (_DAY_SHAPE * scale)).ravel()
-    series += 0.05 * scale * rng.normal(size=series.size)
-    return np.maximum(series, 0.0)
 
 
 def generate_community(
@@ -258,32 +237,63 @@ def generate_community(
     baseline_rate: float = 0.16,
     start: datetime = datetime(2014, 9, 1),
 ) -> Community:
-    """Deterministically generate a synthetic community for a fixed seed."""
+    """Deterministically generate a synthetic community for a fixed seed.
+
+    Every spec is checked before the first draw. One generator seeded with
+    `seed` then draws, county by county, six uniforms for the county's base
+    profile, and then for each of its households in id order:
+    a lognormal(0, 0.25) income factor; five standard normals that jitter
+    unemployment_pct .. precipitation; a uniform(700, 3500) dwelling size;
+    and `days` day-to-day plus `24 * days` hourly standard normals, with one
+    more for the elasticity unless `elasticity_std` is 0. Profiles, loads and
+    elasticities are then computed from those draws as arrays. Any edit to
+    what is drawn, in which order or how many, moves every later value and so
+    every pinned digest; so does any change to the arithmetic on the draws.
+    """
     if counties < 1 or neighborhoods_per_county < 1 or households_per_neighborhood < 1:
         raise InvalidSpecError("all size counts must be >= 1")
     if days < 1:
         raise InvalidSpecError("days must be >= 1")
-    rng = np.random.default_rng(seed)
-    n = counties * neighborhoods_per_county * households_per_neighborhood
-    loads = np.empty((n, days * HOURS_PER_DAY))
-    profiles = np.empty((n, len(FEATURE_COLUMNS)))
-    elasticity = np.empty(n)
-    ids, neighborhoods, county_map = [], {}, {}
-    for ci in range(counties):
-        county_id = f"c{ci:02d}"
-        base = _county_profile_base(rng)
-        county_map[county_id] = tuple(f"{county_id}-n{ni:02d}"
+    if not 0 < baseline_rate < math.inf:
+        raise InvalidSpecError(f"baseline_rate must be finite and > 0, got {baseline_rate}")
+    _check_elasticity(elasticity_mean, elasticity_std)
+    county_map = {f"c{ci:02d}": tuple(f"c{ci:02d}-n{ni:02d}"
                                       for ni in range(neighborhoods_per_county))
-        for nb_id in county_map[county_id]:
-            neighborhoods[nb_id] = members = tuple(
-                f"{nb_id}-h{hi:03d}" for hi in range(households_per_neighborhood))
-            for i in range(len(ids), len(ids) + len(members)):
-                profiles[i] = profile = _sample_profile(rng, base)
-                income_pctile = min(max(profile[0] / 120_000.0, 0.0), 1.0)
-                loads[i] = _synthetic_load(rng, days, profile[-1], income_pctile)
-                elasticity[i] = sample_elasticity(rng, elasticity_mean, elasticity_std)
-            ids.extend(members)
-    return Community(tuple(ids), neighborhoods, county_map, start, loads, elasticity,
+                  for ci in range(counties)}
+    neighborhoods = {nb_id: tuple(f"{nb_id}-h{hi:03d}"
+                                  for hi in range(households_per_neighborhood))
+                     for nb_ids in county_map.values() for nb_id in nb_ids}
+    ids = tuple(chain.from_iterable(neighborhoods.values()))
+    n, per_county, hours = len(ids), len(ids) // counties, days * HOURS_PER_DAY
+    rng = np.random.default_rng(seed)
+    bases = np.empty((counties, 6))
+    profiles = np.empty((n, len(FEATURE_COLUMNS)))
+    noise = np.empty((n, days + hours + (elasticity_std != 0)))
+    for ci in range(counties):
+        bases[ci] = rng.uniform(_COUNTY_LOW, _COUNTY_HIGH)
+        for i in range(ci * per_county, (ci + 1) * per_county):
+            profiles[i, 0] = rng.lognormal(0.0, 0.25)  # income factor
+            rng.standard_normal(out=profiles[i, 1:6])  # jitter of the county base
+            profiles[i, 6] = rng.uniform(700, 3_500)  # dwelling_size
+            rng.standard_normal(out=noise[i])  # day wiggle, hourly noise, elasticity
+    # Each expression repeats the per-household scalar one term by term, so the
+    # bytes do not move: rng.normal(0, s) returned 0.0 + s * z.
+    base = np.repeat(bases, per_county, axis=0)
+    income = profiles[:, 0] = np.maximum(10_000.0, base[:, 0] * profiles[:, 0])
+    profiles[:, 1:6] = np.clip(base[:, 1:] + (0.0 + _JITTER_STD * profiles[:, 1:6]),
+                               _JITTER_LOW, _JITTER_HIGH)
+    scale = (profiles[:, 6] / 1_800.0) * (0.7 + 0.6 * np.clip(income / 120_000.0, 0.0, 1.0))
+    wiggle = 1.0 + 0.1 * noise[:, :days]  # day-to-day variation
+    loads = (wiggle[:, :, None] * (_DAY_SHAPE * scale[:, None])[:, None, :]).reshape(n, hours)
+    hourly = noise[:, days:days + hours]
+    hourly *= (0.05 * scale)[:, None]
+    loads += hourly
+    np.maximum(loads, 0.0, out=loads)
+    elasticity = np.full(n, float(elasticity_mean))
+    if elasticity_std:
+        elasticity += elasticity_std * noise[:, -1]
+    np.clip(elasticity, ELASTICITY_FLOOR, ELASTICITY_CEIL, out=elasticity)
+    return Community(ids, neighborhoods, county_map, start, loads, elasticity,
                      np.full(n, baseline_rate, dtype=float), profiles)
 
 

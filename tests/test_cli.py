@@ -109,6 +109,15 @@ def _non_ascii_population(directory: Path) -> None:
     save_community(community, directory / "households.csv", directory / "loads.csv")
 
 
+@pytest.mark.parametrize("rate", ["inf", "nan", "0"])
+def test_generate_rejects_a_rate_that_is_not_finite_and_writes_nothing(tmp_path, rate):
+    """households.csv holding such a rate is a file load_community rejects."""
+    with pytest.raises(InvalidSpecError, match="baseline_rate must be finite and > 0"):
+        main(["generate", "--counties", "1", "--households", "2", "--days", "1",
+              "--baseline-rate", rate, "--out-dir", str(tmp_path / "out")])
+    assert list((tmp_path / "out").iterdir()) == []
+
+
 def test_train_and_select_write_utf8_under_an_ascii_locale(tmp_path):
     """Under the C locale, where open() would encode as ASCII, train and select
     read and write the same bytes as under the default environment."""

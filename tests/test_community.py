@@ -1,6 +1,7 @@
 """Population model: validation, synthetic generation, CSV roundtrip, feature scaling."""
 
 import hashlib
+import math
 import random
 import re
 import tracemalloc
@@ -10,7 +11,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gridflex import community as community_module
@@ -38,7 +39,7 @@ from gridflex.errors import (
     ReferentialIntegrityError,
     ValidationError,
 )
-from tests import csv_reference
+from tests import csv_reference, generation_reference
 from tests.conftest import START, community_of, household, profile
 
 
@@ -105,6 +106,13 @@ class TestCommunityInvariants:
         with pytest.raises(ValidationError, match="holds a line break") as info:
             community_of([household(hid) for hid in ids])
         assert info.value.row == row
+
+    @pytest.mark.parametrize("rate", [math.inf, math.nan])
+    def test_rejects_a_rate_that_is_not_finite(self, rate):
+        """load_community rejects such a households.csv, so no Community may hold one."""
+        with pytest.raises(ValidationError, match="household h1: baseline_rate must be > 0 "
+                                                  "and finite"):
+            community_of([household("h0"), household("h1", baseline_rate=rate)])
 
     def test_rejects_partition_mismatch(self):
         c = community_of([household("h0"), household("h1")])
@@ -178,40 +186,63 @@ class TestCommunityInvariants:
 class TestElasticitySampling:
     def test_degenerate_std_returns_mean(self):
         rng = np.random.default_rng(0)
-        assert sample_elasticity(rng, -0.25, 0.0) == -0.25
+        np.testing.assert_array_equal(sample_elasticity(rng, -0.25, 0.0, size=3), -0.25)
 
     def test_rejects_nonnegative_mean(self):
         with pytest.raises(InvalidSpecError):
-            sample_elasticity(np.random.default_rng(0), 0.1, 0.1)
+            sample_elasticity(np.random.default_rng(0), 0.1, 0.1, size=1)
+
+    @pytest.mark.parametrize(("mean", "std", "rule"), [
+        (math.nan, 0.1, "mean must be finite and negative"),
+        (-math.inf, 0.1, "mean must be finite and negative"),
+        (np.array([-0.25, math.nan]), 0.1, "mean must be finite and negative"),
+        (-0.25, math.inf, "std must be finite and >= 0"),
+        (-0.25, math.nan, "std must be finite and >= 0"),
+        (-0.25, np.array([0.1, math.inf]), "std must be finite and >= 0"),
+    ])
+    def test_rejects_a_non_finite_mean_or_std(self, mean, std, rule):
+        with pytest.raises(InvalidSpecError, match=rule):
+            sample_elasticity(np.random.default_rng(0), mean, std, size=2)
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=200)
     def test_always_within_clamp(self, seed):
         rng = np.random.default_rng(seed)
-        e = sample_elasticity(rng, -0.25, 2.0)  # wide std to hit both clamps
-        assert ELASTICITY_FLOOR <= e <= ELASTICITY_CEIL
+        e = sample_elasticity(rng, -0.25, 2.0, size=8)  # wide std to hit both clamps
+        assert ((ELASTICITY_FLOOR <= e) & (e <= ELASTICITY_CEIL)).all()
 
     @given(st.integers(1, 30), st.integers(0, 2**32 - 1))
     @settings(max_examples=50)
     def test_array_draws_match_one_draw_at_a_time(self, n, seed):
         regimes = [(-0.5, 0.05), (-0.025, 0.004)]
         one_at_a_time = np.random.default_rng(seed)
-        expected = [sample_elasticity(one_at_a_time, *regimes[i % 2]) for i in range(n)]
+        expected = [generation_reference.sample_elasticity_one(one_at_a_time, *regimes[i % 2])
+                    for i in range(n)]
         mean, std = np.resize(regimes, (n, 2)).T
         drawn = sample_elasticity(np.random.default_rng(seed), mean, std, size=n)
         np.testing.assert_array_equal(drawn, expected)
         rng = np.random.default_rng(seed)
         np.testing.assert_array_equal(
             sample_elasticity(np.random.default_rng(seed), -0.25, 2.0, size=n),
-            [sample_elasticity(rng, -0.25, 2.0) for _ in range(n)])
+            [generation_reference.sample_elasticity_one(rng, -0.25, 2.0) for _ in range(n)])
 
     def test_distribution_matches_gaussian(self):
         # With the default (mean -0.25, std 0.1) parameters clipping is rare,
         # so the sample mean/std should track the Gaussian parameters.
-        rng = np.random.default_rng(1)
-        draws = [sample_elasticity(rng, -0.25, 0.1) for _ in range(4_000)]
+        draws = sample_elasticity(np.random.default_rng(1), -0.25, 0.1, size=4_000)
         assert np.mean(draws) == pytest.approx(-0.25, abs=0.01)
         assert np.std(draws) == pytest.approx(0.1, abs=0.01)
+
+
+GENERATION_SPECS = st.fixed_dictionaries({
+    "counties": st.integers(1, 3),
+    "neighborhoods_per_county": st.integers(1, 3),
+    "households_per_neighborhood": st.integers(1, 5),
+    "seed": st.integers(0, 2**32 - 1),
+    "days": st.integers(1, 14),
+    "elasticity_mean": st.floats(-3.0, -0.01),
+    "elasticity_std": st.one_of(st.just(0.0), st.floats(0.0, 3.0)),
+})
 
 
 class TestGeneration:
@@ -246,6 +277,42 @@ class TestGeneration:
             generate_community(0, 1, 5, seed=0)
         with pytest.raises(InvalidSpecError):
             generate_community(1, 1, 5, seed=0, days=0)
+
+    @given(GENERATION_SPECS)
+    @example(dict(counties=1, neighborhoods_per_county=1, households_per_neighborhood=1,
+                  seed=5, days=1, elasticity_mean=-0.25, elasticity_std=0.0))
+    @example(dict(counties=1, neighborhoods_per_county=1, households_per_neighborhood=1,
+                  seed=5, days=1, elasticity_mean=-0.25, elasticity_std=0.1))
+    @example(dict(counties=3, neighborhoods_per_county=2, households_per_neighborhood=4,
+                  seed=5, days=2, elasticity_mean=-0.25, elasticity_std=0.0))
+    @example(dict(counties=5, neighborhoods_per_county=1, households_per_neighborhood=50,
+                  seed=5, days=30, elasticity_mean=-0.25, elasticity_std=0.1))
+    @settings(max_examples=150, deadline=None)
+    def test_same_bytes_as_one_household_at_a_time(self, spec):
+        """Also with std 0, where no household draws an elasticity normal."""
+        made = generate_community(**spec)
+        reference = generation_reference.generate_community(**spec)
+        assert (made.ids, made.neighborhoods, made.counties, made.start) == (
+            reference.ids, reference.neighborhoods, reference.counties, reference.start)
+        for name in ("loads", "profiles", "elasticity", "baseline_rate", "daily"):
+            assert getattr(made, name).tobytes() == getattr(reference, name).tobytes(), name
+
+    @pytest.mark.parametrize(("kwargs", "rule"), [
+        ({"baseline_rate": math.inf}, "baseline_rate must be finite and > 0"),
+        ({"baseline_rate": math.nan}, "baseline_rate must be finite and > 0"),
+        ({"baseline_rate": 0.0}, "baseline_rate must be finite and > 0"),
+        ({"elasticity_mean": math.nan}, "mean must be finite and negative"),
+        ({"elasticity_mean": 0.0}, "mean must be finite and negative"),
+        ({"elasticity_std": math.inf}, "std must be finite and >= 0"),
+        ({"elasticity_std": math.nan}, "std must be finite and >= 0"),
+        ({"elasticity_std": -0.1}, "std must be finite and >= 0"),
+        ({"days": 0}, "days must be >= 1"),
+    ])
+    def test_rejects_a_bad_spec_before_the_first_draw(self, kwargs, rule):
+        with mock.patch("numpy.random.default_rng", wraps=np.random.default_rng) as rng:
+            with pytest.raises(InvalidSpecError, match=rule):
+                generate_community(1, 1, 2, seed=0, **kwargs)
+        rng.assert_not_called()
 
 
 class TestCsvRoundtrip:

@@ -4,6 +4,7 @@ planted benchmark construction, manifests, and CLI determinism."""
 import csv
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -151,6 +152,13 @@ class TestOracleTruth:
                    for a, b in zip(community.households, resampled.households))
 
 
+    @pytest.mark.parametrize(("mean", "std"), [(math.nan, 0.1), (-0.25, math.inf)])
+    def test_resample_rejects_a_non_finite_spec(self, mean, std):
+        community = planted_community(PlantedSpec(community=SMALL), seed=0)
+        with pytest.raises(InvalidSpecError, match="elasticity"):
+            resample_elasticities(community, seed=9, mean=mean, std=std)
+
+
 class TestPlantedBenchmark:
     def test_alternating_regimes(self):
         spec = PlantedSpec(community=SMALL)
@@ -160,6 +168,12 @@ class TestPlantedBenchmark:
                 assert -0.8 < h.elasticity < -0.3  # flexible regime
             else:
                 assert -0.05 < h.elasticity < -0.01  # rigid regime
+
+    @pytest.mark.parametrize("regime", [{"flexible_mean": math.nan},
+                                        {"rigid_std": math.inf}])
+    def test_rejects_a_non_finite_regime(self, regime):
+        with pytest.raises(InvalidSpecError, match="elasticity"):
+            planted_community(PlantedSpec(community=SMALL, **regime), seed=0)
 
     def test_default_offer_splits_population(self):
         spec = PlantedSpec()
