@@ -264,34 +264,35 @@ def generate_community(
                                   for hi in range(households_per_neighborhood))
                      for nb_ids in county_map.values() for nb_id in nb_ids}
     ids = tuple(chain.from_iterable(neighborhoods.values()))
-    n, per_county, hours = len(ids), len(ids) // counties, days * HOURS_PER_DAY
+    per_county = neighborhoods_per_county * households_per_neighborhood
+    n, hours = counties * per_county, days * HOURS_PER_DAY
     rng = np.random.default_rng(seed)
     bases = np.empty((counties, 6))
     profiles = np.empty((n, len(FEATURE_COLUMNS)))
-    noise = np.empty((n, days + hours + (elasticity_std != 0)))
+    normals = np.empty((n, days + hours + (elasticity_std != 0)))
     for ci in range(counties):
         bases[ci] = rng.uniform(_COUNTY_LOW, _COUNTY_HIGH)
         for i in range(ci * per_county, (ci + 1) * per_county):
             profiles[i, 0] = rng.lognormal(0.0, 0.25)  # income factor
             rng.standard_normal(out=profiles[i, 1:6])  # jitter of the county base
             profiles[i, 6] = rng.uniform(700, 3_500)  # dwelling_size
-            rng.standard_normal(out=noise[i])  # day wiggle, hourly noise, elasticity
-    # Each expression repeats the per-household scalar one term by term, so the
-    # bytes do not move: rng.normal(0, s) returned 0.0 + s * z.
+            rng.standard_normal(out=normals[i])  # day wiggle, hourly noise, elasticity
+    # Keep each expression's terms and their order: every pinned digest rests on
+    # these bytes. rng.normal(0.0, s) computes 0.0 + s * z, rng.normal(m, s) m + s * z.
     base = np.repeat(bases, per_county, axis=0)
     income = profiles[:, 0] = np.maximum(10_000.0, base[:, 0] * profiles[:, 0])
     profiles[:, 1:6] = np.clip(base[:, 1:] + (0.0 + _JITTER_STD * profiles[:, 1:6]),
                                _JITTER_LOW, _JITTER_HIGH)
     scale = (profiles[:, 6] / 1_800.0) * (0.7 + 0.6 * np.clip(income / 120_000.0, 0.0, 1.0))
-    wiggle = 1.0 + 0.1 * noise[:, :days]  # day-to-day variation
+    wiggle = 1.0 + 0.1 * normals[:, :days]  # day-to-day variation
     loads = (wiggle[:, :, None] * (_DAY_SHAPE * scale[:, None])[:, None, :]).reshape(n, hours)
-    hourly = noise[:, days:days + hours]
+    hourly = normals[:, days:days + hours]
     hourly *= (0.05 * scale)[:, None]
     loads += hourly
     np.maximum(loads, 0.0, out=loads)
     elasticity = np.full(n, float(elasticity_mean))
     if elasticity_std:
-        elasticity += elasticity_std * noise[:, -1]
+        elasticity += elasticity_std * normals[:, -1]
     np.clip(elasticity, ELASTICITY_FLOOR, ELASTICITY_CEIL, out=elasticity)
     return Community(ids, neighborhoods, county_map, start, loads, elasticity,
                      np.full(n, baseline_rate, dtype=float), profiles)

@@ -151,7 +151,6 @@ class TestOracleTruth:
         assert any(a.elasticity != b.elasticity
                    for a, b in zip(community.households, resampled.households))
 
-
     @pytest.mark.parametrize(("mean", "std"), [(math.nan, 0.1), (-0.25, math.inf)])
     def test_resample_rejects_a_non_finite_spec(self, mean, std):
         community = planted_community(PlantedSpec(community=SMALL), seed=0)
