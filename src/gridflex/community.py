@@ -244,11 +244,13 @@ def generate_community(
     profile, and then for each of its households in id order:
     a lognormal(0, 0.25) income factor; five standard normals that jitter
     unemployment_pct .. precipitation; a uniform(700, 3500) dwelling size;
-    and `days` day-to-day plus `24 * days` hourly standard normals, with one
-    more for the elasticity unless `elasticity_std` is 0. Profiles, loads and
-    elasticities are then computed from those draws as arrays. Any edit to
-    what is drawn, in which order or how many, moves every later value and so
-    every pinned digest; so does any change to the arithmetic on the draws.
+    `days` day-to-day standard normals into its row of an (n, days) array;
+    `24 * days` hourly standard normals straight into its row of the loads;
+    and one for the elasticity unless `elasticity_std` is 0. Profiles, loads
+    and elasticities are then computed from those draws as arrays, the loads in
+    place, so no buffer of normals is held beside them. Any edit to what is
+    drawn, in which order or how many, moves every later value and so every
+    pinned digest; so does any change to the arithmetic on the draws.
     """
     if counties < 1 or neighborhoods_per_county < 1 or households_per_neighborhood < 1:
         raise InvalidSpecError("all size counts must be >= 1")
@@ -269,14 +271,17 @@ def generate_community(
     rng = np.random.default_rng(seed)
     bases = np.empty((counties, 6))
     profiles = np.empty((n, len(FEATURE_COLUMNS)))
-    normals = np.empty((n, days + hours + (elasticity_std != 0)))
+    wiggle, loads, elasticity = np.empty((n, days)), np.empty((n, hours)), np.zeros(n)
     for ci in range(counties):
         bases[ci] = rng.uniform(_COUNTY_LOW, _COUNTY_HIGH)
         for i in range(ci * per_county, (ci + 1) * per_county):
             profiles[i, 0] = rng.lognormal(0.0, 0.25)  # income factor
             rng.standard_normal(out=profiles[i, 1:6])  # jitter of the county base
             profiles[i, 6] = rng.uniform(700, 3_500)  # dwelling_size
-            rng.standard_normal(out=normals[i])  # day wiggle, hourly noise, elasticity
+            rng.standard_normal(out=wiggle[i])  # day to day
+            rng.standard_normal(out=loads[i])  # hourly noise
+            if elasticity_std:
+                rng.standard_normal(out=elasticity[i:i + 1])
     # Keep each expression's terms and their order: every pinned digest rests on
     # these bytes. rng.normal(0.0, s) computes 0.0 + s * z, rng.normal(m, s) m + s * z.
     base = np.repeat(bases, per_county, axis=0)
@@ -284,15 +289,16 @@ def generate_community(
     profiles[:, 1:6] = np.clip(base[:, 1:] + (0.0 + _JITTER_STD * profiles[:, 1:6]),
                                _JITTER_LOW, _JITTER_HIGH)
     scale = (profiles[:, 6] / 1_800.0) * (0.7 + 0.6 * np.clip(income / 120_000.0, 0.0, 1.0))
-    wiggle = 1.0 + 0.1 * normals[:, :days]  # day-to-day variation
-    loads = (wiggle[:, :, None] * (_DAY_SHAPE * scale[:, None])[:, None, :]).reshape(n, hours)
-    hourly = normals[:, days:days + hours]
-    hourly *= (0.05 * scale)[:, None]
-    loads += hourly
+    # The loads are formed in place, a day at a time: hourly noise + wiggle * shape.
+    loads *= (0.05 * scale)[:, None]
+    wiggle = 1.0 + 0.1 * wiggle  # day-to-day variation
+    shape = _DAY_SHAPE * scale[:, None]
+    by_day = loads.reshape(n, days, HOURS_PER_DAY)
+    for d in range(days):
+        by_day[:, d] += wiggle[:, d, None] * shape
     np.maximum(loads, 0.0, out=loads)
-    elasticity = np.full(n, float(elasticity_mean))
-    if elasticity_std:
-        elasticity += elasticity_std * normals[:, -1]
+    # With std 0 no normal was drawn, and the zero left in its place gives the mean.
+    elasticity = float(elasticity_mean) + elasticity_std * elasticity
     np.clip(elasticity, ELASTICITY_FLOOR, ELASTICITY_CEIL, out=elasticity)
     return Community(ids, neighborhoods, county_map, start, loads, elasticity,
                      np.full(n, baseline_rate, dtype=float), profiles)

@@ -30,7 +30,7 @@ class CoverageError(GridflexError):
 
 
 class ContractViolation(GridflexError):
-    """Caller broke an explicit precondition (e.g. mutated a protected day)."""
+    """Caller broke an explicit precondition (e.g. an offer made to another household)."""
 
 
 class UndefinedMetricError(GridflexError):

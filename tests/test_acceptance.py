@@ -43,12 +43,10 @@ from gridflex.selector import (
 )
 from gridflex.tariff import (
     accept_offer,
-    apply_reduction,
-    baseline_cost,
+    cycle_costs,
     make_offer,
-    min_incentive,
     price_change_pct,
-    program_cost,
+    price_offers,
     rate_hike,
 )
 from tests.conftest import community_of, household
@@ -125,12 +123,11 @@ def test_criterion_01_pricing_identity():
         h = random_household(rng, f"h{i}")
         days = tuple(sorted(int(d) for d in rng.choice(30, size=3, replace=False)))
         reduction = float(rng.uniform(2.0, 40.0))
-        probe = make_offer(h, 0.0, reduction, days, 30)
-        threshold = min_incentive(h, probe)
-        offer = make_offer(h, threshold, reduction, days, 30)
-        reduced = apply_reduction(h.load, days, reduction)
-        c_base = baseline_cost(h, 30)
-        c_prog = program_cost(h, offer, reduced)
+        # Each household draws its own terms, so each is one row of both functions.
+        e, rate = np.array([h.elasticity]), np.array([h.baseline_rate])
+        (threshold,) = price_offers(daily_totals(h.load)[None], e, rate, 0.0, reduction, days,
+                                    30).min_incentive
+        (c_base,), (c_prog,) = cycle_costs(h.load[None], e, rate, threshold, reduction, days, 30)
         if threshold > 0:  # below threshold the clamp breaks the equality
             worst = max(worst, abs(c_prog - c_base) / c_base)
     elapsed = time.time() - start
@@ -218,7 +215,7 @@ def brute_force_allocation(community: Community, shortfall: dict, reduction: flo
     for h in community.households:
         daily = daily_totals(h.load)
         contrib[h.id] = np.array([daily[d] * scale for d in days])
-        cost[h.id] = min_incentive(h, make_offer(h, 0.0, reduction, days, cycle_days))
+        cost[h.id] = accept_offer(h, make_offer(h, 0.0, reduction, days, cycle_days)).min_incentive
     ids = sorted(contrib)
     best = None
     for r in range(len(ids) + 1):

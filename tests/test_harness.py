@@ -50,15 +50,9 @@ from gridflex.harness import (
     sweep_reduction,
 )
 from gridflex.selector import check_similarity
-from gridflex.tariff import (
-    accept_offer,
-    apply_reduction,
-    baseline_cost,
-    make_offer,
-    price_offers,
-    program_cost,
-)
+from gridflex.tariff import accept_offer, emergency_rate, make_offer, price_offers
 from tests.conftest import community_of, household
+from tests.tariff_reference import baseline_cost, program_cost
 
 SMALL = CommunitySpec(counties=2, neighborhoods_per_county=1,
                       households_per_neighborhood=10, days=10)
@@ -120,14 +114,13 @@ class TestOracleTruth:
         truth = oracle_truth(community, incentive, pct, emergency, cycle)
         for i, h in enumerate(hs):
             offer = make_offer(h, incentive, pct, emergency, cycle)
-            reduced = apply_reduction(h.load, emergency, pct)
             c_base = baseline_cost(h, cycle)
-            gap = program_cost(h, make_offer(h, 0.0, pct, emergency, cycle), reduced) - c_base
-            assert priced.emergency_rate[i] == offer.schedule.emergency_rate
+            gap = program_cost(h, make_offer(h, 0.0, pct, emergency, cycle)) - c_base
+            assert priced.emergency_rate[i] == emergency_rate(h.baseline_rate, pct, h.elasticity)
             assert priced.min_incentive[i] == pytest.approx(max(gap, 0.0), rel=1e-9,
                                                             abs=1e-9 * c_base)
             if abs(incentive - gap) > 1e-9:
-                assert priced.accepted[i] == (program_cost(h, offer, reduced) <= c_base)
+                assert priced.accepted[i] == (program_cost(h, offer) <= c_base)
             outcome = accept_offer(h, offer)
             assert outcome.accepted == priced.accepted[i] == truth[h.id]
             assert outcome.min_incentive == priced.min_incentive[i]

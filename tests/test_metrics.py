@@ -14,7 +14,7 @@ from gridflex.metrics import (
     responsiveness_cost,
     total_demand_reduction,
 )
-from gridflex.tariff import accept_offer, make_offer, min_incentive
+from gridflex.tariff import accept_offer, make_offer
 from tests.conftest import community_of, household
 
 
@@ -48,7 +48,7 @@ def brute_force_allocation(
         daily = daily_totals(h.load)
         contrib[h.id] = np.array([daily[d] * scale for d in days])
         offer = make_offer(h, 0.0, reduction_pct, days, cycle_days)
-        cost[h.id] = min_incentive(h, offer)
+        cost[h.id] = accept_offer(h, offer).min_incentive
     ids = sorted(contrib)
     best = None
     for r in range(len(ids) + 1):
@@ -141,7 +141,7 @@ class TestAllocator:
         for hid in selected:
             h = c.by_id(hid)
             offer = make_offer(h, 0.0, 20.0, days, 10)
-            assert paid[hid] == pytest.approx(min_incentive(h, offer))
+            assert paid[hid] == pytest.approx(accept_offer(h, offer).min_incentive)
 
     @pytest.mark.parametrize("seed", range(30))
     def test_within_bound_of_brute_force(self, seed):

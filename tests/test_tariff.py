@@ -10,9 +10,11 @@ Worked values (derived by hand from the definitions, frozen here):
       min incentive = 147.744 - 144.0 = 3.744
 """
 
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gridflex.community import daily_totals
@@ -25,25 +27,30 @@ from gridflex.errors import (
 )
 from gridflex.tariff import (
     Offer,
-    TariffSchedule,
     accept_offer,
-    apply_reduction,
-    baseline_cost,
+    cycle_costs,
     emergency_rate,
     make_offer,
-    min_incentive,
     price_change_pct,
     price_offers,
-    program_cost,
     rate_hike,
 )
 from tests.conftest import flat_load, household
+from tests.tariff_reference import apply_reduction, baseline_cost, program_cost
 
 EMERGENCY_DAYS = (3, 11, 25)
 
 
 def standard_offer(h, incentive=0.0, reduction=10.0):
     return make_offer(h, incentive, reduction, EMERGENCY_DAYS, cycle_days=30)
+
+
+def costs(h, incentive=0.0, reduction=10.0, days=EMERGENCY_DAYS, cycle_days=30):
+    """`cycle_costs` on the one row of household `h`, as two floats."""
+    base, program = cycle_costs(h.load[None], np.array([h.elasticity]),
+                                np.array([h.baseline_rate]), incentive, reduction, days,
+                                cycle_days)
+    return float(base[0]), float(program[0])
 
 
 class TestPriceChange:
@@ -92,34 +99,76 @@ class TestEmergencyRate:
 
 class TestCosts:
     def test_baseline_cost_flat_profile(self, standard_household):
-        assert baseline_cost(standard_household, 30) == pytest.approx(144.0)
+        assert costs(standard_household)[0] == pytest.approx(144.0)
 
     def test_baseline_cost_partial_cycle(self, standard_household):
-        assert baseline_cost(standard_household, 5) == pytest.approx(24.0)
+        assert costs(standard_household, days=(3,), cycle_days=5)[0] == pytest.approx(24.0)
 
     def test_baseline_cost_insufficient_coverage(self, standard_household):
         with pytest.raises(CoverageError):
-            baseline_cost(standard_household, 31)
+            costs(standard_household, cycle_days=31)
 
     def test_program_cost_worked_example(self, standard_household):
-        offer = standard_offer(standard_household)
-        reduced = apply_reduction(standard_household.load, EMERGENCY_DAYS, 10.0)
-        assert program_cost(standard_household, offer, reduced) == pytest.approx(147.744)
+        assert costs(standard_household)[1] == pytest.approx(147.744)
 
     def test_program_cost_linear_in_incentive(self, standard_household):
-        reduced = apply_reduction(standard_household.load, EMERGENCY_DAYS, 10.0)
-        c0 = program_cost(standard_household, standard_offer(standard_household), reduced)
-        c50 = program_cost(
-            standard_household, standard_offer(standard_household, incentive=50.0), reduced
-        )
+        c0 = costs(standard_household)[1]
+        c50 = costs(standard_household, incentive=50.0)[1]
         assert c0 - c50 == pytest.approx(50.0)
 
-    def test_program_cost_rejects_tampered_off_emergency_load(self, standard_household):
-        offer = standard_offer(standard_household)
-        values = standard_household.load.copy()
-        values[0] *= 0.5  # day 0 is not an emergency day
-        with pytest.raises(ContractViolation):
-            program_cost(standard_household, offer, values)
+    def test_one_incentive_per_row(self, standard_household):
+        load = np.stack([standard_household.load] * 2)
+        base, program = cycle_costs(load, np.array([-0.25, -0.25]), np.array([0.16, 0.16]),
+                                    np.array([0.0, 50.0]), 10.0, EMERGENCY_DAYS, 30)
+        np.testing.assert_allclose(base, [144.0, 144.0])
+        np.testing.assert_allclose(program, [147.744, 97.744])
+
+
+@st.composite
+def billed_rows(draw, max_rows):
+    """Hourly loads, elasticities, baseline rates and per-row incentives of 1 to
+    `max_rows` households, with the terms of one offer."""
+    cycle = draw(st.integers(1, 35), "cycle")
+    days = draw(st.integers(cycle, cycle + 2), "days")
+    emergency = tuple(sorted(draw(
+        st.lists(st.integers(0, cycle - 1), unique=True, max_size=cycle), "emergency")))
+    n = draw(st.integers(1, max_rows), "n")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), "seed"))
+    hs = [household(f"h{i}", elasticity=draw(st.floats(-3.0, -0.02), "e"),
+                    baseline_rate=draw(st.floats(0.05, 0.5), "rate"),
+                    load=rng.uniform(0.0, 4.0, days * 24))
+          for i in range(n)]
+    incentives = np.array([draw(st.floats(0.0, 60.0), "incentive") for _ in hs])
+    return hs, incentives, draw(st.floats(0.5, 99.0), "reduction_pct"), emergency, cycle
+
+
+def reference_costs(hs, incentives, pct, emergency, cycle):
+    offers = [make_offer(h, float(x), pct, emergency, cycle) for h, x in zip(hs, incentives)]
+    return (np.array([baseline_cost(h, cycle) for h in hs]),
+            np.array([program_cost(h, offer) for h, offer in zip(hs, offers)]))
+
+
+def array_costs(hs, incentives, pct, emergency, cycle):
+    return cycle_costs(np.array([h.load for h in hs]), np.array([h.elasticity for h in hs]),
+                       np.array([h.baseline_rate for h in hs]), incentives, pct, emergency,
+                       cycle)
+
+
+class TestCycleCostsAgainstTheReference:
+    @given(billed_rows(max_rows=1))
+    @example(([household()], np.array([3.744]), 10.0, EMERGENCY_DAYS, 30))
+    @settings(max_examples=150, deadline=None)
+    def test_one_row_keeps_the_bytes(self, case):
+        for got, want in zip(array_costs(*case), reference_costs(*case)):
+            assert got.tobytes() == want.tobytes()
+
+    @given(billed_rows(max_rows=12))
+    @settings(max_examples=150, deadline=None)
+    def test_many_rows_agree_to_1e_12(self, case):
+        """Relative to the baseline bill: the program bill can cancel to ~0."""
+        (base, program), (want_base, want_program) = array_costs(*case), reference_costs(*case)
+        np.testing.assert_allclose(base, want_base, rtol=1e-12, atol=0.0)
+        assert np.all(np.abs(program - want_program) <= 1e-12 * want_base)
 
 
 class TestApplyReduction:
@@ -155,21 +204,18 @@ class TestApplyReduction:
 class TestMinIncentive:
     def test_worked_example(self, standard_household):
         offer = standard_offer(standard_household)
-        assert min_incentive(standard_household, offer) == pytest.approx(3.744)
+        assert accept_offer(standard_household, offer).min_incentive == pytest.approx(3.744)
 
     def test_clamped_at_zero_for_flexible_household(self):
         # Elasticity -2: a 10% cut needs only a 5% price bump, so the reduced
         # emergency bill is below baseline and no compensation is needed.
         h = household(elasticity=-2.0)
-        assert min_incentive(h, standard_offer(h)) == 0.0
+        assert accept_offer(h, standard_offer(h)).min_incentive == 0.0
 
     def test_equals_cost_gap_at_zero_incentive(self, standard_household):
         offer = standard_offer(standard_household)
-        reduced = apply_reduction(standard_household.load, EMERGENCY_DAYS, 10.0)
-        gap = program_cost(standard_household, offer, reduced) - baseline_cost(
-            standard_household, 30
-        )
-        assert min_incentive(standard_household, offer) == pytest.approx(gap)
+        gap = program_cost(standard_household, offer) - baseline_cost(standard_household, 30)
+        assert accept_offer(standard_household, offer).min_incentive == pytest.approx(gap)
 
 
 class TestAcceptOffer:
@@ -198,9 +244,14 @@ class TestAcceptOffer:
         h = household(kwh_per_day=kwh, elasticity=e)
         offer = make_offer(h, incentive, reduction, EMERGENCY_DAYS, 30)
         outcome = accept_offer(h, offer)
-        threshold = min_incentive(h, offer)
+        threshold = outcome.min_incentive
         if abs(incentive - threshold) > 1e-9:
             assert outcome.accepted == (incentive > threshold)
+
+    def test_rejects_an_offer_made_to_another_household(self, standard_household):
+        offer = standard_offer(household(hid="h1"))
+        with pytest.raises(ContractViolation, match="offer to h1 put to h0"):
+            accept_offer(standard_household, offer)
 
 
 class TestPriceOffers:
@@ -222,10 +273,37 @@ class TestPriceOffers:
         with pytest.raises(ValidationError):
             price_offers(daily, np.array([-0.25]), np.array([0.16]), incentive, 10.0, days, 30)
 
-    def test_accept_offer_rejects_rates_not_the_households(self, standard_household):
-        offer = Offer("h0", 10.0, 10.0, TariffSchedule(0.16, 0.3, EMERGENCY_DAYS, 30))
-        with pytest.raises(ContractViolation):
-            accept_offer(standard_household, offer)
+
+def priced_and_billed(load, elasticity, baseline_rate):
+    """Both row functions on one row: price_offers on its days, cycle_costs on its hours."""
+    rows = (np.array([elasticity]), np.array([baseline_rate]), 10.0, 10.0, (3,), 30)
+    return (lambda: price_offers(daily_totals(load)[None], *rows),
+            lambda: cycle_costs(load[None], *rows))
+
+
+class TestBadRowInput:
+    """Input that would price to NaN or to a wrong answer (a NaN elasticity to a
+    silent reject, a negative rate to an accept at a minimum incentive of 0)
+    raises a typed error from both row functions."""
+
+    def test_rejects_a_nan_elasticity(self, standard_household):
+        for call in priced_and_billed(standard_household.load, math.nan, 0.16):
+            with pytest.raises(DomainError, match="elasticity must be negative"):
+                call()
+
+    @pytest.mark.parametrize("rate", [-0.16, 0.0, math.inf, math.nan])
+    def test_rejects_a_baseline_rate_not_finite_and_positive(self, standard_household, rate):
+        for call in priced_and_billed(standard_household.load, -0.25, rate):
+            with pytest.raises(ValidationError, match="baseline_rate must be finite and > 0"):
+                call()
+
+    @pytest.mark.parametrize("kwh", [-100.0, math.inf, math.nan])
+    def test_rejects_kwh_not_finite_and_nonnegative(self, standard_household, kwh):
+        load = standard_household.load.copy()
+        load[3 * 24 + 5] = kwh  # an hour of emergency day 3, and so the day
+        for call in priced_and_billed(load, -0.25, 0.16):
+            with pytest.raises(ValidationError, match="kWh must be finite and >= 0"):
+                call()
 
 
 class TestRateHike:
@@ -250,15 +328,10 @@ class TestRateHike:
 
 
 class TestValidation:
-    def test_schedule_rejects_rate_below_baseline(self):
-        with pytest.raises(ValidationError):
-            TariffSchedule(0.16, 0.15, (0,), 30)
-
-    def test_schedule_rejects_day_outside_cycle(self):
-        with pytest.raises(ValidationError):
-            TariffSchedule(0.16, 0.2, (30,), 30)
+    def test_offer_rejects_day_outside_cycle(self):
+        with pytest.raises(ValidationError, match="emergency day index outside the cycle"):
+            Offer("h0", 10.0, 10.0, (30,), 30)
 
     def test_offer_rejects_negative_incentive(self):
-        sched = TariffSchedule(0.16, 0.2, (0,), 30)
         with pytest.raises(ValidationError):
-            Offer("h0", -1.0, 10.0, sched)
+            Offer("h0", -1.0, 10.0, (0,), 30)
