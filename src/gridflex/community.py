@@ -361,7 +361,7 @@ def _number(text: str, where: str, column: str) -> float:
 
 
 # Bytes of loads.csv lines read and tokenized at once. It bounds what a load
-# holds beyond its 32 bytes per row.
+# holds beyond its 20 bytes per row (three int32 and a float64).
 _BLOCK = 1 << 16
 _BLANK = frozenset(("\n", "\r\n", "\r"))  # lines csv.reader reads as empty rows
 
@@ -403,6 +403,8 @@ def _read_loads(path: Path) -> tuple[datetime | None, dict[str, int], np.ndarray
     have one row per hour of one shared timeline. Repeats, named by their second
     and first rows, precede gaps, named by household and hour. Of several, the
     earliest hour is named, then the household whose first row comes first.
+    A file with one row per cell is placed straight into the result; only a
+    faulty one is sorted to name its fault.
 
     The file is read and checked in blocks of lines, each with one numpy
     tokenizer call; a faulty row is still the first in file order, as a
@@ -413,8 +415,11 @@ def _read_loads(path: Path) -> tuple[datetime | None, dict[str, int], np.ndarray
     origin = None
     with path.open("rb") as f:  # a row per line at most; a \r\n split between reads counts 2
         most = sum(len(chunk.splitlines()) for chunk in iter(lambda: f.read(_BLOCK), b""))
-    # Filled in place: arrays grown block by block left the heap fragmented.
-    codes, hours, lines = (np.empty(most, np.int64) for _ in range(3))
+    # Filled in place: arrays grown block by block left the heap fragmented. An
+    # hour offset fits int32 (datetime spans 8.8e7 hours), and so do a code, a
+    # line number and a cell of any file of fewer than 2**31 lines.
+    index = np.int32 if most <= np.iinfo(np.int32).max else np.int64
+    codes, hours, lines = (np.empty(most, index) for _ in range(3))
     kwhs = np.empty(most)
     rows = 0
     with utf8_lines(path), path.open(newline="", encoding="utf-8") as f:
@@ -458,33 +463,45 @@ def _read_loads(path: Path) -> tuple[datetime | None, dict[str, int], np.ndarray
             if fault is not None:
                 raise ValidationError(f"{path.name} row {line[fault[0]]}: {fault[1]}")
             end = rows + len(ids)
-            codes[rows:end] = np.fromiter(map(code.__getitem__, ids), np.int64, len(ids))
-            hours[rows:end] = np.fromiter(map(hour_of.__getitem__, stamps), np.int64, len(ids))
+            codes[rows:end] = np.fromiter(map(code.__getitem__, ids), index, len(ids))
+            hours[rows:end] = np.fromiter(map(hour_of.__getitem__, stamps), index, len(ids))
             lines[rows:end], kwhs[rows:end], rows = line, kwh, end
             del block, cells, ids, stamps, texts  # free this block before reading the next
     if not code:
         return None, {}, np.zeros((0, 0))
     ids, n = list(code), len(code)
     first = min(hour_of.values())
-    # Cell k is hour first + k // n of household k % n: the timeline, hour by hour.
-    cell = (hours[:rows] - first) * n + codes[:rows]
+    span = max(hour_of.values()) - first + 1
+    start = origin + first * HOUR
+    codes, hours, lines = codes[:rows], hours[:rows], lines[:rows]
+    hours -= first  # now each row's hour of the timeline, below span
+    if span * n == rows:  # as many rows as cells: place each, then see that all are covered
+        cell = codes  # in place, code * span + hour: household-major, below rows
+        cell *= span
+        cell += hours
+        covered = np.zeros(rows, bool)
+        covered[cell] = True
+        if covered.all():  # rows values fill rows cells, so none repeats
+            if span % HOURS_PER_DAY:
+                raise ValidationError(f"{path.name}: {span} hourly rows per household "
+                                      f"are not a whole number of days")
+            del covered, hours, lines  # only a faulty file needs them
+            values = np.empty((n, span))
+            values.reshape(-1)[cell] = kwhs[:rows]
+            return start, code, values
+        cell //= span  # the codes again
+    # A faulty file. Cell k is hour k // n of household k % n: sorted, the cells
+    # number the timeline hour by hour.
+    cell = hours.astype(np.int64) * n + codes
     cells, counts = np.unique(cell, return_counts=True)
     if cells.size < cell.size:
         twice = cells[np.argmax(counts > 1)]
-        once, again = lines[:rows][cell == twice][:2]
+        once, again = lines[cell == twice][:2]
         raise ValidationError(f"{path.name} row {again}: household {ids[twice % n]} "
                               f"repeats the hour of row {once}")
-    if cells[-1] != cells.size - 1 or cells.size % n:
-        k = np.append(np.flatnonzero(cells != np.arange(cells.size)), cells.size)[0]
-        raise ValidationError(f"{path.name}: household {ids[k % n]} has no row for "
-                              f"{(origin + int(first + k // n) * HOUR).isoformat()}")
-    span = cells.size // n
-    if span % HOURS_PER_DAY:
-        raise ValidationError(f"{path.name}: {span} hourly rows per household "
-                              f"are not a whole number of days")
-    values = np.empty(cells.size)
-    values[cell] = kwhs[:rows]
-    return origin + first * HOUR, code, np.ascontiguousarray(values.reshape(span, n).T)
+    k = np.append(np.flatnonzero(cells != np.arange(cells.size)), cells.size)[0]
+    raise ValidationError(f"{path.name}: household {ids[k % n]} has no row for "
+                          f"{(start + int(k // n) * HOUR).isoformat()}")
 
 
 def load_community(households_csv: Path | str, loads_csv: Path | str) -> Community:

@@ -8,6 +8,7 @@ everyone else.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -208,8 +209,8 @@ def _gcn_epoch(norm: np.ndarray, w1: np.ndarray, w2: np.ndarray,
 def inject_noise(a: np.ndarray, level_pct: float, seed: int = 0) -> np.ndarray:
     """Add Uniform(0, b) per entry with b = level_pct/100 * mean(A); renormalize rows."""
     a = check_similarity(a)
-    if level_pct < 0:
-        raise DomainError("noise level must be >= 0")
+    if not 0 <= level_pct < math.inf:
+        raise DomainError(f"noise level must be finite and >= 0, got {level_pct}")
     if level_pct == 0:
         return a.copy()
     rng = np.random.default_rng(seed)

@@ -18,11 +18,14 @@ from .errors import (ContractViolation, CoverageError, DegeneratePopulationError
 
 
 def _check_terms(incentive, emergency_days: tuple[int, ...], cycle_days: int) -> None:
-    """An offer's incentive (one value or one per row) and its emergency days."""
+    """An offer's incentive (one value or one per row) and its emergency days,
+    each inside the cycle and none twice."""
     if not np.all((0 <= np.asarray(incentive)) & (np.asarray(incentive) < math.inf)):
         raise ValidationError(f"incentive must be a finite number >= 0, got {incentive}")
     if any(not 0 <= d < cycle_days for d in emergency_days):
         raise ValidationError("emergency day index outside the cycle")
+    if len(set(emergency_days)) < len(emergency_days):
+        raise ValidationError(f"emergency days {emergency_days} hold a day twice")
 
 
 @dataclass(frozen=True)

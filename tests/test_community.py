@@ -384,6 +384,22 @@ def assert_same_community(a: Community, b: Community) -> None:
         np.testing.assert_array_equal(x.load, y.load)
 
 
+def assert_reads_as_the_reference(path) -> ValidationError | None:
+    """_read_loads gives the row reader's start, ids and array bytes, or raises
+    an error of its type and message, which it returns."""
+    try:
+        expected = csv_reference.read_loads(path)
+    except ValidationError as exc:
+        with pytest.raises(ValidationError) as caught:
+            community_module._read_loads(path)
+        assert type(caught.value) is type(exc) and str(caught.value) == str(exc)
+        return caught.value
+    got = community_module._read_loads(path)
+    assert got[:2] == expected[:2]
+    assert got[2].shape == expected[2].shape and got[2].tobytes() == expected[2].tobytes()
+    return None
+
+
 def scalar_loads(rows: list[tuple[str, datetime, str]]):
     """The loader's rules for (id, timestamp, kwh) rows, one row at a time:
     (None, (start, id -> hourly kWh)) when every household has one row per hour
@@ -704,6 +720,43 @@ class TestCsvValidation:
         finally:
             tracemalloc.stop()
         assert peak < 10 * 2**20
+
+    def test_traced_peak_is_under_40_bytes_per_load_row_at_50_by_90_days(self, tmp_path):
+        hh, loads = tmp_path / "hh.csv", tmp_path / "loads.csv"
+        save_community(generate_community(1, 1, 50, seed=0, days=90), hh, loads)
+        tracemalloc.start()
+        try:
+            load_community(hh, loads)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # Three int32 and a float64 per row, then a bool mask and the result.
+        assert peak / (50 * 90 * 24) <= 40
+
+    @pytest.mark.parametrize("where", ["first", "last"])
+    @pytest.mark.parametrize("stamps", [["0001-01-01T00:00:00"], ["9999-12-31T23:00:00"],
+                                        ["0001-01-01T00:00:00", "9999-12-31T23:00:00"]],
+                             ids=["year-1", "year-9999", "both"])
+    def test_stray_rows_at_the_ends_of_datetime_name_what_the_reference_names(
+            self, saved, stamps, where):
+        # 8.8e7 hours apart: the widest timeline a datetime allows.
+        original, _, loads = saved
+        header, rows = self.rows(loads)
+        strays = [f"{original.ids[1]},{stamp},1.0\n" for stamp in stamps]
+        self.edit(loads, header, strays + rows if where == "first" else rows + strays)
+        fault = assert_reads_as_the_reference(loads)
+        assert fault is not None and "has no row for" in str(fault)
+
+    def test_a_first_row_after_the_earliest_hour(self, saved):
+        # The file's first row is its last hour, so every other hour lies before it.
+        original, hh, loads = saved
+        header, rows = self.rows(loads)
+        self.edit(loads, header, rows[::-1])
+        assert assert_reads_as_the_reference(loads) is None
+        assert_same_community(load_community(hh, loads), original)
+        for faulty in (rows[:0:-1], rows[::-1] + rows[-2:-1]):  # the first hour of h000 dropped; a repeat
+            self.edit(loads, header, faulty)
+            assert assert_reads_as_the_reference(loads) is not None
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())

@@ -4,6 +4,7 @@ stratified querying, semi-supervised classification, noise injection."""
 import csv
 import hashlib
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -384,6 +385,12 @@ class TestInjectNoise:
         a = row_normalize(np.ones((3, 3)))
         with pytest.raises(DomainError):
             inject_noise(a, -1.0)
+
+    @pytest.mark.parametrize("level", [math.nan, math.inf, -math.inf])
+    def test_rejects_a_level_that_is_not_finite(self, level):
+        a = row_normalize(np.ones((3, 3)))
+        with pytest.raises(DomainError, match="noise level must be finite and >= 0"):
+            inject_noise(a, level)
 
 
 class TestEvaluateAccuracy:

@@ -306,6 +306,18 @@ class TestBadRowInput:
                 call()
 
 
+    def test_price_offers_rejects_a_repeated_day(self, standard_household):
+        # Summed day by day, (3, 3) would ask twice the minimum incentive of (3,).
+        with pytest.raises(ValidationError, match=r"^emergency days \(3, 3\) hold a day twice$"):
+            price_offers(daily_totals(standard_household.load)[None], np.array([-0.25]),
+                         np.array([0.16]), 10.0, 10.0, (3, 3), 30)
+
+    def test_cycle_costs_rejects_a_repeated_day(self, standard_household):
+        with pytest.raises(ValidationError, match=r"^emergency days \(3, 3\) hold a day twice$"):
+            cycle_costs(standard_household.load[None], np.array([-0.25]), np.array([0.16]),
+                        10.0, 10.0, (3, 3), 30)
+
+
 class TestRateHike:
     def test_revenue_neutral(self):
         nonparticipants = [household(hid=f"h{i}", kwh_per_day=10.0 * (i + 1))
@@ -331,6 +343,12 @@ class TestValidation:
     def test_offer_rejects_day_outside_cycle(self):
         with pytest.raises(ValidationError, match="emergency day index outside the cycle"):
             Offer("h0", 10.0, 10.0, (30,), 30)
+
+    def test_offer_rejects_a_repeated_day(self, standard_household):
+        with pytest.raises(ValidationError, match=r"^emergency days \(3, 3\) hold a day twice$"):
+            Offer("h0", 10.0, 10.0, (3, 3), 30)
+        with pytest.raises(ValidationError, match="hold a day twice"):
+            make_offer(standard_household, 10.0, 10.0, (3, 3), 30)
 
     def test_offer_rejects_negative_incentive(self):
         with pytest.raises(ValidationError):
