@@ -754,7 +754,8 @@ class TestCsvValidation:
         self.edit(loads, header, rows[::-1])
         assert assert_reads_as_the_reference(loads) is None
         assert_same_community(load_community(hh, loads), original)
-        for faulty in (rows[:0:-1], rows[::-1] + rows[-2:-1]):  # the first hour of h000 dropped; a repeat
+        # Reversed again with h000's first hour dropped, then with a row repeated.
+        for faulty in (rows[:0:-1], rows[::-1] + rows[-2:-1]):
             self.edit(loads, header, faulty)
             assert assert_reads_as_the_reference(loads) is not None
 

@@ -305,7 +305,6 @@ class TestBadRowInput:
             with pytest.raises(ValidationError, match="kWh must be finite and >= 0"):
                 call()
 
-
     def test_price_offers_rejects_a_repeated_day(self, standard_household):
         # Summed day by day, (3, 3) would ask twice the minimum incentive of (3,).
         with pytest.raises(ValidationError, match=r"^emergency days \(3, 3\) hold a day twice$"):
