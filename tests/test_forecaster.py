@@ -183,6 +183,16 @@ def reference_forward(model: PatternModel, windows: np.ndarray, socio: np.ndarra
     return g @ p["head.w"] + p["head.b"], similarity
 
 
+def default_sample(n: int):
+    """The model at build_model's defaults (window 24, hidden size 32, 4 heads,
+    7 static features) from seed 0, with one seeded sample of n households:
+    (model, windows, targets, static)."""
+    rng = np.random.default_rng(0)
+    model = build_model(np.random.default_rng(0))
+    windows, targets = rng.normal(size=(n, 24)), rng.normal(size=n)
+    return model, windows, targets, rng.normal(size=(n, 7))
+
+
 def gru_names(enc: dict[str, Tensor]) -> list[str]:
     return [name for name in enc if name.startswith("gru.")]
 
@@ -562,10 +572,7 @@ class TestForward:
     def test_one_sample_stays_within_its_memory(self):
         """tracemalloc's peak over one sample's forward and backward at 250
         households x 24 steps x M = 32: the memory each sample in flight holds."""
-        rng = np.random.default_rng(0)
-        model = build_model(np.random.default_rng(0))
-        windows, targets = rng.normal(size=(250, 24)), rng.normal(size=250)
-        static = rng.normal(size=(250, 7))
+        model, windows, targets, static = default_sample(250)
         tracemalloc.start()
         try:
             mse_loss(model, windows, targets, static)[2]()
@@ -874,6 +881,23 @@ class TestPinnedBytes:
         model = build_model(np.random.default_rng(0), **kwargs)
         assert [(name, p.shape) for name, p in model.parameters()] == shapes
         assert _parameter_digest(model) == sha
+
+    def test_one_sample_at_the_default_size(self):
+        """One 250-household sample at build_model's defaults: predictions,
+        similarity, loss and all 20 gradients, in parameter order."""
+        model, windows, targets, static = default_sample(250)
+        predictions, similarity, _ = forward(model, windows, static)
+        loss, _, backward = mse_loss(model, windows, targets, static)
+        grads = backward()
+        assert (hashlib.sha256(predictions.tobytes() + similarity.tobytes()).hexdigest()
+                == "c100ef292cc24108f8d256b58d10e5418b1e7a42e0c2aac1dc6541ed7e71ef13")
+        assert repr(loss) == "1.066646917239505"
+        assert grads.keys() == model.params.keys()
+        digest = hashlib.sha256()
+        for name in model.params:
+            digest.update(grads[name].tobytes())
+        assert digest.hexdigest() == (
+            "f9a734038ab57cda74ef20e377be7ee285e0c856476d04f91342110a75fbf1db")
 
     def test_two_epochs_of_training(self):
         rng = np.random.default_rng(0)
