@@ -11,12 +11,14 @@ takes arrays and returns its output with a `backward` closure over the arrays
 it kept, which maps the output's gradient to its inputs' and parameters'
 gradients. The parameters sit in `Tensor` holders only for their seeded
 initial draw; the layers read their `.data`, and no autodiff graph is built.
+`forward`'s backward runs once, and frees each layer's arrays as soon as that
+layer's backward has run.
 
 Training and validation run up to `WORKERS` samples at once, on the calling
 thread and a thread pool (numpy releases the GIL inside its loops and BLAS).
 Results are consumed in sample order and summed on the caller, so every
 output is byte-identical for any worker count. Each sample in flight holds
-at most about 15.7 MB at 250 households.
+at most about 11.5 MB at 250 households.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import numpy as np
 
 from .autodiff import Tensor, parameter
 from .community import Community, check_split_ratios, normalize_features
-from .errors import DomainError, InvalidSpecError, NumericalError, ShapeError
+from .errors import ContractViolation, DomainError, InvalidSpecError, NumericalError, ShapeError
 
 
 def _sample_threads() -> int:
@@ -77,12 +79,20 @@ class Hyper:
 
 
 def rmsprop_step(param: np.ndarray, grad: np.ndarray, cache: np.ndarray, hyper: Hyper):
-    """One RMSProp update of `param` and its `cache`, in place."""
+    """One RMSProp update of `param` and its `cache`, in place, through two
+    scratch arrays: cache = d cache + ((1 - d) g) g, then
+    param -= (lr g) / (sqrt(cache) + eps)."""
     if not np.all(np.isfinite(grad)):
         raise NumericalError("non-finite gradient during training")
+    scratch = np.multiply(1 - hyper.rmsprop_decay, grad)
+    scratch *= grad
     cache *= hyper.rmsprop_decay
-    cache += (1 - hyper.rmsprop_decay) * grad * grad
-    param -= hyper.learning_rate * grad / (np.sqrt(cache) + hyper.rmsprop_eps)
+    cache += scratch
+    np.sqrt(cache, out=scratch)
+    scratch += hyper.rmsprop_eps
+    step = np.multiply(hyper.learning_rate, grad)
+    step /= scratch
+    param -= step
 
 
 def degree_normalized(a: np.ndarray, deg: np.ndarray) -> np.ndarray:
@@ -161,9 +171,12 @@ def gru_forward(params: dict[str, Tensor], sequence: np.ndarray):
     blocks and every elementwise op runs on contiguous memory. The input
     projection x W + b of every step is written into the buffer before the
     recurrence, which then adds h_{t-1} U, one matmul per gate (Appleyard et
-    al. 2016, arXiv:1604.01946). Backpropagation through time, a numpy loop,
-    overwrites step t's gates with the gradients of their pre-activations once
-    it has read them.
+    al. 2016, arXiv:1604.01946). Only step t's r * h_{t-1} is kept, in one
+    (n, M) scratch array. Backpropagation through time, a numpy loop,
+    overwrites step t's update gate and candidate with the gradients of their
+    pre-activations once it has read them, and writes the reset gate's into a
+    buffer of its own. After the loop the reset gates become r * h_{t-1} in
+    place, the input of the candidate's weight gradient.
     """
     x = np.asarray(sequence, dtype=float)
     names = [f"gru.{kind}_{gate}" for kind in "wub" for gate in ("update", "reset", "cand")]
@@ -179,7 +192,7 @@ def gru_forward(params: dict[str, Tensor], sequence: np.ndarray):
     for gate, w_gate in zip(gates, w):  # einsum: at width 1, 2x faster than matmul
         np.einsum("ik,kj->ij", x_flat, w_gate, out=gate.reshape(s * n, m))
     gates += np.repeat(b[:, None, None, :], n, axis=2)  # whole (n, M) blocks, not rows
-    rh = np.empty((s, n, m))  # r * h_{t-1}, the input of the candidate's matmul
+    rh = np.empty((n, m))  # r * h_{t-1}, the input of the candidate's matmul
     h = np.zeros((s + 1, n, m))  # h[t] is the state before step t
     hu = np.empty((2, n, m))  # h_{t-1} U for z and r, then (r * h_{t-1}) U_c
     for t in range(s):  # in place: each step writes only into the arrays above
@@ -190,8 +203,8 @@ def gru_forward(params: dict[str, Tensor], sequence: np.ndarray):
         np.exp(zr, out=zr)
         zr += 1.0
         np.reciprocal(zr, out=zr)
-        np.multiply(r, h_prev, out=rh[t])
-        np.matmul(rh[t], u[2], out=hu[0])
+        np.multiply(r, h_prev, out=rh)
+        np.matmul(rh, u[2], out=hu[0])
         c += hu[0]
         np.tanh(c, out=c)
         np.subtract(h_prev, c, out=h_next)  # h = z * h_prev + (1 - z) * c
@@ -201,6 +214,7 @@ def gru_forward(params: dict[str, Tensor], sequence: np.ndarray):
     def backward(g):
         dh = np.zeros((n, m))
         one_minus_z, hc, tmp = np.empty((3, n, m))
+        d_r = np.empty((s, n, m))
         d_zr = np.empty((n, 2 * m))  # [d_z d_r], for one matmul with [U_z U_r]^T
         u_zr_t = np.concatenate(gate_params[3:5], axis=1).T
         for t in range(s - 1, -1, -1):
@@ -221,17 +235,18 @@ def gru_forward(params: dict[str, Tensor], sequence: np.ndarray):
             hc *= r
             tmp *= r
             dh += tmp  # dh z + d_rh r
-            np.subtract(1.0, r, out=r)
-            r *= hc  # d_r
-            np.copyto(d_zr.reshape(n, 2, m), gates[:2, t].transpose(1, 0, 2))
+            np.subtract(1.0, r, out=d_r[t])
+            d_r[t] *= hc
+            d_zr[:, :m], d_zr[:, m:] = z, d_r[t]
             np.matmul(d_zr, u_zr_t, out=tmp)
             dh += tmp
-        flat = gates.reshape(3, s * n, m)  # now the pre-activation gradients
-        d_u_zr = h[:-1].reshape(s * n, m).T @ flat[:2]
-        d_u_c = rh.reshape(s * n, m).T @ flat[2]
-        d_w = x_flat.T @ flat
-        d_b = flat.sum(axis=1)
-        return dict(zip(names, (*d_w, *d_u_zr, d_u_c, *d_b)))
+        d_z, rh, d_c = gates  # rh holds r until the next line
+        rh *= h[:-1]
+        d_pre = [d.reshape(s * n, m) for d in (d_z, d_r, d_c)]  # pre-activation gradients
+        h_flat = h[:-1].reshape(s * n, m).T
+        d_u = [h_flat @ d_pre[0], h_flat @ d_pre[1], rh.reshape(s * n, m).T @ d_pre[2]]
+        d_w = [x_flat.T @ d for d in d_pre]
+        return dict(zip(names, (*d_w, *d_u, *(d.sum(axis=0) for d in d_pre))))
 
     return h[1:].transpose(1, 0, 2), backward
 
@@ -281,8 +296,8 @@ def inter_series_attention(params: dict[str, Tensor], embeddings: np.ndarray):
     Returns (similarity, projected, backward): similarity is the head-averaged
     (n, n) row-stochastic attention matrix, projected the (n, M) output, and
     backward maps (d_similarity, d_projected) to (d_embeddings, parameter
-    gradients). The per-head softmax backward runs once, on the sum of both
-    paths' gradients.
+    gradients). The softmax backward runs once per head, on the sum of both
+    paths' gradients, in one (n, n) scratch array that each head reuses.
     """
     x = embeddings
     w_q, w_k, w_v, w_out = (params[f"mha.{p}"].data for p in ("q", "k", "v", "out"))
@@ -301,13 +316,19 @@ def inter_series_attention(params: dict[str, Tensor], embeddings: np.ndarray):
 
     def backward(d_similarity, d_projected):
         d_heads = (d_projected @ w_out.T).reshape(n, heads, -1).transpose(1, 0, 2)
-        d_att = d_heads @ v.transpose(0, 2, 1)
-        d_att += d_similarity * (1.0 / heads)
-        # The softmax backward, in place: d_att becomes the scores' gradient.
-        d_att -= np.einsum("hij,hij->hi", d_att, att)[:, :, None]
-        d_att *= att
-        d_q = (d_att @ k) * scale
-        d_k = d_att.transpose(0, 2, 1) @ q * scale
+        d_shared = d_similarity * (1.0 / heads)  # every head's share of the average
+        d_q, d_k = np.empty_like(q), np.empty_like(k)
+        d_att = np.empty((n, n))
+        for head in range(heads):
+            np.matmul(d_heads[head], v[head].T, out=d_att)
+            d_att += d_shared
+            # The softmax backward, in place: d_att becomes the scores' gradient.
+            d_att -= np.einsum("ij,ij->i", d_att, att[head])[:, None]
+            d_att *= att[head]
+            np.matmul(d_att, k[head], out=d_q[head])
+            np.matmul(d_att.T, q[head], out=d_k[head])
+        d_q *= scale
+        d_k *= scale
         d_v = att.transpose(0, 2, 1) @ d_heads
         d_x = ((d_q @ w_q.transpose(0, 2, 1)).sum(axis=0)
                + (d_k @ w_k.transpose(0, 2, 1)).sum(axis=0))
@@ -315,34 +336,45 @@ def inter_series_attention(params: dict[str, Tensor], embeddings: np.ndarray):
         return d_x, {"mha.q": x.T @ d_q, "mha.k": x.T @ d_k, "mha.v": x.T @ d_v,
                      "mha.out": merged.T @ d_projected}
 
-    return att.sum(axis=0) * (1.0 / heads), merged @ w_out, backward
+    similarity = att.sum(axis=0)
+    similarity *= 1.0 / heads
+    return similarity, merged @ w_out, backward
 
 
-def gcn_layer(features: np.ndarray, edge_weights: np.ndarray, weight: np.ndarray):
-    """Graph convolution with self-loops, symmetric degree normalization, ReLU:
-    relu(D^-1/2 (A+I) D^-1/2 X W), D the degrees of A+I.
-
-    Returns the output and its backward, which maps d_output to
-    (d_features, d_edge_weights, d_weight). The edge gradient reaches A both
-    directly and through D.
-    """
+def normalized_graph(edge_weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(D^-1/2 (A+I) D^-1/2, D) for edge weights A, D the degrees of A+I: the
+    graph that every `gcn_layer` over A shares."""
     if np.any(edge_weights < 0):
         raise DomainError("edge weights must be non-negative")
     a_hat = edge_weights.copy()
     a_hat.flat[:: a_hat.shape[0] + 1] += 1.0  # A + I
     deg = a_hat.sum(axis=1)
-    norm = degree_normalized(a_hat, deg)
+    return degree_normalized(a_hat, deg), deg
+
+
+def gcn_layer(features: np.ndarray, graph: tuple[np.ndarray, np.ndarray],
+              weight: np.ndarray):
+    """Graph convolution with self-loops, symmetric degree normalization, ReLU:
+    relu(D^-1/2 (A+I) D^-1/2 X W), on the `normalized_graph` of A.
+
+    Returns the output and its backward, which maps d_output to
+    (d_features, d_edge_weights, d_weight). The edge gradient reaches A both
+    directly and through D.
+    """
+    norm, deg = graph
     mixed = norm @ features  # (n, F_in)
     pre = mixed @ weight
 
     def backward(g):
         d_pre = g * (pre > 0)
         d_mixed = d_pre @ weight.T
-        d_norm = d_mixed @ features.T
-        t = d_norm * norm
+        d_a = d_mixed @ features.T  # d_norm, until it is scaled below
+        t = d_a * norm
         # norm_ij = a_hat_ij (deg_i deg_j)^-1/2 with deg_i = sum_j a_ij + 1.
         d_deg = -0.5 * (t.sum(axis=1) + t.sum(axis=0)) / deg
-        d_a = degree_normalized(d_norm, deg)
+        inv_sqrt = 1.0 / np.sqrt(deg)
+        d_a *= inv_sqrt[:, None]
+        d_a *= inv_sqrt[None, :]
         d_a += d_deg[:, None]
         return norm.T @ d_mixed, d_a, mixed.T @ d_pre
 
@@ -355,6 +387,9 @@ def forward(model: PatternModel, windows: np.ndarray, socio: np.ndarray):
     windows: (n, s) load windows sharing the same time span; socio: (n, M_bar)
     z-scored static features. Returns (predictions (n, 1), similarity (n, n),
     backward), where backward maps d_predictions to every parameter's gradient.
+    Both graph layers share one normalization of the similarity. backward runs
+    once: it drops each layer's backward, and the arrays that layer kept, as
+    soon as the layer has run.
     """
     windows = np.asarray(windows, dtype=float)
     if windows.ndim != 2 or windows.shape[1] != model.window:
@@ -367,21 +402,29 @@ def forward(model: PatternModel, windows: np.ndarray, socio: np.ndarray):
     similarity, projected, cross_backward = inter_series_attention(params, embeddings)
     if np.shape(socio)[0] != projected.shape[0]:
         raise ShapeError("row count mismatch between temporal and static features")
-    g0, gcn0_backward = gcn_layer(np.concatenate([projected, socio], axis=1), similarity,
+    graph = normalized_graph(similarity)
+    g0, gcn0_backward = gcn_layer(np.concatenate([projected, socio], axis=1), graph,
                                   params["gcn.0"].data)
-    g1, gcn1_backward = gcn_layer(g0, similarity, params["gcn.1"].data)
+    g1, gcn1_backward = gcn_layer(g0, graph, params["gcn.1"].data)
     head_w = params["head.w"].data
     predictions = g1 @ head_w + params["head.b"].data
     if not (np.all(np.isfinite(predictions)) and np.all(np.isfinite(similarity))):
         raise NumericalError("non-finite forecaster output")
+    width = projected.shape[1]
+    layers = [gru_backward, self_backward, cross_backward, gcn0_backward, gcn1_backward]
 
     def backward(d_predictions):
-        d_g1, d_similarity, d_gcn1 = gcn1_backward(d_predictions @ head_w.T)
-        d_features, d_edges, d_gcn0 = gcn0_backward(d_g1)
+        if not layers:
+            raise ContractViolation("a sample's backward runs once")
+        # Once popped, a layer's backward has no reference left but the call:
+        # the arrays it kept are freed as soon as it returns.
+        d_g1, d_similarity, d_gcn1 = layers.pop()(d_predictions @ head_w.T)
+        d_features, d_edges, d_gcn0 = layers.pop()(d_g1)
         d_similarity += d_edges
-        d_embeddings, grads = cross_backward(d_similarity, d_features[:, : projected.shape[1]])
-        d_hidden, self_grads = self_backward(d_embeddings)
-        return {**gru_backward(d_hidden), **self_grads, **grads, "gcn.0": d_gcn0,
+        del d_edges  # (n, n), and not needed through the cross attention's backward
+        d_embeddings, grads = layers.pop()(d_similarity, d_features[:, :width])
+        d_hidden, self_grads = layers.pop()(d_embeddings)
+        return {**layers.pop()(d_hidden), **self_grads, **grads, "gcn.0": d_gcn0,
                 "gcn.1": d_gcn1, "head.w": g1.T @ d_predictions,
                 "head.b": d_predictions.sum(axis=0)}
 
@@ -496,7 +539,7 @@ def train(model: PatternModel, data: SampleSet, hyper: Hyper | None = None) -> T
     order on the caller, which builds the gradient sums (a copy of the first
     sample's, then `+=` in order), the loss sum and the similarity statistics,
     and then takes the RMSProp step; so every output is byte-identical for
-    any worker count. Peak memory grows by about 15 MB per worker at 250
+    any worker count. Peak memory grows by about 11.5 MB per worker at 250
     households (window 24, hidden size 32).
     """
     hyper = hyper or Hyper()

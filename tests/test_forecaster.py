@@ -13,7 +13,13 @@ from hypothesis import strategies as st
 
 from gridflex import forecaster
 from gridflex.autodiff import Tensor
-from gridflex.errors import DomainError, InvalidSpecError, NumericalError, ShapeError
+from gridflex.errors import (
+    ContractViolation,
+    DomainError,
+    InvalidSpecError,
+    NumericalError,
+    ShapeError,
+)
 from gridflex.forecaster import (
     Hyper,
     PatternModel,
@@ -25,6 +31,7 @@ from gridflex.forecaster import (
     inter_series_attention,
     make_dataset,
     mse_loss,
+    normalized_graph,
     parameter_table,
     rmsprop_step,
     self_attention,
@@ -475,7 +482,7 @@ class TestGcnLayer:
         a = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
         x = np.random.default_rng(0).normal(size=(3, 2))
         w = np.random.default_rng(1).normal(size=(2, 2))
-        out, _ = gcn_layer(x, a, w)
+        out, _ = gcn_layer(x, normalized_graph(a), w)
         a_hat = a + np.eye(3)
         d = np.diag(1.0 / np.sqrt(a_hat.sum(axis=1)))
         expected = np.maximum(d @ a_hat @ d @ x @ w, 0.0)
@@ -492,7 +499,7 @@ class TestGcnLayer:
         edges = Tensor(rng.uniform(0.0, 1.0, size=(n, n)), requires_grad=True)
         weight = Tensor(rng.normal(size=(f_in, f_out)), requires_grad=True)
         upstream = rng.normal(size=(n, f_out))
-        out, backward = gcn_layer(features.data, edges.data, weight.data)
+        out, backward = gcn_layer(features.data, normalized_graph(edges.data), weight.data)
         assert_matches_reference([out], list(backward(upstream)),
                                  lambda: reference_gcn_layer(features, edges, weight),
                                  [features, edges, weight], [upstream])
@@ -503,9 +510,11 @@ class TestGcnLayer:
         edges = rng.uniform(0.1, 1.0, size=(4, 4))
         weight = rng.normal(size=(3, 2))
         upstream = rng.normal(size=(4, 2))
-        _, analytic, _ = gcn_layer(features, edges, weight)[1](upstream)
-        numeric = numeric_grad(
-            lambda: float((gcn_layer(features, edges, weight)[0] * upstream).sum()), edges)
+        def layer():
+            return gcn_layer(features, normalized_graph(edges), weight)
+
+        _, analytic, _ = layer()[1](upstream)
+        numeric = numeric_grad(lambda: float((layer()[0] * upstream).sum()), edges)
         assert np.linalg.norm(analytic) > 1e-3
         err = np.linalg.norm(analytic - numeric) / (
             np.linalg.norm(analytic) + np.linalg.norm(numeric))
@@ -513,7 +522,7 @@ class TestGcnLayer:
 
     def test_rejects_negative_weights(self):
         with pytest.raises(DomainError):
-            gcn_layer(np.ones((2, 2)), np.array([[0.0, -0.1], [0.1, 0.0]]), np.ones((2, 2)))
+            normalized_graph(np.array([[0.0, -0.1], [0.1, 0.0]]))
 
     def test_concat_features_widths(self, monkeypatch):
         """forward feeds the first graph layer the (n, M) cross-attention output
@@ -525,9 +534,9 @@ class TestGcnLayer:
         socio = np.random.default_rng(2).normal(size=(3, 2))
         seen = []
 
-        def recording_gcn(features, edge_weights, weight):
+        def recording_gcn(features, graph, weight):
             seen.append(features)
-            return gcn_layer(features, edge_weights, weight)
+            return gcn_layer(features, graph, weight)
 
         monkeypatch.setattr(forecaster, "gcn_layer", recording_gcn)
         forward(model, windows, socio)
@@ -569,17 +578,30 @@ class TestForward:
             assert grads[name].shape == p.shape
             assert relative_error(grads[name], p.grad) <= 1e-10
 
-    def test_one_sample_stays_within_its_memory(self):
-        """tracemalloc's peak over one sample's forward and backward at 250
+    @staticmethod
+    def _traced_peak(n: int) -> int:
+        """tracemalloc's peak over one sample's forward and backward at n
         households x 24 steps x M = 32: the memory each sample in flight holds."""
-        model, windows, targets, static = default_sample(250)
+        model, windows, targets, static = default_sample(n)
         tracemalloc.start()
         try:
             mse_loss(model, windows, targets, static)[2]()
-            peak = tracemalloc.get_traced_memory()[1]
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 16.5e6
+
+    def test_one_sample_stays_within_its_memory(self):
+        assert self._traced_peak(250) <= 12.5e6
+
+    def test_one_sample_of_500_households_stays_within_its_memory(self):
+        assert self._traced_peak(500) <= 33e6
+
+    def test_a_second_backward_is_refused(self):
+        model, windows, targets, static = default_sample(4)
+        backward = mse_loss(model, windows, targets, static)[2]
+        backward()
+        with pytest.raises(ContractViolation, match="^a sample's backward runs once$"):
+            backward()
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_a_non_finite_window(self, bad):
