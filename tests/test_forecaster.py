@@ -510,6 +510,7 @@ class TestGcnLayer:
         edges = rng.uniform(0.1, 1.0, size=(4, 4))
         weight = rng.normal(size=(3, 2))
         upstream = rng.normal(size=(4, 2))
+
         def layer():
             return gcn_layer(features, normalized_graph(edges), weight)
 
