@@ -9,8 +9,7 @@ from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
-from functools import cached_property
-from itertools import chain, compress
+from itertools import compress, product
 from operator import itemgetter
 from pathlib import Path
 from typing import NamedTuple
@@ -67,12 +66,12 @@ class Household(NamedTuple):
 
 @dataclass(frozen=True, eq=False)
 class Community:
-    """The household population, one array row per household in `ids` order. The
+    """The household population, one row per household in `ids` order. The
     arrays are taken without a copy and made read-only, so `replace` shares them."""
 
     ids: tuple[str, ...]
-    neighborhoods: dict[str, tuple[str, ...]]  # neighborhood id -> member household ids
-    counties: dict[str, tuple[str, ...]]  # county -> neighborhood ids
+    neighborhood: tuple[str, ...]  # each household's neighborhood id
+    county: tuple[str, ...]  # each household's county, one per neighborhood
     start: datetime  # the hour of loads[:, 0]
     loads: np.ndarray  # hourly kWh of whole days, (n, hours)
     elasticity: np.ndarray  # price elasticity of demand, strictly negative, (n,)
@@ -91,8 +90,8 @@ class Community:
         if broken is not None:  # a CSV record of loads.csv must be one line
             raise ValidationError(f"household id {self.ids[broken]!r} holds a line break",
                                   row=broken)
-        if sorted(chain.from_iterable(self.neighborhoods.values())) != sorted(self.ids):
-            raise ValidationError("neighborhoods do not partition the household set")
+        if (len(self.neighborhood), len(self.county)) != (n, n):
+            raise ValidationError(f"neighborhood and county need {n} entries each")
         row_shapes = {"loads": np.shape(self.loads)[-1:], "elasticity": (),
                       "baseline_rate": (), "profiles": (len(FEATURE_COLUMNS),)}
         for name, row in row_shapes.items():
@@ -121,6 +120,11 @@ class Community:
             i = int(bad.any(axis=0).argmax())
             rule = list(ok)[bad[:, i].argmax()]
             raise ValidationError(f"household {self.ids[i]}: {rule}", row=i)
+        county_of: dict[str, str] = {}  # neighborhood id -> the county of its first row
+        for i, (nb_id, county) in enumerate(zip(self.neighborhood, self.county)):
+            if county_of.setdefault(nb_id, county) != county:
+                raise ValidationError(f"neighborhood {nb_id} is in county {county}, but in "
+                                      f"{county_of[nb_id]} on an earlier row", row=i)
         object.__setattr__(self, "index", index)
         object.__setattr__(self, "daily", daily_totals(self.loads))
         self.daily.flags.writeable = False
@@ -128,14 +132,9 @@ class Community:
     def __len__(self) -> int:
         return len(self.ids)
 
-    @cached_property
-    def neighborhood_of(self) -> dict[str, str]:
-        """Household id -> its neighborhood id."""
-        return {hid: nid for nid, members in self.neighborhoods.items() for hid in members}
-
     def by_id(self, hid: str) -> Household:
         i = self.index[hid]
-        return Household(hid, self.neighborhood_of[hid], self.loads[i],
+        return Household(hid, self.neighborhood[i], self.loads[i],
                          float(self.elasticity[i]), float(self.baseline_rate[i]), self.profiles[i])
 
     @property
@@ -259,13 +258,10 @@ def generate_community(
     if not 0 < baseline_rate < math.inf:
         raise InvalidSpecError(f"baseline_rate must be finite and > 0, got {baseline_rate}")
     _check_elasticity(elasticity_mean, elasticity_std)
-    county_map = {f"c{ci:02d}": tuple(f"c{ci:02d}-n{ni:02d}"
-                                      for ni in range(neighborhoods_per_county))
-                  for ci in range(counties)}
-    neighborhoods = {nb_id: tuple(f"{nb_id}-h{hi:03d}"
-                                  for hi in range(households_per_neighborhood))
-                     for nb_ids in county_map.values() for nb_id in nb_ids}
-    ids = tuple(chain.from_iterable(neighborhoods.values()))
+    homes = [(f"c{c:02d}", f"c{c:02d}-n{nb:02d}")
+             for c, nb in product(range(counties), range(neighborhoods_per_county))]
+    county, neighborhood, ids = zip(*[(c, nb, f"{nb}-h{h:03d}") for c, nb in homes
+                                      for h in range(households_per_neighborhood)])
     per_county = neighborhoods_per_county * households_per_neighborhood
     n, hours = counties * per_county, days * HOURS_PER_DAY
     rng = np.random.default_rng(seed)
@@ -300,7 +296,7 @@ def generate_community(
     # With std 0 no normal was drawn, and the zero left in its place gives the mean.
     elasticity = float(elasticity_mean) + elasticity_std * elasticity
     np.clip(elasticity, ELASTICITY_FLOOR, ELASTICITY_CEIL, out=elasticity)
-    return Community(ids, neighborhoods, county_map, start, loads, elasticity,
+    return Community(ids, neighborhood, county, start, loads, elasticity,
                      np.full(n, baseline_rate, dtype=float), profiles)
 
 
@@ -510,12 +506,9 @@ def load_community(households_csv: Path | str, loads_csv: Path | str) -> Communi
     and the row, or the household and the hour it lacks."""
     households_csv = Path(households_csv)
     start, load_row, loads = _read_loads(Path(loads_csv))
-    neighborhoods: dict[str, list[str]] = {}
-    counties: dict[str, set[str]] = {}
-    county_of: dict[str, str] = {}  # neighborhood id -> the county of its first row
     row_of: dict[str, int] = {}  # household id -> line, in file order
-    numbers = []
-    for line, (hid, nb_id, county, *fields) in _rows(households_csv, HOUSEHOLD_COLUMNS):
+    neighborhood, county, numbers = [], [], []
+    for line, (hid, nb_id, county_id, *fields) in _rows(households_csv, HOUSEHOLD_COLUMNS):
         where = f"{households_csv.name} row {line}"
         if hid in row_of:
             raise ValidationError(f"{where}: household {hid} repeats row {row_of[hid]}")
@@ -524,11 +517,8 @@ def load_community(households_csv: Path | str, loads_csv: Path | str) -> Communi
             raise ReferentialIntegrityError(f"{where}: household {hid} has no load rows")
         numbers.append([_number(text, where, column)
                         for text, column in zip(fields, HOUSEHOLD_COLUMNS[3:])])
-        if county_of.setdefault(nb_id, county) != county:
-            raise ValidationError(f"{where}: neighborhood {nb_id} is in county {county}, "
-                                  f"but in {county_of[nb_id]} on an earlier row")
-        neighborhoods.setdefault(nb_id, []).append(hid)
-        counties.setdefault(county, set()).add(nb_id)
+        neighborhood.append(nb_id)
+        county.append(county_id)
     orphans = load_row.keys() - row_of.keys()
     if orphans:
         raise ReferentialIntegrityError(f"load rows for unknown households: {sorted(orphans)}")
@@ -536,8 +526,7 @@ def load_community(households_csv: Path | str, loads_csv: Path | str) -> Communi
     rows = [load_row[hid] for hid in ids]
     table = np.array(numbers, dtype=float).reshape(len(ids), len(HOUSEHOLD_COLUMNS) - 3)
     try:
-        return Community(ids, {k: tuple(v) for k, v in neighborhoods.items()},
-                         {k: tuple(sorted(v)) for k, v in counties.items()}, start,
+        return Community(ids, tuple(neighborhood), tuple(county), start,
                          loads if rows == list(range(len(ids))) else loads[rows],
                          *map(np.ascontiguousarray, (table[:, 1], table[:, 0], table[:, 2:])))
     except ValidationError as exc:  # a household's value: name its row of the file
@@ -558,14 +547,12 @@ def save_community(
     community: Community, households_csv: Path | str, loads_csv: Path | str
 ) -> None:
     """Write the two-file CSV schema read back by load_community."""
-    county_of = {nb: county for county, nbs in community.counties.items() for nb in nbs}
-    home = community.neighborhood_of
     numbers = np.column_stack([community.baseline_rate, community.elasticity, community.profiles])
     with Path(households_csv).open("w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f)
         writer.writerow(HOUSEHOLD_COLUMNS)
-        writer.writerows([hid, home[hid], county_of.get(home[hid], "na"), *map(repr, row)]
-                         for hid, row in zip(community.ids, numbers.tolist()))
+        writer.writerows([*texts, *map(repr, row)] for *texts, row in zip(
+            community.ids, community.neighborhood, community.county, numbers.tolist()))
     stamps = [(community.start + k * HOUR).isoformat() for k in range(community.loads.shape[1])]
     with Path(loads_csv).open("w", newline="", encoding="utf-8") as f:
         csv.writer(f).writerow(LOAD_COLUMNS)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
@@ -135,14 +136,16 @@ def _kmeanspp(points: np.ndarray, clusters: int, rng: np.random.Generator) -> np
 
 def pick_queries(community: Community, clusters: np.ndarray,
                  fraction: float = 0.05, seed: int = 0) -> np.ndarray:
-    """Per neighborhood, per cluster: ceil(fraction * stratum size) uniform
-    picks from the stratum's rows in id order. Returns the picked rows, sorted."""
+    """Per neighborhood in id order, per cluster: ceil(fraction * stratum size)
+    uniform picks from the stratum's rows in id order. Returns the picked rows, sorted."""
     if not 0 < fraction <= 1:
         raise InvalidSpecError(f"query fraction must lie in (0, 1], got {fraction}")
     rng = np.random.default_rng(seed)
     picked: list[int] = []
-    for nb_id in sorted(community.neighborhoods):
-        rows = np.array([community.index[m] for m in sorted(community.neighborhoods[nb_id])])
+    home, ids = community.neighborhood, community.ids
+    for _, group in groupby(sorted(range(len(ids)), key=lambda i: (home[i], ids[i])),
+                            key=home.__getitem__):
+        rows = np.array(list(group))
         for cluster in sorted(set(clusters[rows].tolist())):
             stratum = rows[clusters[rows] == cluster]
             count = int(np.ceil(fraction * stratum.size))

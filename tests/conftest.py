@@ -56,14 +56,12 @@ def household(
 
 
 def community_of(households: list[Household]) -> Community:
-    """The Community whose rows are `households`, in order, from START."""
-    neighborhoods: dict[str, list[str]] = {}
-    for h in households:
-        neighborhoods.setdefault(h.neighborhood_id, []).append(h.id)
+    """The Community whose rows are `households`, in order, from START, every
+    neighborhood in county "na"."""
     return Community(
         tuple(h.id for h in households),
-        {k: tuple(v) for k, v in neighborhoods.items()},
-        {},
+        tuple(h.neighborhood_id for h in households),
+        ("na",) * len(households),
         START,
         np.array([h.load for h in households]),
         np.array([h.elasticity for h in households]),

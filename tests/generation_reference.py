@@ -76,20 +76,20 @@ def generate_community(
     loads = np.empty((n, days * HOURS_PER_DAY))
     profiles = np.empty((n, len(FEATURE_COLUMNS)))
     elasticity = np.empty(n)
-    ids, neighborhoods, county_map = [], {}, {}
+    ids, neighborhood, county = [], [], []
     for ci in range(counties):
         county_id = f"c{ci:02d}"
         base = _county_profile_base(rng)
-        county_map[county_id] = tuple(f"{county_id}-n{ni:02d}"
-                                      for ni in range(neighborhoods_per_county))
-        for nb_id in county_map[county_id]:
-            neighborhoods[nb_id] = members = tuple(
-                f"{nb_id}-h{hi:03d}" for hi in range(households_per_neighborhood))
-            for i in range(len(ids), len(ids) + len(members)):
+        for ni in range(neighborhoods_per_county):
+            nb_id = f"{county_id}-n{ni:02d}"
+            for hi in range(households_per_neighborhood):
+                i = len(ids)
                 profiles[i] = profile = _sample_profile(rng, base)
                 income_pctile = min(max(profile[0] / 120_000.0, 0.0), 1.0)
                 loads[i] = _synthetic_load(rng, days, profile[-1], income_pctile)
                 elasticity[i] = sample_elasticity_one(rng, elasticity_mean, elasticity_std)
-            ids.extend(members)
-    return Community(tuple(ids), neighborhoods, county_map, start, loads, elasticity,
+                ids.append(f"{nb_id}-h{hi:03d}")
+                neighborhood.append(nb_id)
+                county.append(county_id)
+    return Community(tuple(ids), tuple(neighborhood), tuple(county), start, loads, elasticity,
                      np.full(n, baseline_rate, dtype=float), profiles)

@@ -114,10 +114,20 @@ class TestCommunityInvariants:
                                                   "and finite"):
             community_of([household("h0"), household("h1", baseline_rate=rate)])
 
-    def test_rejects_partition_mismatch(self):
+    def test_rejects_structure_of_another_length(self):
         c = community_of([household("h0"), household("h1")])
-        with pytest.raises(ValidationError):
-            replace(c, neighborhoods={"n0": ("h0",)})
+        with pytest.raises(ValidationError, match="need 2 entries each"):
+            replace(c, neighborhood=("n0",))
+        with pytest.raises(ValidationError, match="need 2 entries each"):
+            replace(c, county=("na",) * 3)
+
+    def test_rejects_a_neighborhood_in_two_counties(self):
+        c = community_of([household(f"h{i}", neighborhood_id=f"n{i % 2}") for i in range(4)])
+        with pytest.raises(ValidationError, match="neighborhood n1 is in county c1, but in "
+                                                  "c0 on an earlier row") as info:
+            replace(c, county=("c0", "c0", "c0", "c1"))
+        assert info.value.row == 3
+        assert replace(c, county=("c0", "c1", "c0", "c1")).county == ("c0", "c1", "c0", "c1")
 
     def test_by_id(self):
         c = community_of([household("h0"), household("h1")])
@@ -249,12 +259,13 @@ class TestGeneration:
     def test_counts_and_structure(self):
         c = generate_community(3, 2, 4, seed=0, days=7)
         assert len(c) == 3 * 2 * 4
-        assert len(c.neighborhoods) == 6
-        assert len(c.counties) == 3
-        for h in c.households:
+        assert len(set(c.neighborhood)) == 6
+        assert len(set(c.county)) == 3
+        for h, county in zip(c.households, c.county):
             assert daily_totals(h.load).shape == (7,)
             assert ELASTICITY_FLOOR <= h.elasticity <= ELASTICITY_CEIL
-            assert h.id in c.neighborhoods[h.neighborhood_id]
+            assert h.id.startswith(f"{h.neighborhood_id}-h")
+            assert h.neighborhood_id.startswith(f"{county}-n")
 
     def test_same_seed_is_identical(self):
         a = generate_community(2, 1, 5, seed=7, days=3)
@@ -292,8 +303,8 @@ class TestGeneration:
         """Also with std 0, where no household draws an elasticity normal."""
         made = generate_community(**spec)
         reference = generation_reference.generate_community(**spec)
-        assert (made.ids, made.neighborhoods, made.counties, made.start) == (
-            reference.ids, reference.neighborhoods, reference.counties, reference.start)
+        assert (made.ids, made.neighborhood, made.county, made.start) == (
+            reference.ids, reference.neighborhood, reference.county, reference.start)
         for name in ("loads", "profiles", "elasticity", "baseline_rate", "daily"):
             assert getattr(made, name).tobytes() == getattr(reference, name).tobytes(), name
 
@@ -340,7 +351,8 @@ class TestCsvRoundtrip:
             assert a.baseline_rate == b.baseline_rate
             np.testing.assert_array_equal(a.load, b.load)
             np.testing.assert_array_equal(a.profile, b.profile)
-        assert restored.counties.keys() == original.counties.keys()
+        assert (restored.neighborhood, restored.county) == (original.neighborhood,
+                                                            original.county)
 
     def test_saved_bytes_are_pinned(self, tmp_path):
         """sha256 of both files as the per-household population model wrote them."""
@@ -352,10 +364,23 @@ class TestCsvRoundtrip:
             "loads.csv": "af92fabd898011a259e5008a6d4309541f4869c19fc18473d128f01e04772b65",
         }
 
+    def test_rows_out_of_id_order_keep_their_neighborhood_and_county(self, tmp_path):
+        hs = [household(f"h{i:02d}", days=1, neighborhood_id=f"n{i % 3}") for i in range(12)]
+        random.Random(5).shuffle(hs)
+        original = replace(community_of(hs),
+                           county=tuple("c1" if h.neighborhood_id == "n2" else "c0"
+                                        for h in hs))
+        hh, loads = tmp_path / "hh.csv", tmp_path / "loads.csv"
+        save_community(original, hh, loads)
+        restored = load_community(hh, loads)
+        assert restored.ids == original.ids != tuple(sorted(original.ids))
+        assert restored.neighborhood == tuple(h.neighborhood_id for h in hs)
+        assert restored.county == original.county
+        assert set(restored.county) == {"c0", "c1"}
+
     def test_non_ascii_ids_round_trip_as_utf8(self, tmp_path):
         ids = ('Zoë "Ünal", Łódź', "東京,1", 'say "hi"')
-        original = replace(community_of([household(hid, days=1) for hid in ids]),
-                           counties={"c0": ("n0",)})
+        original = community_of([household(hid, days=1) for hid in ids])
         hh, loads = tmp_path / "hh.csv", tmp_path / "loads.csv"
         save_community(original, hh, loads)
         assert '"Zoë ""Ünal"", Łódź",'.encode() in loads.read_bytes()
@@ -375,7 +400,7 @@ class TestCsvRoundtrip:
 
 def assert_same_community(a: Community, b: Community) -> None:
     assert [h.id for h in a.households] == [h.id for h in b.households]
-    assert a.neighborhoods == b.neighborhoods and a.counties == b.counties
+    assert (a.neighborhood, a.county) == (b.neighborhood, b.county)
     assert a.start == b.start
     for x, y in zip(a.households, b.households):
         assert (x.neighborhood_id, x.elasticity, x.baseline_rate) == (
@@ -824,7 +849,7 @@ class TestCsvAgainstRowReference:
                                             max_size=len(ids) * days * 24)))
         zone = data.draw(st.sampled_from([None, timezone.utc, timezone(timedelta(hours=-5))]))
         start = START.replace(tzinfo=zone) + data.draw(st.integers(-1000, 1000)) * HOUR
-        original = Community(tuple(ids), {"n0": tuple(ids)}, {"c0": ("n0",)}, start,
+        original = Community(tuple(ids), ("n0",) * len(ids), ("c0",) * len(ids), start,
                              loads.reshape(len(ids), -1), np.full(len(ids), -0.25),
                              np.full(len(ids), 0.16), np.tile(profile(), (len(ids), 1)))
         tmp = tmp_path_factory.mktemp("writer")

@@ -260,25 +260,27 @@ class TestPickQueries:
     @given(sizes=st.lists(st.integers(1, 9), min_size=1, max_size=4),
            fraction=st.sampled_from((0.05, 0.1, 0.5, 1.0)), seed=st.integers(0, 2**32 - 1))
     def test_rows_match_drawing_over_ids(self, sizes, fraction, seed):
-        # Rows listed out of id order: each stratum is still drawn over its
-        # ids in sorted order, as the id-keyed selector did.
+        # Rows listed out of id order, first grouped by neighborhood and then
+        # shuffled so that neighborhoods interleave: each stratum is still
+        # drawn over its ids in sorted order, as the id-keyed selector did.
         rng = np.random.default_rng(seed)
         ids = iter(rng.permutation(40))
         hs = [household(f"h{next(ids):02d}", neighborhood_id=f"n{nb}")
               for nb, size in enumerate(sizes) for _ in range(size)]
-        community = community_of(hs)
-        clusters = rng.integers(0, 2, len(hs))
+        cluster_of = dict(zip([h.id for h in hs], rng.integers(0, 2, len(hs))))
         draws = np.random.default_rng(seed)
         expected = []
-        for nb_id in sorted(community.neighborhoods):
-            members = community.neighborhoods[nb_id]
-            cluster_of = {m: clusters[community.index[m]] for m in members}
-            for cluster in sorted(set(cluster_of.values())):
+        for nb_id in sorted({h.neighborhood_id for h in hs}):
+            members = [h.id for h in hs if h.neighborhood_id == nb_id]
+            for cluster in sorted({cluster_of[m] for m in members}):
                 stratum = sorted(m for m in members if cluster_of[m] == cluster)
                 count = int(np.ceil(fraction * len(stratum)))
                 expected.extend(draws.choice(stratum, size=count, replace=False))
-        picked = pick_queries(community, clusters, fraction=fraction, seed=seed)
-        assert sorted(community.index[h] for h in expected) == list(picked)
+        for rows in (hs, [hs[i] for i in rng.permutation(len(hs))]):
+            community = community_of(rows)
+            clusters = np.array([cluster_of[h.id] for h in rows])
+            picked = pick_queries(community, clusters, fraction=fraction, seed=seed)
+            assert sorted(community.index[h] for h in expected) == list(picked)
 
     @pytest.mark.parametrize("fraction", [0.0, -0.1, 1.5])
     def test_rejects_fraction_outside_unit_interval(self, fraction):
