@@ -96,6 +96,8 @@ def _read_similarity(path: Path, ids: tuple[str, ...]) -> np.ndarray:
 
 
 def _load_or_generate(args) -> Community:
+    if args.seed < 0:  # also for a loaded community: train and select still draw with it
+        raise InvalidSpecError(f"--seed must be >= 0, got {args.seed}")
     if args.households_csv and args.loads_csv:
         return load_community(args.households_csv, args.loads_csv)
     return generate_community(

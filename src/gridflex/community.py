@@ -177,6 +177,8 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.cycle_days < 1:
             raise InvalidSpecError(f"cycle_days must be >= 1, got {self.cycle_days}")
+        if self.rng_seed < 0:
+            raise InvalidSpecError(f"rng_seed must be >= 0, got {self.rng_seed}")
         if not 0 <= self.emergency_day_count <= self.cycle_days:
             raise InvalidSpecError("emergency day count exceeds cycle length")
         if not 0 < self.target_reduction_pct < 100:
@@ -255,6 +257,8 @@ def generate_community(
         raise InvalidSpecError("all size counts must be >= 1")
     if days < 1:
         raise InvalidSpecError("days must be >= 1")
+    if seed < 0:
+        raise InvalidSpecError(f"seed must be >= 0, got {seed}")
     if not 0 < baseline_rate < math.inf:
         raise InvalidSpecError(f"baseline_rate must be finite and > 0, got {baseline_rate}")
     _check_elasticity(elasticity_mean, elasticity_std)

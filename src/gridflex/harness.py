@@ -51,6 +51,10 @@ class SweepSpec:
             raise InvalidSpecError("values must be a nonempty strictly increasing ladder")
         if self.repetitions < 1:
             raise InvalidSpecError("repetitions must be >= 1")
+        if (self.outputs in ("", ".", "..", "manifest.json")
+                or "/" in self.outputs or "\\" in self.outputs):
+            raise InvalidSpecError(f"outputs must be a plain file name other than "
+                                   f"manifest.json, got {self.outputs!r}")
 
 
 # -- shared plumbing -----------------------------------------------------------
@@ -119,6 +123,9 @@ def label_similarity(
     Stand-in for a trained attention matrix at desk scale: same-response pairs
     get high weight, cross pairs low, with seeded multiplicative jitter.
     """
+    missing = set(ids) - truth.keys()
+    if missing:
+        raise InvalidSpecError(f"truth has no value for ids {sorted(missing)}")
     rng = np.random.default_rng(seed)
     y = np.array([truth[h] for h in ids])
     same = y[:, None] == y[None, :]

@@ -165,6 +165,9 @@ def classify(a_sym: np.ndarray, labeled_rows: np.ndarray, accept: np.ndarray,
     hyper = hyper or Hyper()
     if hyper.epochs < 1:
         raise InvalidSpecError(f"classifier needs >= 1 epoch, got {hyper.epochs}")
+    if np.shape(labeled_rows) != np.shape(accept):
+        raise DomainError(f"labeled_rows has shape {np.shape(labeled_rows)}, "
+                          f"but accept has {np.shape(accept)}")
     if accept.all() or not accept.any():
         raise DegenerateSupervisionError("need at least one labeled example per class")
     n = a_sym.shape[0]
@@ -237,8 +240,14 @@ def run_selection(community: Community, similarity: np.ndarray,
     """Full selection pipeline: spectral clustering, stratified query, GCN labeling."""
     if truth.keys() != community.index.keys():
         raise ReferentialIntegrityError("truth ids do not match the community's households")
-    labels = np.array([truth[hid] for hid in community.ids], dtype=bool)
-    a_sym = symmetrize(check_similarity(similarity))
+    labels = np.array([truth[hid] for hid in community.ids])
+    if labels.dtype != bool:
+        raise DomainError(f"truth values must be bool, got {labels.dtype}")
+    similarity = check_similarity(similarity)
+    if len(similarity) != len(community):
+        raise DomainError(f"similarity is {len(similarity)} x {len(similarity)}, but the "
+                          f"community has {len(community)} households")
+    a_sym = symmetrize(similarity)
     clusters = kmeans(spectral_embed(normalized_laplacian(a_sym), k=2), clusters=2, seed=seed)
     queried = pick_queries(community, clusters, fraction=fraction, seed=seed)
     try:

@@ -146,6 +146,50 @@ def test_train_and_select_write_utf8_under_an_ascii_locale(tmp_path):
     assert written[1] == written[0]
 
 
+@pytest.mark.parametrize("outputs", ["../escaped.csv", "sub/sweep.csv", "sub\\sweep.csv",
+                                     "ABSOLUTE", "", ".", "..", "manifest.json"])
+def test_sweep_outputs_must_be_a_plain_file_name(tmp_path, outputs):
+    """A sweep writes its table only under --out-dir, and never over the manifest."""
+    outputs = str(tmp_path / "absolute.csv") if outputs == "ABSOLUTE" else outputs
+    spec = _write_json(tmp_path / "inputs" / "spec.json", {
+        "variable": "incentive", "values": [1.0], "outputs": outputs,
+        "community": TINY_COMMUNITY, "scenario": TINY_SCENARIO})
+    with pytest.raises(InvalidSpecError, match="outputs must be a plain file name"):
+        main(["sweep", "--spec", spec, "--out-dir", str(tmp_path / "out")])
+    assert sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")) == [
+        "inputs", "inputs/spec.json", "out"]
+
+
+SEEDED = ["generate", "train", "train from CSV", "select", "select from CSV", "run", "sweep"]
+
+
+@pytest.mark.parametrize("command", SEEDED)
+def test_every_command_that_takes_a_seed_rejects_a_negative_one(tmp_path, monkeypatch, command):
+    """Before any draw, and also where the community is read from CSV files."""
+    monkeypatch.chdir(tmp_path)
+    size = ["--counties", "1", "--households", "4", "--days", "3"]
+    assert main(["generate", *size, "--out-dir", "generate"]) == 0
+    _write_similarity(Path("similarity.csv"), tuple(f"c00-n00-h{i:03d}" for i in range(4)),
+                      np.full((4, 4), 0.25))
+    sections = {"community": {"counties": 1, "households_per_neighborhood": 4, "days": 3},
+                "scenario": {"cycle_days": 3, "emergency_day_count": 2, "rng_seed": -1}}
+    table = {
+        "generate": ["generate", *size, "--seed", "-1"],
+        "train": ["train", *size, "--seed", "-1"],
+        "train from CSV": ["train", *POPULATION, "--seed", "-1"],
+        "select": ["select", *size, "--similarity-csv", "similarity.csv", "--seed", "-1"],
+        "select from CSV": ["select", *POPULATION, "--similarity-csv", "similarity.csv",
+                            "--days", "3", "--seed", "-1"],
+        "run": ["run", "--config", _write_json(Path("inputs/config.json"), sections)],
+        "sweep": ["sweep", "--spec", _write_json(Path("inputs/spec.json"), {
+            "variable": "incentive", "values": [1.0], **sections})],
+    }
+    assert list(table) == SEEDED
+    with pytest.raises(InvalidSpecError, match="seed must be >= 0, got -1"):
+        main([*table[command], "--out-dir", "out"])
+    assert list(Path("out").iterdir()) == []
+
+
 SPEC = '{"variable": "incentive",\n "values": [1.0],\n "outputs": "café.csv"}\n'
 SELECT = ["select", "--households-csv", "households.csv", "--loads-csv", "loads.csv",
           "--similarity-csv", "similarity.csv", "--days", "1"]

@@ -330,11 +330,12 @@ class TestGeneration:
         ({"elasticity_std": math.nan}, "std must be finite and >= 0"),
         ({"elasticity_std": -0.1}, "std must be finite and >= 0"),
         ({"days": 0}, "days must be >= 1"),
+        ({"seed": -1}, "seed must be >= 0, got -1"),
     ])
     def test_rejects_a_bad_spec_before_the_first_draw(self, kwargs, rule):
         with mock.patch("numpy.random.default_rng", wraps=np.random.default_rng) as rng:
             with pytest.raises(InvalidSpecError, match=rule):
-                generate_community(1, 1, 2, seed=0, **kwargs)
+                generate_community(1, 1, 2, **{"seed": 0, **kwargs})
         rng.assert_not_called()
 
 

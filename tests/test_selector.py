@@ -459,6 +459,32 @@ class TestRunSelection:
                       hyper=Hyper(epochs=5))
         assert calls == {"check_similarity": 1, "symmetrize": 1}
 
+    @pytest.mark.parametrize(("case", "error", "message"), [
+        pytest.param("similarity-of-13", DomainError,
+                     "similarity is 13 x 13, but the community has 12", id="similarity-of-13"),
+        pytest.param("truth-strings", DomainError, "truth values must be bool, got <U3",
+                     id="truth-strings"),
+        pytest.param("3-rows-2-labels", DomainError,
+                     r"labeled_rows has shape \(3,\), but accept has \(2,\)", id="3-rows-2-labels"),
+        pytest.param("id-missing-from-truth", InvalidSpecError,
+                     r"truth has no value for ids \['h03'\]", id="id-missing-from-truth"),
+    ])
+    def test_rejects_inputs_that_do_not_fit(self, case, error, message):
+        """Each input is checked where it enters, at 12 households, before any
+        work: none may pass silently or end in a bare numpy or dict error."""
+        community, similarity, truth = self._fixture(n=12)
+        calls = {
+            "similarity-of-13": lambda: run_selection(community, self._fixture(n=13)[1], truth),
+            "truth-strings": lambda: run_selection(
+                community, similarity, {hid: "yes" if y else "no" for hid, y in truth.items()}),
+            "3-rows-2-labels": lambda: classify(symmetrize(similarity), np.array([0, 1, 2]),
+                                                np.array([True, False])),
+            "id-missing-from-truth": lambda: harness.label_similarity(
+                {hid: y for hid, y in truth.items() if hid != "h03"}, community.ids, seed=0),
+        }
+        with pytest.raises(error, match=message):
+            calls[case]()
+
     def test_truth_must_match_the_community(self):
         community, similarity, truth = self._fixture()
         missing = dict(list(truth.items())[1:])
