@@ -370,9 +370,9 @@ def noise_experiment(
     per_level: dict[float, list[float]] = {lvl: [] for lvl in spec.values}
     for seed in range(spec.repetitions):
         community = planted_community(planted, seed)
-        rng = np.random.default_rng(seed + 10_000)
         days = planted.community.days
-        emergency_days = tuple(sorted(int(d) for d in rng.choice(days, size=3, replace=False)))
+        emergency_days = emergency_schedule(ScenarioConfig(cycle_days=days),
+                                            np.random.default_rng(seed + 10_000))
         truth = oracle_truth(community, planted.incentive, planted.reduction_pct,
                              emergency_days, days)
         clean = label_similarity(truth, community.ids, seed, planted.in_weight,

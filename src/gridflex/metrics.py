@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .community import Community
-from .errors import InfeasibleAllocationError, UndefinedMetricError
+from .errors import DomainError, InfeasibleAllocationError, UndefinedMetricError
 from .tariff import price_offers
 
 
@@ -31,8 +31,8 @@ def acceptance_rate(accepted: list[bool] | np.ndarray) -> float:
 def responsiveness_cost(incentives: list[float], reductions: list[float]) -> float:
     """Total incentives divided by total emergency-day kWh reduction."""
     total_reduction = float(sum(reductions))
-    if total_reduction <= 0:
-        raise UndefinedMetricError("responsiveness cost with zero total reduction")
+    if not total_reduction > 0:  # NaN fails too
+        raise UndefinedMetricError(f"responsiveness cost over total reduction {total_reduction}")
     return float(sum(incentives)) / total_reduction
 
 
@@ -44,6 +44,8 @@ def total_demand_reduction(
 ) -> float:
     """Emergency-day reduction of the households in the row mask `participants`,
     as a percent of community emergency-day consumption."""
+    if np.asarray(participants).dtype != bool or np.shape(participants) != (len(community),):
+        raise DomainError(f"participants must be a bool mask of {len(community)} rows")
     kwh = community.emergency_kwh(emergency_days)
     # Summed left to right, household by household, not pairwise as numpy
     # sums: the result keeps the bits of a per-household loop.

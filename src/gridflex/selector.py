@@ -1,9 +1,9 @@
 """Participant selection over the household similarity graph.
 
-Spectral clustering of the (symmetrized) attention matrix splits households
-into two anonymous groups; a stratified 5%-per-neighborhood-per-cluster query
-reveals true accept/reject labels; a featureless semi-supervised GCN labels
-everyone else.
+The exact two-means of the symmetrized attention matrix's Fiedler vector
+splits households into two anonymous groups; a stratified
+5%-per-neighborhood-per-cluster query reveals true accept/reject labels; a
+featureless semi-supervised GCN labels everyone else.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .errors import (
     ReferentialIntegrityError,
     UndefinedMetricError,
 )
-from .forecaster import Hyper, degree_normalized, rmsprop_step
+from .forecaster import Hyper, degree_normalized, normalized_graph, rmsprop_step
 
 ROW_SUM_TOL = 1e-6
 
@@ -34,7 +34,7 @@ def check_similarity(a: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DomainError(f"similarity matrix must be square, got {a.shape}")
-    if not np.all((a >= -1e-12) & (a <= 1 + 1e-12)):  # NaN fails too
+    if not np.all((a >= 0) & (a <= 1 + 1e-12)):  # NaN fails too
         raise DomainError("similarity entries must lie in [0, 1]")
     if np.any(np.abs(a.sum(axis=1) - 1) > ROW_SUM_TOL):
         raise DomainError("similarity rows must sum to 1")
@@ -89,49 +89,24 @@ def spectral_embed(laplacian: np.ndarray, k: int) -> np.ndarray:
     return embed
 
 
-def kmeans(points: np.ndarray, clusters: int = 2, seed: int = 0,
-           max_iter: int = 100, retries: int = 8) -> np.ndarray:
-    """Seeded k-means++ initialization plus Lloyd's iteration.
-
-    Re-seeds when a cluster comes out empty; raises after bounded retries.
-    """
-    points = np.asarray(points, dtype=float)
-    n = points.shape[0]
-    if n < clusters:
-        raise DegenerateClusteringError(f"{n} points cannot form {clusters} clusters")
-    rng = np.random.default_rng(seed)
-    for _attempt in range(retries):
-        centers = _kmeanspp(points, clusters, rng)
-        labels = np.zeros(n, dtype=int)
-        for _it in range(max_iter):
-            dists = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-            new_labels = dists.argmin(axis=1)
-            if np.array_equal(new_labels, labels) and _it > 0:
-                break
-            labels = new_labels
-            for c in range(clusters):
-                mask = labels == c
-                if mask.any():
-                    centers[c] = points[mask].mean(axis=0)
-        if all((labels == c).any() for c in range(clusters)):
-            return labels
-    raise DegenerateClusteringError("could not produce non-empty clusters")
-
-
-def _kmeanspp(points: np.ndarray, clusters: int, rng: np.random.Generator) -> np.ndarray:
-    n = points.shape[0]
-    centers = [points[rng.integers(n)]]
-    for _ in range(clusters - 1):
-        d2 = np.min(
-            [((points - c) ** 2).sum(axis=1) for c in centers], axis=0
-        )
-        total = d2.sum()
-        if total <= 0:
-            # All remaining points coincide with a center; pick any.
-            centers.append(points[rng.integers(n)])
-            continue
-        centers.append(points[rng.choice(n, p=d2 / total)])
-    return np.stack(centers).astype(float)
+def kmeans(values: np.ndarray) -> np.ndarray:
+    """Exact two-means of one column of values, such as the Fiedler vector: of the
+    cuts of the sorted values, the first with the least within-cluster sum of
+    squares. Returns a {0, 1} label per value; row 0 gets label 0."""
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 1 or values.size < 2:
+        raise DegenerateClusteringError(f"need one column of >= 2 values, got {values.shape}")
+    if not np.all(np.isfinite(values)):
+        raise NumericalError("values to split must be finite")
+    order = np.argsort(values, kind="stable")
+    # With the values centered, a cut after k sorted values with centered sum S
+    # leaves total - S^2 / k - S^2 / (n - k) within the clusters.
+    sums = np.cumsum(values[order] - values.mean())[:-1]
+    left = np.arange(1, values.size)
+    cut = int(np.argmax(sums * sums * (1.0 / left + 1.0 / (values.size - left)))) + 1
+    labels = np.zeros(values.size, dtype=int)
+    labels[order[cut:]] = 1
+    return labels ^ labels[0]
 
 
 def pick_queries(community: Community, clusters: np.ndarray,
@@ -159,21 +134,23 @@ def classify(a_sym: np.ndarray, labeled_rows: np.ndarray, accept: np.ndarray,
     """Semi-supervised two-layer GCN node classification without node features.
 
     `labeled_rows` are sorted rows of `a_sym` whose labels `accept` are known.
-    With identity features (Kipf & Welling 2017) layer 1 is relu(Â W1), so no
-    identity is built. Returns (predicted bool labels, accept probabilities of
-    the last epoch's forward pass); labeled rows keep their given labels."""
+    With identity features (Kipf & Welling 2017) layer 1 is relu(Â W1), Â the
+    `normalized_graph` of `a_sym`, so no identity is built. Returns (predicted
+    bool labels, last epoch's accept probabilities); labeled rows keep theirs."""
     hyper = hyper or Hyper()
     if hyper.epochs < 1:
         raise InvalidSpecError(f"classifier needs >= 1 epoch, got {hyper.epochs}")
     if np.shape(labeled_rows) != np.shape(accept):
         raise DomainError(f"labeled_rows has shape {np.shape(labeled_rows)}, "
                           f"but accept has {np.shape(accept)}")
+    n = a_sym.shape[0]
+    labeled_rows = np.asarray(labeled_rows)
+    if labeled_rows.dtype.kind not in "iu" or np.any((labeled_rows < 0) | (labeled_rows >= n)):
+        raise DomainError(f"labeled_rows {labeled_rows} are not rows of the {n} x {n} graph")
     if accept.all() or not accept.any():
         raise DegenerateSupervisionError("need at least one labeled example per class")
-    n = a_sym.shape[0]
     targets = np.stack([~accept, accept], axis=1).astype(float)
-    # Â = D^-1/2 (A_sym + I) D^-1/2, once per call.
-    norm = degree_normalized(a_sym + np.eye(n), a_sym.sum(axis=1) + 1.0)
+    norm = normalized_graph(a_sym)[0]
 
     rng = np.random.default_rng(seed)
     weights = [parameter(rng, (n, gcn_hidden), n).data,
@@ -248,7 +225,7 @@ def run_selection(community: Community, similarity: np.ndarray,
         raise DomainError(f"similarity is {len(similarity)} x {len(similarity)}, but the "
                           f"community has {len(community)} households")
     a_sym = symmetrize(similarity)
-    clusters = kmeans(spectral_embed(normalized_laplacian(a_sym), k=2), clusters=2, seed=seed)
+    clusters = kmeans(spectral_embed(normalized_laplacian(a_sym), k=2)[:, 1])
     queried = pick_queries(community, clusters, fraction=fraction, seed=seed)
     try:
         predicted, scores = classify(a_sym, queried, labels[queried], hyper=hyper, seed=seed)

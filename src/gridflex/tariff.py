@@ -152,6 +152,7 @@ def accept_offer(household: Household, offer: Offer) -> OfferOutcome:
 def rate_hike(daily: np.ndarray, incentives: Sequence[float], cycle_days: int) -> float:
     """Uniform per-kWh surcharge on the non-participants, whose kWh per day are
     the rows of `daily`, that funds the incentive pool."""
+    _check_terms(incentives, (), cycle_days)
     total_incentive = float(sum(incentives))
     if total_incentive == 0.0:
         return 0.0

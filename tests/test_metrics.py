@@ -2,19 +2,21 @@
 brute-force subset-enumeration oracle."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
 
 from gridflex.community import Community, daily_totals
-from gridflex.errors import InfeasibleAllocationError, UndefinedMetricError
+from gridflex.errors import (DomainError, InfeasibleAllocationError, UndefinedMetricError,
+                             ValidationError)
 from gridflex.metrics import (
     acceptance_rate,
     allocate_budget,
     responsiveness_cost,
     total_demand_reduction,
 )
-from gridflex.tariff import accept_offer, make_offer
+from gridflex.tariff import accept_offer, make_offer, rate_hike
 from tests.conftest import community_of, household
 
 
@@ -80,6 +82,35 @@ class TestSimpleMetrics:
     def test_responsiveness_cost_zero_reduction(self):
         with pytest.raises(UndefinedMetricError):
             responsiveness_cost([100.0], [0.0])
+
+    @pytest.mark.parametrize(("case", "error", "message"), [
+        pytest.param("incentive-nan", ValidationError, "incentive must be a finite number",
+                     id="rate-hike-incentive-nan"),
+        pytest.param("incentive-inf", ValidationError, "incentive must be a finite number",
+                     id="rate-hike-incentive-inf"),
+        pytest.param("incentive-negative", ValidationError, "incentive must be a finite number",
+                     id="rate-hike-incentive-negative"),
+        pytest.param("reduction-nan", UndefinedMetricError, "over total reduction nan",
+                     id="responsiveness-cost-reduction-nan"),
+        pytest.param("mask-of-3", DomainError, "participants must be a bool mask of 2 rows",
+                     id="total-demand-reduction-mask-of-3"),
+        pytest.param("mask-of-ints", DomainError, "participants must be a bool mask of 2 rows",
+                     id="total-demand-reduction-mask-of-ints"),
+    ])
+    def test_rejects_inputs_that_do_not_fit(self, case, error, message):
+        """Each of these returned NaN, inf or a negative value, or ended in a
+        bare numpy error, before it was checked."""
+        c = community_of([household("a", kwh_per_day=30.0), household("b", kwh_per_day=10.0)])
+        calls = {
+            "incentive-nan": lambda: rate_hike(c.daily, [5.0, math.nan], 30),
+            "incentive-inf": lambda: rate_hike(c.daily, [math.inf], 30),
+            "incentive-negative": lambda: rate_hike(c.daily, [-5.0], 30),
+            "reduction-nan": lambda: responsiveness_cost([100.0, 50.0], [30.0, math.nan]),
+            "mask-of-3": lambda: total_demand_reduction(c, np.ones(3, dtype=bool), 10.0, (2, 5)),
+            "mask-of-ints": lambda: total_demand_reduction(c, np.array([1, 0]), 10.0, (2, 5)),
+        }
+        with pytest.raises(error, match=message):
+            calls[case]()
 
     def test_total_demand_reduction_hand_case(self):
         # Two flat households, 30 and 10 kWh/day; only the first participates

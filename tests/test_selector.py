@@ -1,4 +1,4 @@
-"""Selection pipeline: Laplacian/spectral oracles, k-means vs brute force,
+"""Selection pipeline: Laplacian/spectral oracles, the split vs brute force,
 stratified querying, semi-supervised classification, noise injection."""
 
 import csv
@@ -20,6 +20,7 @@ from gridflex.errors import (
     DegenerateSupervisionError,
     DomainError,
     InvalidSpecError,
+    NumericalError,
     ReferentialIntegrityError,
     UndefinedMetricError,
 )
@@ -188,45 +189,50 @@ class TestSpectralEmbed:
 class TestKmeans:
     def test_recovers_separated_blobs(self):
         rng = np.random.default_rng(3)
-        pts = np.concatenate([
-            rng.normal(0.0, 0.05, size=(10, 2)),
-            rng.normal(5.0, 0.05, size=(8, 2)),
-        ])
-        labels = kmeans(pts, clusters=2, seed=0)
-        assert len(set(labels[:10])) == 1
-        assert len(set(labels[10:])) == 1
-        assert labels[0] != labels[-1]
+        values = np.concatenate([rng.normal(0.0, 0.05, size=10), rng.normal(5.0, 0.05, size=8)])
+        labels = kmeans(values)
+        np.testing.assert_array_equal(labels, np.repeat([0, 1], [10, 8]))
 
-    @pytest.mark.parametrize("seed", range(8))
-    def test_matches_brute_force_partition_cost(self, seed):
-        rng = np.random.default_rng(40 + seed)
-        pts = rng.normal(size=(7, 2))
-        labels = kmeans(pts, clusters=2, seed=seed)
+    @pytest.mark.parametrize("extra", range(9))
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_matches_brute_force_partition_cost(self, extra, data):
+        """The split's within-cluster sum of squares is the least over every
+        two-cluster labeling of n = 2 + extra values."""
+        values = np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=2 + extra,
+                                              max_size=2 + extra)))
+        labels = kmeans(values)
 
         def cost(assign):
-            total = 0.0
-            for c in (0, 1):
-                members = pts[np.array(assign) == c]
-                if len(members):
-                    total += ((members - members.mean(axis=0)) ** 2).sum()
-            return total
+            return sum(((values[assign == c] - values[assign == c].mean()) ** 2).sum()
+                       for c in (0, 1))
 
-        best = min(
-            cost(assign)
-            for assign in itertools.product((0, 1), repeat=7)
-            if len(set(assign)) == 2
-        )
-        # Lloyd's may hit a local optimum; on these tiny instances it should
-        # stay within a small factor of the exhaustive best.
-        assert cost(labels) <= best * 1.5 + 1e-9
+        best = min(cost(np.array(assign))
+                   for assign in itertools.product((0, 1), repeat=values.size)
+                   if len(set(assign)) == 2)
+        assert labels[0] == 0 and labels.max() == 1
+        assert cost(labels) <= best + 1e-12
 
     def test_deterministic(self):
-        pts = np.random.default_rng(5).normal(size=(12, 3))
-        np.testing.assert_array_equal(kmeans(pts, seed=9), kmeans(pts, seed=9))
+        """Equal cuts go to the first in sorted order."""
+        np.testing.assert_array_equal(kmeans(np.array([0.0, 1.0, 2.0])), [0, 1, 1])
+        np.testing.assert_array_equal(kmeans(np.zeros(4)), [0, 1, 1, 1])
+
+    def test_row_0_gets_label_0(self):
+        np.testing.assert_array_equal(kmeans(np.array([5.0, 0.0, 0.1, 5.1])), [0, 1, 1, 0])
 
     def test_too_few_points(self):
         with pytest.raises(DegenerateClusteringError):
-            kmeans(np.ones((1, 2)), clusters=2)
+            kmeans(np.ones(1))
+
+    @pytest.mark.parametrize(("values", "error"), [
+        pytest.param([0.0, math.nan, 1.0], NumericalError, id="nan"),
+        pytest.param([0.0, math.inf, 1.0], NumericalError, id="inf"),
+        pytest.param(np.ones((4, 2)), DegenerateClusteringError, id="2-d"),
+    ])
+    def test_rejects_what_is_not_one_finite_column(self, values, error):
+        with pytest.raises(error):
+            kmeans(np.asarray(values))
 
 
 class TestPickQueries:
@@ -462,10 +468,18 @@ class TestRunSelection:
     @pytest.mark.parametrize(("case", "error", "message"), [
         pytest.param("similarity-of-13", DomainError,
                      "similarity is 13 x 13, but the community has 12", id="similarity-of-13"),
+        pytest.param("entry-of--1e-13", DomainError, r"similarity entries must lie in \[0, 1\]",
+                     id="entry-of--1e-13"),
         pytest.param("truth-strings", DomainError, "truth values must be bool, got <U3",
                      id="truth-strings"),
         pytest.param("3-rows-2-labels", DomainError,
                      r"labeled_rows has shape \(3,\), but accept has \(2,\)", id="3-rows-2-labels"),
+        pytest.param("row-12-of-12", DomainError,
+                     r"labeled_rows \[ 0 12\] are not rows of the 12 x 12 graph",
+                     id="row-12-of-12"),
+        pytest.param("float-rows", DomainError,
+                     r"labeled_rows \[0.5 3. \] are not rows of the 12 x 12 graph",
+                     id="float-rows"),
         pytest.param("id-missing-from-truth", InvalidSpecError,
                      r"truth has no value for ids \['h03'\]", id="id-missing-from-truth"),
     ])
@@ -473,12 +487,20 @@ class TestRunSelection:
         """Each input is checked where it enters, at 12 households, before any
         work: none may pass silently or end in a bare numpy or dict error."""
         community, similarity, truth = self._fixture(n=12)
+        negative = similarity.copy()  # row 0 still sums to 1
+        negative[0, 2] += negative[0, 1] + 1e-13
+        negative[0, 1] = -1e-13
         calls = {
             "similarity-of-13": lambda: run_selection(community, self._fixture(n=13)[1], truth),
+            "entry-of--1e-13": lambda: run_selection(community, negative, truth),
             "truth-strings": lambda: run_selection(
                 community, similarity, {hid: "yes" if y else "no" for hid, y in truth.items()}),
             "3-rows-2-labels": lambda: classify(symmetrize(similarity), np.array([0, 1, 2]),
                                                 np.array([True, False])),
+            "row-12-of-12": lambda: classify(symmetrize(similarity), np.array([0, 12]),
+                                             np.array([True, False])),
+            "float-rows": lambda: classify(symmetrize(similarity), np.array([0.5, 3.0]),
+                                           np.array([True, False])),
             "id-missing-from-truth": lambda: harness.label_similarity(
                 {hid: y for hid, y in truth.items() if hid != "h03"}, community.ids, seed=0),
         }
