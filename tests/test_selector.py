@@ -524,6 +524,14 @@ class TestRunSelection:
         (3, 0.0): "2e68997bf09331ac957e71d1f38bac461965401c54d746e2e5e7e7b2eff0673e",
         (3, 50.0): "563362614af599dcecccd4fa7e10f2062a148b4c4c60092217789a487ef12078",
     }
+    # sha256 of `scores.tobytes()` for the same selections: the classifier's
+    # accept probabilities, by which the sweeps and the offer pool rank.
+    SCORES_GOLDEN = {
+        (2, 0.0): "d47aae1dcfd2211f19592f92a16b7ecbf25feac76e2d72fe0278f9e74e2b3ee0",
+        (2, 50.0): "1d3613583b51bf1c76aff88cfe48bc65eedfc4f2bbcfdcc0747d872e4b1985d3",
+        (3, 0.0): "b9704e8765b7fb050b528ca49768c81680775e24eb4c54a6132b55874e40f77d",
+        (3, 50.0): "46a7cb627e671aa48b8568dbf32f8b57dec4bcce6b3518fab318877f20842f90",
+    }
 
     @pytest.mark.parametrize("seed", [2, 3])
     def test_planted_selections_match_golden_digests(self, seed):
@@ -544,6 +552,8 @@ class TestRunSelection:
             digest.update("\n".join(sorted(result.queried)).encode())
             digest.update(np.asarray(result.predicted, dtype=bool).tobytes())
             assert digest.hexdigest() == self.GOLDEN[seed, level], level
+            scores = hashlib.sha256(result.scores.tobytes()).hexdigest()
+            assert scores == self.SCORES_GOLDEN[seed, level], level
 
     def test_degenerate_supervision_scores_all_ones(self):
         community, similarity, truth = self._fixture(seed=3)
