@@ -133,10 +133,14 @@ def classify(a_sym: np.ndarray, labeled_rows: np.ndarray, accept: np.ndarray,
              gcn_hidden: int = 32) -> tuple[np.ndarray, np.ndarray]:
     """Semi-supervised two-layer GCN node classification without node features.
 
-    `labeled_rows` are sorted rows of `a_sym` whose labels `accept` are known.
-    With identity features (Kipf & Welling 2017) layer 1 is relu(Â W1), Â the
-    `normalized_graph` of `a_sym`, so no identity is built. Returns (predicted
-    bool labels, last epoch's accept probabilities); labeled rows keep theirs."""
+    `labeled_rows` are strictly increasing rows of `a_sym` whose bool labels
+    `accept` are known. With identity features (Kipf & Welling 2017) layer 1 is
+    relu(Â W1), Â the `normalized_graph` of `a_sym`, so no identity is built.
+    Each epoch runs the forward over every row, but the softmax, the mean
+    cross-entropy and its gradient over the labeled rows alone, then one RMSProp
+    step on W1 and W2. The last epoch is a forward with no update. Returns
+    (predicted bool labels, that forward's accept probabilities); labeled rows
+    keep their labels."""
     hyper = hyper or Hyper()
     if hyper.epochs < 1:
         raise InvalidSpecError(f"classifier needs >= 1 epoch, got {hyper.epochs}")
@@ -144,49 +148,65 @@ def classify(a_sym: np.ndarray, labeled_rows: np.ndarray, accept: np.ndarray,
         raise DomainError(f"labeled_rows has shape {np.shape(labeled_rows)}, "
                           f"but accept has {np.shape(accept)}")
     n = a_sym.shape[0]
-    labeled_rows = np.asarray(labeled_rows)
+    labeled_rows, accept = np.asarray(labeled_rows), np.asarray(accept)
     if labeled_rows.dtype.kind not in "iu" or np.any((labeled_rows < 0) | (labeled_rows >= n)):
         raise DomainError(f"labeled_rows {labeled_rows} are not rows of the {n} x {n} graph")
+    # A repeated row would count twice in the gathered loss.
+    if np.any(np.diff(labeled_rows) <= 0):
+        raise DomainError(f"labeled_rows {labeled_rows} are not strictly increasing")
+    if accept.dtype != bool:
+        raise DomainError(f"accept must be bool, got {accept.dtype}")
     if accept.all() or not accept.any():
         raise DegenerateSupervisionError("need at least one labeled example per class")
     targets = np.stack([~accept, accept], axis=1).astype(float)
     norm = normalized_graph(a_sym)[0]
 
     rng = np.random.default_rng(seed)
-    weights = [parameter(rng, (n, gcn_hidden), n).data,
-               parameter(rng, (gcn_hidden, 2), gcn_hidden).data]
-    caches = [np.zeros_like(w) for w in weights]
-    for _epoch in range(hyper.epochs):
-        _loss, probs, grads = _gcn_epoch(norm, *weights, labeled_rows, targets)
-        for w, g, c in zip(weights, grads, caches):
-            rmsprop_step(w, g, c, hyper)
+    # W1 and W2 are views of one buffer, as are their gradients, so that one
+    # RMSProp step per epoch updates both.
+    weights = np.concatenate([parameter(rng, (n, gcn_hidden), n).data.ravel(),
+                              parameter(rng, (gcn_hidden, 2), gcn_hidden).data.ravel()])
+    grads, cache = np.empty_like(weights), np.zeros_like(weights)
+    split = n * gcn_hidden
+    w1, w2 = weights[:split].reshape(n, gcn_hidden), weights[split:].reshape(gcn_hidden, 2)
+    d_w1, d_w2 = grads[:split].reshape(n, gcn_hidden), grads[split:].reshape(gcn_hidden, 2)
+    for _epoch in range(hyper.epochs - 1):
+        _gcn_epoch(norm, w1, w2, labeled_rows, targets, d_w1, d_w2)
+        rmsprop_step(weights, grads, cache, hyper)
+    probs = _softmax(_gcn_forward(norm, w1, w2)[2])
     predicted = probs.argmax(axis=1).astype(bool)
     predicted[labeled_rows] = accept
     return predicted, probs[:, 1]
 
 
-def _gcn_epoch(norm: np.ndarray, w1: np.ndarray, w2: np.ndarray,
-               labeled_idx: np.ndarray, targets: np.ndarray):
-    """One forward and backward pass of the classifier: (mean cross-entropy
-    over the labeled rows, (n, 2) class probabilities, [dloss/dw1, dloss/dw2]).
-    Only layer 1 multiplies `norm` by an (n, h) array; the rest take (n, 2)."""
+def _gcn_forward(norm: np.ndarray, w1: np.ndarray, w2: np.ndarray):
+    """Layer 1's pre-activation and output, and the (n, 2) logits."""
     pre = norm @ w1
     h1 = np.maximum(pre, 0.0)
-    logits = norm @ (h1 @ w2)
+    return pre, h1, norm @ (h1 @ w2)
+
+
+def _softmax(logits: np.ndarray) -> np.ndarray:
     e = np.exp(logits - logits.max(axis=1, keepdims=True))
-    probs = e / e.sum(axis=1, keepdims=True)
-    picked = probs[labeled_idx]
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def _gcn_epoch(norm: np.ndarray, w1: np.ndarray, w2: np.ndarray, labeled_rows: np.ndarray,
+               targets: np.ndarray, d_w1: np.ndarray, d_w2: np.ndarray) -> None:
+    """One forward and backward pass of the classifier: writes the gradients of
+    the mean cross-entropy over the labeled rows into `d_w1` and `d_w2`. Only
+    layer 1 multiplies `norm` by an (n, h) array; the rest take (n, 2) or
+    (labeled, 2)."""
+    pre, h1, logits = _gcn_forward(norm, w1, w2)
+    picked = _softmax(logits[labeled_rows])
     shifted = picked + 1e-12
-    scale = 1.0 / labeled_idx.size
-    loss = -(targets * np.log(shifted)).sum() * scale
-    # Softmax backward; only the labeled rows carry a gradient.
-    g = -scale * targets / shifted
-    d_logits = np.zeros_like(probs)
-    d_logits[labeled_idx] = picked * (g - (g * picked).sum(axis=1, keepdims=True))
-    d_z = norm.T @ d_logits
-    d_w2 = h1.T @ d_z
-    d_w1 = norm.T @ ((d_z @ w2.T) * (pre > 0))
-    return loss, probs, [d_w1, d_w2]
+    g = -(1.0 / labeled_rows.size) * targets / shifted
+    d_picked = picked * (g - (g * picked).sum(axis=1, keepdims=True))
+    # The labeled rows of `norm`, transposed as a view: a contiguous copy
+    # would take another BLAS kernel and round differently.
+    d_z = norm[labeled_rows].T @ d_picked
+    np.matmul(h1.T, d_z, out=d_w2)
+    np.matmul(norm.T, (d_z @ w2.T) * (pre > 0), out=d_w1)
 
 
 def inject_noise(a: np.ndarray, level_pct: float, seed: int = 0) -> np.ndarray:

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
+from numbers import Integral
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -22,6 +23,8 @@ def _check_terms(incentive, emergency_days: tuple[int, ...], cycle_days: int) ->
     each inside the cycle and none twice."""
     if not np.all((0 <= np.asarray(incentive)) & (np.asarray(incentive) < math.inf)):
         raise ValidationError(f"incentive must be a finite number >= 0, got {incentive}")
+    if not all(isinstance(d, Integral) for d in emergency_days):
+        raise ValidationError(f"emergency days {emergency_days} must be whole day indices")
     if any(not 0 <= d < cycle_days for d in emergency_days):
         raise ValidationError("emergency day index outside the cycle")
     if len(set(emergency_days)) < len(emergency_days):
@@ -69,13 +72,26 @@ def emergency_rate(baseline_rate: float | np.ndarray, target_reduction_pct: floa
     return baseline_rate * (1.0 + price_change_pct(target_reduction_pct, elasticity) / 100.0)
 
 
-def _check_rows(kwh: np.ndarray, baseline_rate: np.ndarray, *terms) -> None:
-    """The one input check of `price_offers` and `cycle_costs` (bar the elasticity)."""
+def _check_rows(name: str, kwh: np.ndarray, per_day: int, elasticity: np.ndarray,
+                baseline_rate: np.ndarray, incentive, *terms) -> None:
+    """The one input check of `price_offers` and `cycle_costs` (bar the elasticity's
+    sign): `kwh`, called `name`, is (n, columns) of whole days at `per_day` columns a
+    day; one elasticity and one baseline rate per row; one incentive, or one per row."""
+    if np.ndim(kwh) != 2:
+        raise ValidationError(f"{name} has shape {np.shape(kwh)}, not (rows, columns)")
+    n, columns = np.shape(kwh)
+    if columns % per_day:
+        raise ValidationError(f"{name} has {columns} columns, not whole days of {per_day}")
+    for arg, value in (("elasticity", elasticity), ("baseline_rate", baseline_rate)):
+        if np.shape(value) != (n,):
+            raise ValidationError(f"{arg} has shape {np.shape(value)}, not ({n},)")
+    if np.ndim(incentive) and np.shape(incentive) != (n,):
+        raise ValidationError(f"incentive has shape {np.shape(incentive)}, not () or ({n},)")
     if not np.all((0 <= kwh) & (kwh < math.inf)):
         raise ValidationError("kWh must be finite and >= 0")
     if not np.all((0 < baseline_rate) & (baseline_rate < math.inf)):
         raise ValidationError(f"baseline_rate must be finite and > 0, got {baseline_rate}")
-    _check_terms(*terms)
+    _check_terms(incentive, *terms)
 
 
 def _cycle(daily: np.ndarray, cycle_days: int) -> np.ndarray:
@@ -101,7 +117,8 @@ def price_offers(daily: np.ndarray, elasticity: np.ndarray, baseline_rate: np.nd
     daily * (1 - i/100) * r_e - daily * r_b, clamped at 0 (a reduced emergency-day bill
     can fall below the baseline one). The oracle accepts iff the incentive is at least
     the unclamped minimum."""
-    _check_rows(daily, baseline_rate, incentive, emergency_days, cycle_days)
+    _check_rows("daily", daily, 1, elasticity, baseline_rate, incentive, emergency_days,
+                cycle_days)
     daily = _cycle(daily, cycle_days)
     rate = emergency_rate(baseline_rate, reduction_pct, elasticity)
     scale = 1.0 - reduction_pct / 100.0
@@ -119,7 +136,8 @@ def cycle_costs(loads: np.ndarray, elasticity: np.ndarray, baseline_rate: np.nda
     baseline rate and the emergency days' hours, each cut by `reduction_pct`, at
     the row's emergency rate, less the incentive (one value or one per row); it
     can be negative. Hours sum into days, then days into bills."""
-    _check_rows(loads, baseline_rate, incentive, emergency_days, cycle_days)
+    _check_rows("loads", loads, HOURS_PER_DAY, elasticity, baseline_rate, incentive,
+                emergency_days, cycle_days)
     daily = _cycle(daily_totals(loads), cycle_days)
     emergency = np.isin(np.arange(cycle_days), emergency_days)
     hours = loads[:, :cycle_days * HOURS_PER_DAY].reshape(len(loads), cycle_days, HOURS_PER_DAY)

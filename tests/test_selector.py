@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gridflex import harness, selector
@@ -39,6 +39,7 @@ from gridflex.selector import (
     spectral_embed,
     symmetrize,
 )
+from tests import classify_reference
 from tests.conftest import community_of, household
 from tests.test_forecaster import reference_gcn_layer
 
@@ -53,6 +54,46 @@ def two_block_similarity(sizes, rng, in_w=1.0, out_w=0.05):
     base = np.where(labels[:, None] == labels[None, :], in_w, out_w)
     base = base * rng.uniform(0.8, 1.2, size=(n, n))
     return row_normalize(base), labels
+
+
+def planted_selection(seed: int, level: float):
+    """(community, similarity, truth) of the planted study's `seed` at noise
+    `level` percent."""
+    spec = harness.PlantedSpec()
+    community = harness.planted_community(spec, seed)
+    rng = np.random.default_rng(seed + 10_000)
+    days = tuple(sorted(int(d) for d in rng.choice(spec.community.days, size=3,
+                                                   replace=False)))
+    truth = harness.oracle_truth(community, spec.incentive, spec.reduction_pct, days,
+                                 spec.community.days)
+    clean = harness.label_similarity(truth, tuple(community.index), seed,
+                                     spec.in_weight, spec.out_weight, spec.jitter)
+    return community, inject_noise(clean, level, seed=seed + 20_000), truth
+
+
+def planted_classifier_inputs(seed: int, level: float):
+    """What `run_selection` hands `classify` on the planted study's 250
+    households at `seed` and noise `level` percent, with the default hyper."""
+    community, similarity, truth = planted_selection(seed, level)
+    a_sym = symmetrize(similarity)
+    clusters = kmeans(spectral_embed(normalized_laplacian(a_sym), k=2)[:, 1])
+    rows = pick_queries(community, clusters, fraction=0.10, seed=seed)
+    accept = np.array([truth[community.ids[i]] for i in rows])
+    return a_sym, rows, accept, Hyper(), seed, 32
+
+
+@st.composite
+def classifier_inputs(draw):
+    """A symmetrized random graph of 2 to 60 rows, sorted unique labeled rows
+    holding both classes, and the classifier's schedule, seed and width."""
+    n = draw(st.integers(2, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a_sym = symmetrize(row_normalize(rng.uniform(0.0, 1.0, (n, n)) + 1e-3))
+    rows = np.sort(rng.choice(n, size=int(rng.integers(2, n + 1)), replace=False))
+    accept = rng.permutation([True, False] + list(rng.random(rows.size - 2) < 0.5))
+    hyper = Hyper(epochs=draw(st.integers(1, 30)),
+                  learning_rate=draw(st.sampled_from((3e-4, 1e-2))))
+    return a_sym, rows, accept, hyper, draw(st.integers(0, 2**32 - 1)), draw(st.integers(1, 32))
 
 
 def reference_classify(adj: np.ndarray, labeled_idx: np.ndarray, accept: np.ndarray,
@@ -343,6 +384,24 @@ class TestClassify:
         np.testing.assert_allclose(probs, ref_probs, rtol=0, atol=1e-12)
         np.testing.assert_array_equal(predicted, ref_predicted)
 
+    @settings(derandomize=True, deadline=None)
+    @given(case=classifier_inputs())
+    @example(case=(symmetrize(np.full((2, 2), 0.5)), np.array([0, 1]), np.array([True, False]),
+                   Hyper(epochs=3, learning_rate=1e-2), 0, 1))
+    @example(case=(symmetrize(row_normalize(np.arange(1.0, 10.0).reshape(3, 3))),
+                   np.array([0, 2]), np.array([False, True]), Hyper(epochs=30), 1, 32))
+    @example(case=planted_classifier_inputs(2, 50.0))
+    def test_same_bytes_as_the_full_epoch_reference(self, case):
+        """The classifier's predictions and probabilities are the bytes of the
+        reference that runs every epoch over all rows. Derandomized, so a
+        shape whose BLAS path rounds differently fails on every run."""
+        a_sym, rows, accept, hyper, seed, hidden = case
+        got = classify(a_sym, rows, accept, hyper, seed=seed, gcn_hidden=hidden)
+        expected = classify_reference.classify(a_sym, rows, accept, hyper, seed=seed,
+                                               gcn_hidden=hidden)
+        for array, reference in zip(got, expected):
+            assert array.tobytes() == reference.tobytes()
+
     def test_epoch_gradients_match_finite_differences(self):
         rng = np.random.default_rng(11)
         n, hidden = 7, 3
@@ -352,7 +411,15 @@ class TestClassify:
         weights = [rng.normal(size=(n, hidden)), rng.normal(size=(hidden, 2))]
         labeled_idx = np.array([0, 2, 5])
         targets = np.array([[0.0, 1.0], [1.0, 0.0], [0.0, 1.0]])
-        _, _, grads = _gcn_epoch(norm, *weights, labeled_idx, targets)
+        grads = [np.empty_like(w) for w in weights]
+        _gcn_epoch(norm, *weights, labeled_idx, targets, *grads)
+
+        def loss():
+            """Mean cross-entropy over the labeled rows."""
+            logits = norm @ np.maximum(norm @ weights[0], 0.0) @ weights[1]
+            probs = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
+            return -(targets * np.log(probs[labeled_idx] + 1e-12)).sum() / labeled_idx.size
+
         eps = 1e-6
         for w, analytic in zip(weights, grads):
             flat = w.reshape(-1)
@@ -360,9 +427,9 @@ class TestClassify:
             for j in range(flat.size):
                 orig = flat[j]
                 flat[j] = orig + eps
-                up = _gcn_epoch(norm, *weights, labeled_idx, targets)[0]
+                up = loss()
                 flat[j] = orig - eps
-                down = _gcn_epoch(norm, *weights, labeled_idx, targets)[0]
+                down = loss()
                 flat[j] = orig
                 numeric[j] = (up - down) / (2 * eps)
             err = np.linalg.norm(analytic.reshape(-1) - numeric) / max(
@@ -480,6 +547,12 @@ class TestRunSelection:
         pytest.param("float-rows", DomainError,
                      r"labeled_rows \[0.5 3. \] are not rows of the 12 x 12 graph",
                      id="float-rows"),
+        pytest.param("accept-ints", DomainError, "accept must be bool, got int64",
+                     id="accept-ints"),
+        pytest.param("repeated-row", DomainError,
+                     r"labeled_rows \[0 0\] are not strictly increasing", id="repeated-row"),
+        pytest.param("rows-out-of-order", DomainError,
+                     r"labeled_rows \[3 1\] are not strictly increasing", id="rows-out-of-order"),
         pytest.param("id-missing-from-truth", InvalidSpecError,
                      r"truth has no value for ids \['h03'\]", id="id-missing-from-truth"),
     ])
@@ -501,6 +574,12 @@ class TestRunSelection:
                                              np.array([True, False])),
             "float-rows": lambda: classify(symmetrize(similarity), np.array([0.5, 3.0]),
                                            np.array([True, False])),
+            "accept-ints": lambda: classify(symmetrize(similarity), np.array([0, 1]),
+                                            np.array([1, 0])),
+            "repeated-row": lambda: classify(symmetrize(similarity), np.array([0, 0]),
+                                             np.array([True, False])),
+            "rows-out-of-order": lambda: classify(symmetrize(similarity), np.array([3, 1]),
+                                                  np.array([True, False])),
             "id-missing-from-truth": lambda: harness.label_similarity(
                 {hid: y for hid, y in truth.items() if hid != "h03"}, community.ids, seed=0),
         }
@@ -535,17 +614,8 @@ class TestRunSelection:
 
     @pytest.mark.parametrize("seed", [2, 3])
     def test_planted_selections_match_golden_digests(self, seed):
-        spec = harness.PlantedSpec()
-        community = harness.planted_community(spec, seed)
-        rng = np.random.default_rng(seed + 10_000)
-        days = tuple(sorted(int(d) for d in rng.choice(spec.community.days, size=3,
-                                                       replace=False)))
-        truth = harness.oracle_truth(community, spec.incentive, spec.reduction_pct, days,
-                                     spec.community.days)
-        clean = harness.label_similarity(truth, tuple(community.index), seed,
-                                         spec.in_weight, spec.out_weight, spec.jitter)
         for level in (0.0, 50.0):
-            noisy = inject_noise(clean, level, seed=seed + 20_000)
+            community, noisy, truth = planted_selection(seed, level)
             result = run_selection(community, noisy, truth, seed=seed, fraction=0.10)
             digest = hashlib.sha256()
             digest.update(np.asarray(result.clusters, dtype=np.int64).tobytes())

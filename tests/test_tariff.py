@@ -317,6 +317,45 @@ class TestBadRowInput:
                         10.0, 10.0, (3, 3), 30)
 
 
+ROW_FUNCTIONS = {"price_offers": (price_offers, "daily"), "cycle_costs": (cycle_costs, "loads")}
+
+
+def row_fault(call, arg, value, message, fault="length"):
+    return pytest.param(call, arg, value, message, id=f"{call}-{arg}-{fault}")
+
+
+class TestRowShapes:
+    """An argument that does not fit the rows ends in a `ValidationError` that
+    names it, not in a bare numpy error or a silently broadcast answer."""
+
+    @pytest.mark.parametrize(("call", "arg", "value", "message"), [
+        *(row_fault(call, "elasticity", np.full(3, -0.25), r"^elasticity has shape \(3,\), "
+                    r"not \(2,\)$") for call in ROW_FUNCTIONS),
+        *(row_fault(call, "baseline_rate", np.array([0.16]), r"^baseline_rate has shape "
+                    r"\(1,\), not \(2,\)$") for call in ROW_FUNCTIONS),
+        *(row_fault(call, "incentive", np.full(3, 10.0), r"^incentive has shape \(3,\), "
+                    r"not \(\) or \(2,\)$") for call in ROW_FUNCTIONS),
+        *(row_fault(call, "emergency_days", (3, 1.5), r"^emergency days \(3, 1.5\) must be "
+                    r"whole day indices$", "1.5") for call in ROW_FUNCTIONS),
+        row_fault("price_offers", "daily", np.full(30, 30.0),
+                  r"^daily has shape \(30,\), not \(rows, columns\)$", "1-d"),
+        row_fault("cycle_costs", "loads", np.full(720, 1.25),
+                  r"^loads has shape \(720,\), not \(rows, columns\)$", "1-d"),
+        row_fault("cycle_costs", "loads", np.full((2, 725), 1.25),
+                  r"^loads has 725 columns, not whole days of 24$", "part-day"),
+    ])
+    def test_rejects_an_argument_that_does_not_fit_the_rows(self, standard_household, call,
+                                                            arg, value, message):
+        loads = np.stack([standard_household.load] * 2)
+        args = {"daily": daily_totals(loads), "loads": loads,
+                "elasticity": np.full(2, -0.25), "baseline_rate": np.full(2, 0.16),
+                "incentive": 10.0, "emergency_days": (3,), arg: value}
+        function, kwh = ROW_FUNCTIONS[call]
+        with pytest.raises(ValidationError, match=message):
+            function(args[kwh], args["elasticity"], args["baseline_rate"], args["incentive"],
+                     10.0, args["emergency_days"], 30)
+
+
 class TestRateHike:
     def test_revenue_neutral(self):
         nonparticipants = [household(hid=f"h{i}", kwh_per_day=10.0 * (i + 1))
