@@ -12,7 +12,9 @@ it kept, which maps the output's gradient to its inputs' and parameters'
 gradients. The parameters sit in `Tensor` holders only for their seeded
 initial draw; the layers read their `.data`, and no autodiff graph is built.
 `forward`'s backward runs once, and frees each layer's arrays as soon as that
-layer's backward has run.
+layer's backward has run. The graph normalization D^-1/2 (A+I) D^-1/2 of the
+similarity is its own layer, `normalized_graph`: both graph convolutions read
+it, and its backward runs once per sample, on the sum of their gradients.
 
 Training and validation run up to `WORKERS` samples at once, on the calling
 thread and a thread pool (numpy releases the GIL inside its loops and BLAS).
@@ -341,34 +343,19 @@ def inter_series_attention(params: dict[str, Tensor], embeddings: np.ndarray):
     return similarity, merged @ w_out, backward
 
 
-def normalized_graph(edge_weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(D^-1/2 (A+I) D^-1/2, D) for edge weights A, D the degrees of A+I: the
-    graph that every `gcn_layer` over A shares."""
+def normalized_graph(edge_weights: np.ndarray):
+    """(D^-1/2 (A+I) D^-1/2, backward) for edge weights A, D the degrees of
+    A+I: the graph that every `gcn_layer` over A shares. backward maps the
+    normalized graph's gradient to A's, in place; it reaches A both directly
+    and through D."""
     if np.any(edge_weights < 0):
         raise DomainError("edge weights must be non-negative")
     a_hat = edge_weights.copy()
     a_hat.flat[:: a_hat.shape[0] + 1] += 1.0  # A + I
     deg = a_hat.sum(axis=1)
-    return degree_normalized(a_hat, deg), deg
+    norm = degree_normalized(a_hat, deg)
 
-
-def gcn_layer(features: np.ndarray, graph: tuple[np.ndarray, np.ndarray],
-              weight: np.ndarray):
-    """Graph convolution with self-loops, symmetric degree normalization, ReLU:
-    relu(D^-1/2 (A+I) D^-1/2 X W), on the `normalized_graph` of A.
-
-    Returns the output and its backward, which maps d_output to
-    (d_features, d_edge_weights, d_weight). The edge gradient reaches A both
-    directly and through D.
-    """
-    norm, deg = graph
-    mixed = norm @ features  # (n, F_in)
-    pre = mixed @ weight
-
-    def backward(g):
-        d_pre = g * (pre > 0)
-        d_mixed = d_pre @ weight.T
-        d_a = d_mixed @ features.T  # d_norm, until it is scaled below
+    def backward(d_a):
         t = d_a * norm
         # norm_ij = a_hat_ij (deg_i deg_j)^-1/2 with deg_i = sum_j a_ij + 1.
         d_deg = -0.5 * (t.sum(axis=1) + t.sum(axis=0)) / deg
@@ -376,7 +363,25 @@ def gcn_layer(features: np.ndarray, graph: tuple[np.ndarray, np.ndarray],
         d_a *= inv_sqrt[:, None]
         d_a *= inv_sqrt[None, :]
         d_a += d_deg[:, None]
-        return norm.T @ d_mixed, d_a, mixed.T @ d_pre
+        return d_a
+
+    return norm, backward
+
+
+def gcn_layer(features: np.ndarray, norm: np.ndarray, weight: np.ndarray):
+    """Graph convolution relu(Â X W) on a normalized graph Â, such as the
+    `normalized_graph` of the edge weights.
+
+    Returns the output and its backward, which maps d_output to
+    (d_features, d_norm, d_weight).
+    """
+    mixed = norm @ features  # (n, F_in)
+    pre = mixed @ weight
+
+    def backward(g):
+        d_pre = g * (pre > 0)
+        d_mixed = d_pre @ weight.T
+        return norm.T @ d_mixed, d_mixed @ features.T, mixed.T @ d_pre
 
     return np.maximum(pre, 0.0), backward
 
@@ -387,9 +392,10 @@ def forward(model: PatternModel, windows: np.ndarray, socio: np.ndarray):
     windows: (n, s) load windows sharing the same time span; socio: (n, M_bar)
     z-scored static features. Returns (predictions (n, 1), similarity (n, n),
     backward), where backward maps d_predictions to every parameter's gradient.
-    Both graph layers share one normalization of the similarity. backward runs
-    once: it drops each layer's backward, and the arrays that layer kept, as
-    soon as the layer has run.
+    Both graph layers share one normalization of the similarity, whose
+    backward runs once, on the sum of their gradients. backward runs once: it
+    drops each layer's backward, and the arrays that layer kept, as soon as
+    the layer has run.
     """
     windows = np.asarray(windows, dtype=float)
     if windows.ndim != 2 or windows.shape[1] != model.window:
@@ -402,26 +408,28 @@ def forward(model: PatternModel, windows: np.ndarray, socio: np.ndarray):
     similarity, projected, cross_backward = inter_series_attention(params, embeddings)
     if np.shape(socio)[0] != projected.shape[0]:
         raise ShapeError("row count mismatch between temporal and static features")
-    graph = normalized_graph(similarity)
-    g0, gcn0_backward = gcn_layer(np.concatenate([projected, socio], axis=1), graph,
+    norm, graph_backward = normalized_graph(similarity)
+    g0, gcn0_backward = gcn_layer(np.concatenate([projected, socio], axis=1), norm,
                                   params["gcn.0"].data)
-    g1, gcn1_backward = gcn_layer(g0, graph, params["gcn.1"].data)
+    g1, gcn1_backward = gcn_layer(g0, norm, params["gcn.1"].data)
     head_w = params["head.w"].data
     predictions = g1 @ head_w + params["head.b"].data
     if not (np.all(np.isfinite(predictions)) and np.all(np.isfinite(similarity))):
         raise NumericalError("non-finite forecaster output")
     width = projected.shape[1]
-    layers = [gru_backward, self_backward, cross_backward, gcn0_backward, gcn1_backward]
+    layers = [gru_backward, self_backward, cross_backward, graph_backward, gcn0_backward,
+              gcn1_backward]
 
     def backward(d_predictions):
         if not layers:
             raise ContractViolation("a sample's backward runs once")
         # Once popped, a layer's backward has no reference left but the call:
         # the arrays it kept are freed as soon as it returns.
-        d_g1, d_similarity, d_gcn1 = layers.pop()(d_predictions @ head_w.T)
-        d_features, d_edges, d_gcn0 = layers.pop()(d_g1)
-        d_similarity += d_edges
-        del d_edges  # (n, n), and not needed through the cross attention's backward
+        d_g1, d_norm, d_gcn1 = layers.pop()(d_predictions @ head_w.T)
+        d_features, d_norm0, d_gcn0 = layers.pop()(d_g1)
+        d_norm += d_norm0
+        del d_norm0  # (n, n), and not needed through the cross attention's backward
+        d_similarity = layers.pop()(d_norm)  # the normalization's backward, once, in place
         d_embeddings, grads = layers.pop()(d_similarity, d_features[:, :width])
         d_hidden, self_grads = layers.pop()(d_embeddings)
         return {**layers.pop()(d_hidden), **self_grads, **grads, "gcn.0": d_gcn0,

@@ -483,7 +483,7 @@ class TestGcnLayer:
         a = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
         x = np.random.default_rng(0).normal(size=(3, 2))
         w = np.random.default_rng(1).normal(size=(2, 2))
-        out, _ = gcn_layer(x, normalized_graph(a), w)
+        out, _ = gcn_layer(x, normalized_graph(a)[0], w)
         a_hat = a + np.eye(3)
         d = np.diag(1.0 / np.sqrt(a_hat.sum(axis=1)))
         expected = np.maximum(d @ a_hat @ d @ x @ w, 0.0)
@@ -500,8 +500,10 @@ class TestGcnLayer:
         edges = Tensor(rng.uniform(0.0, 1.0, size=(n, n)), requires_grad=True)
         weight = Tensor(rng.normal(size=(f_in, f_out)), requires_grad=True)
         upstream = rng.normal(size=(n, f_out))
-        out, backward = gcn_layer(features.data, normalized_graph(edges.data), weight.data)
-        assert_matches_reference([out], list(backward(upstream)),
+        norm, graph_backward = normalized_graph(edges.data)
+        out, backward = gcn_layer(features.data, norm, weight.data)
+        d_features, d_norm, d_weight = backward(upstream)
+        assert_matches_reference([out], [d_features, graph_backward(d_norm), d_weight],
                                  lambda: reference_gcn_layer(features, edges, weight),
                                  [features, edges, weight], [upstream])
 
@@ -513,9 +515,10 @@ class TestGcnLayer:
         upstream = rng.normal(size=(4, 2))
 
         def layer():
-            return gcn_layer(features, normalized_graph(edges), weight)
+            return gcn_layer(features, normalized_graph(edges)[0], weight)
 
-        _, analytic, _ = layer()[1](upstream)
+        norm, graph_backward = normalized_graph(edges)
+        analytic = graph_backward(gcn_layer(features, norm, weight)[1](upstream)[1])
         numeric = numeric_grad(lambda: float((layer()[0] * upstream).sum()), edges)
         assert np.linalg.norm(analytic) > 1e-3
         err = np.linalg.norm(analytic - numeric) / (
@@ -525,6 +528,20 @@ class TestGcnLayer:
     def test_rejects_negative_weights(self):
         with pytest.raises(DomainError):
             normalized_graph(np.array([[0.0, -0.1], [0.1, 0.0]]))
+
+    def test_normalization_backward_matches_finite_differences(self):
+        """normalized_graph's backward on its own, every entry of A perturbed,
+        the diagonal included."""
+        rng = np.random.default_rng(16)
+        edges = rng.uniform(0.1, 1.0, size=(5, 5))
+        upstream = rng.normal(size=(5, 5))
+        analytic = normalized_graph(edges)[1](upstream.copy())
+        numeric = numeric_grad(lambda: float((normalized_graph(edges)[0] * upstream).sum()),
+                               edges)
+        assert np.abs(np.diag(analytic)).min() > 1e-3
+        err = np.linalg.norm(analytic - numeric) / (
+            np.linalg.norm(analytic) + np.linalg.norm(numeric))
+        assert err < 1e-7
 
     def test_concat_features_widths(self, monkeypatch):
         """forward feeds the first graph layer the (n, M) cross-attention output
@@ -536,9 +553,9 @@ class TestGcnLayer:
         socio = np.random.default_rng(2).normal(size=(3, 2))
         seen = []
 
-        def recording_gcn(features, graph, weight):
+        def recording_gcn(features, norm, weight):
             seen.append(features)
-            return gcn_layer(features, graph, weight)
+            return gcn_layer(features, norm, weight)
 
         monkeypatch.setattr(forecaster, "gcn_layer", recording_gcn)
         forward(model, windows, socio)
