@@ -1,4 +1,4 @@
-"""Command-line entry points: generate / train / select / run / sweep / noise."""
+"""Command-line entry points: generate / train / select / run / sweep."""
 
 from __future__ import annotations
 
@@ -41,7 +41,6 @@ from .forecaster import (  # noqa: E402
 )
 from .harness import (  # noqa: E402
     CommunitySpec,
-    PlantedSpec,
     SweepSpec,
     noise_experiment,
     oracle_truth,
@@ -286,33 +285,6 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _levels(text: str) -> tuple[float, ...]:
-    """The --levels list: comma-separated finite numbers."""
-    levels = []
-    for entry in text.split(","):
-        try:
-            level = float(entry)
-        except ValueError:
-            level = math.nan
-        if not math.isfinite(level):
-            raise InvalidSpecError(f"--levels: {entry!r} is not a finite number")
-        levels.append(level)
-    return tuple(levels)
-
-
-def cmd_noise(args) -> int:
-    out = args.out_dir
-    spec = SweepSpec(variable="noise_level", values=_levels(args.levels),
-                     repetitions=args.seeds, outputs="noise.csv")
-    rows = noise_experiment(spec, PlantedSpec())
-    rows_to_csv(rows, out / spec.outputs)
-    _write_manifest(out, vars_serializable(args), range(args.seeds), spec.outputs)
-    for row in rows:
-        print(f"noise {row['noise_level_pct']:>5}% : "
-              f"mean accuracy {row['mean_accuracy_pct']:.2f}%")
-    return 0
-
-
 def _write_manifest(out: Path, config: dict, seeds, *outputs: str) -> None:
     """`out/manifest.json`: the config, the seeds, the package version and each
     output file's sha256."""
@@ -372,12 +344,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spec", type=Path, required=True)
     p.add_argument("--out-dir", type=Path, default=Path("out"))
     p.set_defaults(func=cmd_sweep)
-
-    p = sub.add_parser("noise", help="similarity-noise robustness study")
-    p.add_argument("--levels", type=str, default="0,25,50,75")
-    p.add_argument("--seeds", type=int, default=20)
-    p.add_argument("--out-dir", type=Path, default=Path("out"))
-    p.set_defaults(func=cmd_noise)
     return parser
 
 

@@ -3,6 +3,7 @@ noise-robustness study. Each returns its results as values; the CLI writes them.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
@@ -40,8 +41,14 @@ class SweepSpec:
     incentive_grid: tuple[float, ...] = ()  # second axis for the rate-hike sweep
 
     def __post_init__(self):
-        allowed = {"incentive", "reduction_pct", "participation_pct", "noise_level"}
-        if self.variable not in allowed:
+        domains = {  # variable -> (holds for a value, rule)
+            "incentive": (lambda v: v >= 0, ">= 0"),
+            "reduction_pct": (lambda v: 0 < v < 100, "in (0, 100)"),
+            # At 100% nobody is left to pay the surcharge.
+            "participation_pct": (lambda v: 0 <= v < 100, "in [0, 100)"),
+            "noise_level": (lambda v: v >= 0, ">= 0"),
+        }
+        if self.variable not in domains:
             raise InvalidSpecError(f"unknown sweep variable {self.variable!r}")
         if not np.isfinite(self.values).all():
             raise InvalidSpecError(f"values must be finite, got {self.values}")
@@ -49,6 +56,14 @@ class SweepSpec:
             b <= a for a, b in zip(self.values, self.values[1:])
         ):
             raise InvalidSpecError("values must be a nonempty strictly increasing ladder")
+        holds, rule = domains[self.variable]
+        for value in self.values:
+            if not holds(value):
+                raise InvalidSpecError(f"{self.variable} values must be {rule}, got {value}")
+        for value in self.incentive_grid:
+            if not 0 <= value < math.inf:
+                raise InvalidSpecError(f"incentive_grid entries must be finite and >= 0, "
+                                       f"got {value}")
         if self.repetitions < 1:
             raise InvalidSpecError("repetitions must be >= 1")
         if (self.outputs in ("", ".", "..", "manifest.json")
@@ -61,8 +76,10 @@ class SweepSpec:
 
 
 def resample_elasticities(
-    community: Community, seed: int, mean: float = -0.25, std: float = 0.1
+    community: Community, seed: int, mean: float | np.ndarray = -0.25,
+    std: float | np.ndarray = 0.1,
 ) -> Community:
+    """`community` with elasticities drawn anew from `seed`; mean and std may be per-row arrays."""
     elasticity = sample_elasticity(np.random.default_rng(seed), mean, std, size=len(community))
     return replace(community, elasticity=elasticity)
 
@@ -110,8 +127,7 @@ def planted_community(spec: PlantedSpec, seed: int) -> Community:
     )
     regimes = ((spec.flexible_mean, spec.flexible_std), (spec.rigid_mean, spec.rigid_std))
     mean, std = np.resize(regimes, (len(base), 2)).T  # rows alternate between regimes
-    elasticity = sample_elasticity(np.random.default_rng(seed + 1), mean, std, size=len(base))
-    return replace(base, elasticity=elasticity)
+    return resample_elasticities(base, seed + 1, mean, std)
 
 
 def label_similarity(

@@ -1,4 +1,4 @@
-"""The files the six commands write under --out-dir, byte for byte; the
+"""The files the five commands write under --out-dir, byte for byte; the
 encoding of every file the CLI reads and writes; and which modules touch files."""
 
 import ast
@@ -32,8 +32,9 @@ def _write_json(path: Path, value) -> str:
 
 
 def run_every_command() -> None:
-    """The six commands at tiny sizes, from the working directory, with paths
-    relative to it: the manifests record the arguments, paths included."""
+    """The five commands at tiny sizes, from the working directory, with paths
+    relative to it: the manifests record the arguments, paths included. The
+    noise study runs through `sweep`."""
     assert main(["generate", "--counties", "1", "--households", "8", "--days", "6",
                  "--out-dir", "generate"]) == 0
     assert main(["train", *POPULATION, "--epochs", "2", "--hidden", "4", "--heads", "2",
@@ -47,7 +48,10 @@ def run_every_command() -> None:
                            {"variable": name, **spec, "community": TINY_COMMUNITY,
                             "scenario": TINY_SCENARIO})
         assert main(["sweep", "--spec", path, "--out-dir", f"sweep-{name}"]) == 0
-    assert main(["noise", "--levels", "0,50", "--seeds", "2", "--out-dir", "noise"]) == 0
+    noise = _write_json(Path("inputs/noise.json"), {
+        "variable": "noise_level", "values": [0.0, 50.0], "repetitions": 2,
+        "outputs": "noise.csv"})
+    assert main(["sweep", "--spec", noise, "--out-dir", "noise"]) == 0
     config = _write_json(Path("inputs/config.json"), {
         "scenario": {"cycle_days": 8, "emergency_day_count": 2, "rng_seed": 3},
         "community": TINY_COMMUNITY, "hyper": {"epochs": 2, "batch_size": 4},
@@ -68,7 +72,7 @@ OUTPUT_DIGESTS = {
     "generate/households.csv": "35bb198d6e3a45d247e22f0e15a8f9e2c70e0d9e4a12fa61692578c73e4c1037",
     "generate/loads.csv": "2fc0dc2e4b4aa9b41f19bcee12daf29d550b80045cd66f43ebadc4f46065ba87",
     "generate/manifest.json": "d76cd63cce3bc59d0c51020f6391c5e826cde07b9b20f7658f05cb8741122ea2",
-    "noise/manifest.json": "8653edc36b6aeeed56fb0c21faeee8447339908a8a3c44a84fdda18b315f8947",
+    "noise/manifest.json": "e12983208edc8f08c398b23d65aa619040e0f757ed0157ae9dff7f82b11fbd58",
     "noise/noise.csv": "eb1c69c1047659561f999f6c5e152abcf0f36c7cf33c25d88985d099a9a5f43b",
     "run/manifest.json": "eb86231631cbcc9be7fc2c70345433e2c1915a08568839d952fc081608c2f9e6",
     "run/offers.csv": "9a3b090628795d28eee3f70cd4311948e59c1e70962a9669bcbd16db99937d43",

@@ -73,6 +73,26 @@ class TestSpecs:
         with pytest.raises(InvalidSpecError, match="values must be finite"):
             SweepSpec(variable="noise_level", values=(0.0, bad))
 
+    @pytest.mark.parametrize(("kwargs", "message"), [
+        ({"variable": "incentive", "values": (-1.0, 5.0)}, "incentive values must be >= 0"),
+        ({"variable": "reduction_pct", "values": (0.0, 10.0)},
+         r"reduction_pct values must be in \(0, 100\), got 0.0"),
+        ({"variable": "reduction_pct", "values": (50.0, 150.0)},
+         r"reduction_pct values must be in \(0, 100\), got 150.0"),
+        ({"variable": "participation_pct", "values": (-50.0, 10.0)},
+         r"participation_pct values must be in \[0, 100\), got -50.0"),
+        ({"variable": "participation_pct", "values": (50.0, 100.0)},
+         r"participation_pct values must be in \[0, 100\), got 100.0"),
+        ({"variable": "noise_level", "values": (-5.0, 0.0)}, "noise_level values must be >= 0"),
+        ({"variable": "participation_pct", "values": (10.0,), "incentive_grid": (100.0, -1.0)},
+         "incentive_grid entries must be finite and >= 0, got -1.0"),
+    ], ids=["negative-incentive", "zero-reduction", "reduction-over-100",
+            "negative-participation", "full-participation", "negative-noise",
+            "negative-grid-incentive"])
+    def test_sweep_spec_rejects_a_value_outside_its_domain(self, kwargs, message):
+        with pytest.raises(InvalidSpecError, match=message):
+            SweepSpec(**kwargs)
+
     def test_manifest_records_digests(self, tmp_path):
         target = tmp_path / "x.csv"
         target.write_text("a,b\n1,2\n")
@@ -634,14 +654,6 @@ class TestCli:
                                       else {"counties": 1}})
         with pytest.raises(InvalidSpecError, match=f"'{section}'"):
             main(["sweep", "--spec", path, "--out-dir", str(tmp_path)])
-
-    @pytest.mark.parametrize(("levels", "entry"), [
-        ("0,x", "'x'"), ("", "''"), ("0,inf", "'inf'"), ("0,nan", "'nan'"),
-    ], ids=["non-numeric", "empty", "inf", "nan"])
-    def test_noise_rejects_a_level_that_is_not_a_finite_number(self, tmp_path, levels, entry):
-        with pytest.raises(InvalidSpecError, match=f"^--levels: {entry} is not a finite number$"):
-            main(["noise", "--levels", levels, "--seeds", "1", "--out-dir", str(tmp_path)])
-        assert list(tmp_path.iterdir()) == []
 
     def test_noise_sweep_records_the_seeds_it_ran(self, tmp_path, monkeypatch):
         monkeypatch.setattr("gridflex.cli.noise_experiment", lambda spec: [{"seeds": 2}])
