@@ -12,9 +12,8 @@ it kept, which maps the output's gradient to its inputs' and parameters'
 gradients. The parameters sit in `Tensor` holders only for their seeded
 initial draw; the layers read their `.data`, and no autodiff graph is built.
 `forward`'s backward runs once, and frees each layer's arrays as soon as that
-layer's backward has run. The graph normalization D^-1/2 (A+I) D^-1/2 of the
-similarity is its own layer, `normalized_graph`: both graph convolutions read
-it, and its backward runs once per sample, on the sum of their gradients.
+layer's backward has run. The graph normalization is a layer of its own: its
+backward runs once per sample, on the sum of both graph layers' gradients.
 
 Training and validation run up to `WORKERS` samples at once, on the calling
 thread and a thread pool (numpy releases the GIL inside its loops and BLAS).
@@ -344,10 +343,9 @@ def inter_series_attention(params: dict[str, Tensor], embeddings: np.ndarray):
 
 
 def normalized_graph(edge_weights: np.ndarray):
-    """(D^-1/2 (A+I) D^-1/2, backward) for edge weights A, D the degrees of
-    A+I: the graph that every `gcn_layer` over A shares. backward maps the
-    normalized graph's gradient to A's, in place; it reaches A both directly
-    and through D."""
+    """(D^-1/2 (A+I) D^-1/2, backward) for edge weights A, D the degrees of A+I:
+    the graph every `gcn_layer` over A shares, and the map of its gradient to
+    A's, in place, which reaches A both directly and through D."""
     if np.any(edge_weights < 0):
         raise DomainError("edge weights must be non-negative")
     a_hat = edge_weights.copy()
@@ -392,10 +390,9 @@ def forward(model: PatternModel, windows: np.ndarray, socio: np.ndarray):
     windows: (n, s) load windows sharing the same time span; socio: (n, M_bar)
     z-scored static features. Returns (predictions (n, 1), similarity (n, n),
     backward), where backward maps d_predictions to every parameter's gradient.
-    Both graph layers share one normalization of the similarity, whose
-    backward runs once, on the sum of their gradients. backward runs once: it
-    drops each layer's backward, and the arrays that layer kept, as soon as
-    the layer has run.
+    Both graph layers share one normalization of the similarity and one run of
+    its backward. backward runs once: it drops each layer's backward, and the
+    arrays that layer kept, as soon as the layer has run.
     """
     windows = np.asarray(windows, dtype=float)
     if windows.ndim != 2 or windows.shape[1] != model.window:

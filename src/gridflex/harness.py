@@ -3,7 +3,6 @@ noise-robustness study. Each returns its results as values; the CLI writes them.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
@@ -60,10 +59,9 @@ class SweepSpec:
         for value in self.values:
             if not holds(value):
                 raise InvalidSpecError(f"{self.variable} values must be {rule}, got {value}")
-        for value in self.incentive_grid:
-            if not 0 <= value < math.inf:
-                raise InvalidSpecError(f"incentive_grid entries must be finite and >= 0, "
-                                       f"got {value}")
+        for v in self.incentive_grid:
+            if not 0 <= v < np.inf:
+                raise InvalidSpecError(f"incentive_grid entries must be finite and >= 0, got {v}")
         if self.repetitions < 1:
             raise InvalidSpecError("repetitions must be >= 1")
         if (self.outputs in ("", ".", "..", "manifest.json")
