@@ -25,6 +25,7 @@ from . import __version__  # noqa: E402
 from .community import (  # noqa: E402
     Community,
     ScenarioConfig,
+    csv_blocks,
     emergency_schedule,
     generate_community,
     load_community,
@@ -73,25 +74,32 @@ def _write_similarity(path: Path, ids: tuple[str, ...], matrix: np.ndarray) -> N
 
 
 def _read_similarity(path: Path, ids: tuple[str, ...]) -> np.ndarray:
-    """The similarity CSV's matrix, its rows and columns put in the order of `ids`."""
-    with utf8_lines(path), path.open(newline="", encoding="utf-8") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        if header is None:
-            raise ValidationError(f"{path.name}: empty file, no header row")
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            try:
-                rows.append([float(v) for v in row])
-            except ValueError:
-                raise ValidationError(f"{path.name} row {lineno}: non-numeric entry") from None
+    """The similarity CSV's matrix, its rows and columns put in the order of
+    `ids`, read through csv_blocks straight into one n x n array."""
+    blocks = csv_blocks(path)
+    header = next(blocks)
+    if not header:
+        raise ValidationError(f"{path.name}: empty file, no header row")
+    n, filled = len(header), 0
+    matrix = np.empty((n, n))
+    for line, cells, fault in blocks:
+        try:
+            for k, row in enumerate(cells):
+                matrix[filled + k] = row  # each field through float()
+        except IndexError:  # a row past the n-th
+            fault = k, f"matrix is not {n} x {n}"
+        except ValueError:
+            fault = k, "non-numeric entry"
+        if fault is not None:
+            raise ValidationError(f"{path.name} row {line[fault[0]]}: {fault[1]}")
+        filled += len(cells)
     column = {hid: j for j, hid in enumerate(header)}
-    if len(column) != len(header) or column.keys() != set(ids):
+    if len(column) != n or column.keys() != set(ids):
         raise ReferentialIntegrityError(f"{path.name}: header ids do not match the community's")
-    if len(rows) != len(header) or any(len(row) != len(header) for row in rows):
-        raise ValidationError(f"{path.name}: matrix is not {len(header)} x {len(header)}")
+    if filled != n:
+        raise ValidationError(f"{path.name}: matrix is not {n} x {n}")
     order = [column[hid] for hid in ids]
-    return np.array(rows)[np.ix_(order, order)]
+    return matrix if order == list(range(n)) else matrix[np.ix_(order, order)]
 
 
 def _load_or_generate(args) -> Community:

@@ -10,7 +10,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
 from itertools import compress, product
-from operator import itemgetter
 from pathlib import Path
 from typing import NamedTuple
 
@@ -328,22 +327,6 @@ def _columns(path: Path, header: list[str], columns: tuple[str, ...]) -> list[in
     return [header.index(c) for c in columns]
 
 
-def _rows(path: Path, columns: tuple[str, ...]):
-    """(line number, fields of `columns`) per non-blank row of the CSV at `path`;
-    a missing column or a row of the wrong width raises ValidationError."""
-    with utf8_lines(path), path.open(newline="", encoding="utf-8") as f:
-        reader = csv.reader(f)
-        header = next(reader, [])
-        pick = itemgetter(*_columns(path, header, columns))
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise ValidationError(f"{path.name} row {reader.line_num}: {len(row)} "
-                                      f"fields, the header has {len(header)}")
-            yield reader.line_num, pick(row)
-
-
 def _float_or_nan(text: str) -> float:
     """float(text), or nan where float() rejects `text`."""
     try:
@@ -352,16 +335,8 @@ def _float_or_nan(text: str) -> float:
         return math.nan
 
 
-def _number(text: str, where: str, column: str) -> float:
-    """`text` as a finite float; anything else raises ValidationError at `where`."""
-    value = _float_or_nan(text)
-    if not math.isfinite(value):
-        raise ValidationError(f"{where}: {column} {text!r} is not a finite number")
-    return value
-
-
-# Bytes of loads.csv lines read and tokenized at once. It bounds what a load
-# holds beyond its 20 bytes per row (three int32 and a float64).
+# Bytes of CSV lines read and tokenized at once. It bounds what a read holds
+# beyond its result, 20 bytes per loads.csv row (three int32 and a float64).
 _BLOCK = 1 << 16
 _BLANK = frozenset(("\n", "\r\n", "\r"))  # lines csv.reader reads as empty rows
 
@@ -397,6 +372,28 @@ def _records(lines: list[str], width: int) -> tuple[np.ndarray, tuple[int, str] 
                                            f"{len(row)} fields, the header has {width}")
 
 
+def csv_blocks(path: Path) -> Iterator:
+    """The CSV file at `path` in blocks of lines: first the header's fields, then
+    per block of non-blank lines (line numbers, *_records(lines)). A record's
+    fault is handed up, not raised, so that the caller can name an earlier faulty
+    row of its own first, as a reader taking one row at a time would."""
+    with utf8_lines(path), path.open(newline="", encoding="utf-8") as f:
+        header = next(csv.reader([f.readline()]), [])
+        if _runs_on(header):
+            raise ValidationError(f"{path.name} row 1: a quoted field runs past the end "
+                                  f"of its line")
+        yield header
+        next_line = 2
+        while block := f.readlines(_BLOCK):
+            line = np.arange(next_line, next_line + len(block))
+            next_line += len(block)
+            if not _BLANK.isdisjoint(block):
+                keep = [text not in _BLANK for text in block]
+                block, line = list(compress(block, keep)), line[keep]
+            yield line, *_records(block, len(header))
+            del block  # free this block before reading the next
+
+
 def _read_loads(path: Path) -> tuple[datetime | None, dict[str, int], np.ndarray]:
     """The loads CSV as (start, household id -> row, hourly kWh of shape
     (households, hours)). Rows may come in any order, but every household must
@@ -404,12 +401,7 @@ def _read_loads(path: Path) -> tuple[datetime | None, dict[str, int], np.ndarray
     and first rows, precede gaps, named by household and hour. Of several, the
     earliest hour is named, then the household whose first row comes first.
     A file with one row per cell is placed straight into the result; only a
-    faulty one is sorted to name its fault.
-
-    The file is read and checked in blocks of lines, each with one numpy
-    tokenizer call; a faulty row is still the first in file order, as a
-    reader taking one row at a time would name it. Each record must be one
-    line: a quoted field that runs past the end of its line is rejected."""
+    faulty one is sorted to name its fault. The file is read through `csv_blocks`."""
     code: dict[str, int] = {}  # household id -> index, in order of first row
     hour_of: dict[str, int] = {}  # timestamp string -> hours after `origin`
     origin = None
@@ -422,51 +414,40 @@ def _read_loads(path: Path) -> tuple[datetime | None, dict[str, int], np.ndarray
     codes, hours, lines = (np.empty(most, index) for _ in range(3))
     kwhs = np.empty(most)
     rows = 0
-    with utf8_lines(path), path.open(newline="", encoding="utf-8") as f:
-        header = next(csv.reader([f.readline()]), [])
-        if _runs_on(header):
-            raise ValidationError(f"{path.name} row 1: a quoted field runs past the end "
-                                  f"of its line")
-        id_at, stamp_at, kwh_at = _columns(path, header, LOAD_COLUMNS)
-        next_line = 2
-        while block := f.readlines(_BLOCK):
-            line = np.arange(next_line, next_line + len(block))
-            next_line += len(block)
-            if not _BLANK.isdisjoint(block):
-                keep = [text not in _BLANK for text in block]
-                block, line = list(compress(block, keep)), line[keep]
-            cells, fault = _records(block, len(header))
-            ids, stamps = cells[:, id_at].tolist(), cells[:, stamp_at].tolist()
-            for hid in dict.fromkeys(ids):
-                code.setdefault(hid, len(code))
-            for stamp in [s for s in dict.fromkeys(stamps) if s not in hour_of]:  # by first row
-                try:
-                    when = datetime.fromisoformat(stamp)
-                    origin = origin or when
-                    offset = when - origin
-                except (TypeError, ValueError):
-                    fault = stamps.index(stamp), f"bad timestamp {stamp!r}"
-                    break
-                if offset % HOUR:
-                    fault = stamps.index(stamp), (f"{stamp} is not a whole number of hours "
-                                                  f"after {origin.isoformat()}")
-                    break
-                hour_of[stamp] = offset // HOUR
-            texts = cells[:, kwh_at]
+    blocks = csv_blocks(path)
+    id_at, stamp_at, kwh_at = _columns(path, next(blocks), LOAD_COLUMNS)
+    for line, cells, fault in blocks:
+        ids, stamps = cells[:, id_at].tolist(), cells[:, stamp_at].tolist()
+        for hid in dict.fromkeys(ids):
+            code.setdefault(hid, len(code))
+        for stamp in [s for s in dict.fromkeys(stamps) if s not in hour_of]:  # by first row
             try:
-                kwh = texts.astype(float)
-            except ValueError:  # some text is no number: find it as nan
-                kwh = np.array([_float_or_nan(text) for text in texts])
-            bad = np.flatnonzero(~((kwh >= 0) & (kwh < math.inf)))
-            if bad.size and (fault is None or bad[0] < fault[0]):
-                fault = bad[0], f"kwh {texts[bad[0]]!r} is not a finite number >= 0"
-            if fault is not None:
-                raise ValidationError(f"{path.name} row {line[fault[0]]}: {fault[1]}")
-            end = rows + len(ids)
-            codes[rows:end] = np.fromiter(map(code.__getitem__, ids), index, len(ids))
-            hours[rows:end] = np.fromiter(map(hour_of.__getitem__, stamps), index, len(ids))
-            lines[rows:end], kwhs[rows:end], rows = line, kwh, end
-            del block, cells, ids, stamps, texts  # free this block before reading the next
+                when = datetime.fromisoformat(stamp)
+                origin = origin or when
+                offset = when - origin
+            except (TypeError, ValueError):
+                fault = stamps.index(stamp), f"bad timestamp {stamp!r}"
+                break
+            if offset % HOUR:
+                fault = stamps.index(stamp), (f"{stamp} is not a whole number of hours "
+                                              f"after {origin.isoformat()}")
+                break
+            hour_of[stamp] = offset // HOUR
+        texts = cells[:, kwh_at]
+        try:
+            kwh = texts.astype(float)
+        except ValueError:  # some text is no number: find it as nan
+            kwh = np.array([_float_or_nan(text) for text in texts])
+        bad = np.flatnonzero(~((kwh >= 0) & (kwh < math.inf)))
+        if bad.size and (fault is None or bad[0] < fault[0]):
+            fault = bad[0], f"kwh {texts[bad[0]]!r} is not a finite number >= 0"
+        if fault is not None:
+            raise ValidationError(f"{path.name} row {line[fault[0]]}: {fault[1]}")
+        end = rows + len(ids)
+        codes[rows:end] = np.fromiter(map(code.__getitem__, ids), index, len(ids))
+        hours[rows:end] = np.fromiter(map(hour_of.__getitem__, stamps), index, len(ids))
+        lines[rows:end], kwhs[rows:end], rows = line, kwh, end
+        del cells, ids, stamps, texts  # free this block before reading the next
     if not code:
         return None, {}, np.zeros((0, 0))
     ids, n = list(code), len(code)
@@ -512,17 +493,24 @@ def load_community(households_csv: Path | str, loads_csv: Path | str) -> Communi
     start, load_row, loads = _read_loads(Path(loads_csv))
     row_of: dict[str, int] = {}  # household id -> line, in file order
     neighborhood, county, numbers = [], [], []
-    for line, (hid, nb_id, county_id, *fields) in _rows(households_csv, HOUSEHOLD_COLUMNS):
-        where = f"{households_csv.name} row {line}"
-        if hid in row_of:
-            raise ValidationError(f"{where}: household {hid} repeats row {row_of[hid]}")
-        row_of[hid] = line
-        if hid not in load_row:
-            raise ReferentialIntegrityError(f"{where}: household {hid} has no load rows")
-        numbers.append([_number(text, where, column)
-                        for text, column in zip(fields, HOUSEHOLD_COLUMNS[3:])])
-        neighborhood.append(nb_id)
-        county.append(county_id)
+    blocks = csv_blocks(households_csv)
+    at = _columns(households_csv, next(blocks), HOUSEHOLD_COLUMNS)
+    for line, cells, fault in blocks:
+        for row, (hid, nb_id, county_id, *fields) in zip(line.tolist(), cells[:, at].tolist()):
+            where = f"{households_csv.name} row {row}"
+            if hid in row_of:
+                raise ValidationError(f"{where}: household {hid} repeats row {row_of[hid]}")
+            row_of[hid] = row
+            if hid not in load_row:
+                raise ReferentialIntegrityError(f"{where}: household {hid} has no load rows")
+            numbers.append([_float_or_nan(text) for text in fields])
+            for text, value, column in zip(fields, numbers[-1], HOUSEHOLD_COLUMNS[3:]):
+                if not math.isfinite(value):
+                    raise ValidationError(f"{where}: {column} {text!r} is not a finite number")
+            neighborhood.append(nb_id)
+            county.append(county_id)
+        if fault is not None:
+            raise ValidationError(f"{households_csv.name} row {line[fault[0]]}: {fault[1]}")
     orphans = load_row.keys() - row_of.keys()
     if orphans:
         raise ReferentialIntegrityError(f"load rows for unknown households: {sorted(orphans)}")

@@ -14,9 +14,9 @@ import numpy as np
 import pytest
 
 import gridflex
-from gridflex.cli import _write_similarity, main
-from gridflex.community import save_community
-from gridflex.errors import InvalidSpecError, ValidationError
+from gridflex.cli import _read_similarity, _write_similarity, main
+from gridflex.community import load_community, save_community
+from gridflex.errors import GridflexError, InvalidSpecError, ValidationError
 from tests.conftest import community_of, household
 
 TINY_COMMUNITY = {"counties": 1, "households_per_neighborhood": 8, "days": 8}
@@ -221,6 +221,74 @@ def test_input_that_is_not_utf8_names_the_file_and_line(tmp_path, monkeypatch, n
     line = data[:data.index(b"\xff")].count(b"\n") + 1
     with pytest.raises(error, match=re.escape(f"{name} line {line}: byte 0xff is not UTF-8")):
         main([*argv, "--out-dir", "out"])
+
+
+def _drop_last_field(lines: list[str], k: int) -> None:
+    lines[k] = lines[k].rstrip("\r\n").rsplit(",", 1)[0] + "\r\n"
+
+
+def _quote_across_lines(lines: list[str], k: int) -> None:
+    first, rest = lines[k].split(",", 1)
+    lines[k] = f'"{first}\n{first}",{rest}'
+
+
+# Each fault, as an edit of a file's lines, and the message each reader gives
+# for it. Row 3 is the second record, the household "é" in households.csv.
+CSV_FAULTS = {
+    "missing column": (lambda lines: _drop_last_field(lines, 0), {
+        "households.csv": "households.csv: missing column(s) dwelling_size",
+        "loads.csv": "loads.csv: missing column(s) kwh",
+        "similarity.csv": "similarity.csv row 2: 3 fields, the header has 2"}),
+    "ragged row": (lambda lines: _drop_last_field(lines, 2), {
+        "households.csv": "households.csv row 3: 11 fields, the header has 12",
+        "loads.csv": "loads.csv row 3: 2 fields, the header has 3",
+        "similarity.csv": "similarity.csv row 3: 2 fields, the header has 3"}),
+    "quoted field spanning lines": (lambda lines: _quote_across_lines(lines, 2), {
+        name: f"{name} row 3: a quoted field runs past the end of its line"
+        for name in ("households.csv", "loads.csv", "similarity.csv")}),
+    "non-UTF-8 byte": (None, {
+        "households.csv": "households.csv line 3: byte 0xff is not UTF-8",
+        "loads.csv": "loads.csv line 26: byte 0xff is not UTF-8",
+        "similarity.csv": "similarity.csv line 1: byte 0xff is not UTF-8"}),
+    "blank lines between rows": (lambda lines: lines.insert(2, "\r\n\n\r"), None),
+}
+
+
+@pytest.mark.parametrize("name", ["households.csv", "loads.csv", "similarity.csv"])
+@pytest.mark.parametrize("fault", list(CSV_FAULTS))
+def test_the_three_csv_files_meet_a_fault_by_one_rule_set(tmp_path, fault, name):
+    """One line per record, blank lines skipped, columns by header name: the
+    same fault gets the same treatment in each file, named by file and row."""
+    community = community_of([household(hid, days=1) for hid in ("a", "é", "b")])
+    save_community(community, tmp_path / "households.csv", tmp_path / "loads.csv")
+    _write_similarity(tmp_path / "similarity.csv", community.ids, np.full((3, 3), 1 / 3))
+
+    def read():
+        if name == "similarity.csv":
+            return _read_similarity(tmp_path / name, community.ids)
+        return load_community(tmp_path / "households.csv", tmp_path / "loads.csv")
+
+    clean = read()
+    edit, messages = CSV_FAULTS[fault]
+    data = (tmp_path / name).read_bytes()
+    if edit is None:
+        data = data.replace("é".encode(), b"\xff")
+    else:
+        lines = data.decode().splitlines(keepends=True)
+        edit(lines)
+        data = "".join(lines).encode()
+    (tmp_path / name).write_bytes(data)
+    if messages is None:
+        restored = read()
+        if name == "similarity.csv":
+            assert restored.tobytes() == clean.tobytes()
+        else:
+            assert restored.ids == clean.ids
+            assert restored.loads.tobytes() == clean.loads.tobytes()
+            assert restored.profiles.tobytes() == clean.profiles.tobytes()
+        return
+    with pytest.raises(GridflexError, match=f"^{re.escape(messages[name])}$"):
+        read()
 
 
 # Only these modules may read or write files; the rest compute and return values.
