@@ -85,10 +85,12 @@ class Community:
         if len(index) != n:
             twice = next(hid for i, hid in enumerate(self.ids) if index[hid] != i)
             raise ValidationError(f"duplicate household id {twice}")
-        broken = next((i for i, hid in enumerate(self.ids) if "\n" in hid or "\r" in hid), None)
-        if broken is not None:  # a CSV record of loads.csv must be one line
-            raise ValidationError(f"household id {self.ids[broken]!r} holds a line break",
-                                  row=broken)
+        for name, texts in (("household id", self.ids), ("neighborhood", self.neighborhood),
+                            ("county", self.county)):  # a CSV record must be one line
+            broken = [i for i, text in enumerate(texts) if "\n" in text or "\r" in text]
+            if broken:
+                raise ValidationError(f"{name} {texts[broken[0]]!r} holds a line break",
+                                      row=broken[0])
         if (len(self.neighborhood), len(self.county)) != (n, n):
             raise ValidationError(f"neighborhood and county need {n} entries each")
         row_shapes = {"loads": np.shape(self.loads)[-1:], "elasticity": (),

@@ -107,6 +107,15 @@ class TestCommunityInvariants:
             community_of([household(hid) for hid in ids])
         assert info.value.row == row
 
+    @pytest.mark.parametrize("field", ["neighborhood", "county"])
+    @pytest.mark.parametrize(("texts", "row"), [(("a\nb", "c"), 0), (("c", "a\rb"), 1)])
+    def test_rejects_a_neighborhood_or_county_holding_a_line_break(self, field, texts, row):
+        """Each households.csv record is one line, as each loads.csv record is."""
+        community = community_of([household(hid, days=1) for hid in ("h0", "h1")])
+        with pytest.raises(ValidationError, match=f"^{field} .* holds a line break$") as info:
+            replace(community, **{field: texts})
+        assert info.value.row == row
+
     @pytest.mark.parametrize("rate", [math.inf, math.nan])
     def test_rejects_a_rate_that_is_not_finite(self, rate):
         """load_community rejects such a households.csv, so no Community may hold one."""
@@ -378,6 +387,26 @@ class TestCsvRoundtrip:
         assert restored.neighborhood == tuple(h.neighborhood_id for h in hs)
         assert restored.county == original.county
         assert set(restored.county) == {"c0", "c1"}
+
+    @settings(max_examples=80, deadline=None)
+    @given(neighborhood=st.text(st.sampled_from(list('ab ,"\r\né')), max_size=4),
+           county=st.text(st.sampled_from(list('ab ,"\r\né')), max_size=4))
+    def test_every_community_saves_one_line_per_household_and_loads_back(
+            self, tmp_path_factory, neighborhood, county):
+        """A neighborhood or county that holds a line end is refused by Community,
+        naming its row, so save_community never writes a record that spans lines."""
+        households = [household("h0", days=1, neighborhood_id="n0"),
+                      household("h1", days=1, neighborhood_id=neighborhood)]
+        try:
+            original = replace(community_of(households), county=("c0", county))
+        except ValidationError as exc:
+            assert "holds a line break" in str(exc) and exc.row == 1
+            assert any(end in neighborhood + county for end in "\r\n")
+            return
+        tmp = tmp_path_factory.mktemp("one-line")
+        save_community(original, tmp / "hh.csv", tmp / "loads.csv")
+        assert len((tmp / "hh.csv").read_bytes().splitlines()) == 1 + len(original)
+        assert_same_community(load_community(tmp / "hh.csv", tmp / "loads.csv"), original)
 
     def test_non_ascii_ids_round_trip_as_utf8(self, tmp_path):
         ids = ('Zoë "Ünal", Łódź', "東京,1", 'say "hi"')
