@@ -1,9 +1,10 @@
 import os
 
-# One BLAS thread per matmul unless the variable is set already, before a test
-# module loads numpy: training then runs one sample per CPU, as under the CLI.
+# One BLAS thread per matmul, whatever the environment says, before a test
+# module loads numpy: training then runs one sample per CPU, as under the CLI,
+# and the pinned digests do not depend on how BLAS splits a matmul.
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ.setdefault(_var, "1")
+    os.environ[_var] = "1"
 
 import threading  # noqa: E402
 from datetime import datetime  # noqa: E402

@@ -713,6 +713,22 @@ FIELD_VALUES = st.one_of(
 )
 
 
+def test_json_values_nest_lists_and_dicts():
+    """JSON_VALUES recurses: over 200 draws, lists and dicts turn up inside both."""
+    nested = {(outer, inner): 0 for outer in (list, dict) for inner in (list, dict)}
+
+    @settings(max_examples=200, derandomize=True, database=None)
+    @given(JSON_VALUES)
+    def count(value):
+        if isinstance(value, (list, dict)):
+            for item in value.values() if isinstance(value, dict) else value:
+                if isinstance(item, (list, dict)):
+                    nested[type(value), type(item)] += 1
+
+    count()
+    assert all(nested.values()), nested
+
+
 @pytest.mark.parametrize("cls", [ScenarioConfig, CommunitySpec, Hyper, SweepSpec, _RunOptions])
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
